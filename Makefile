@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke perf-gate perf-report bench-engine sweep-bench bundle-gate cpuprof-gate
+.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke perf-gate perf-report sweep-bench bundle-gate cpuprof-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,9 +44,6 @@ cpuprof-gate:
 
 perf-report:
 	$(PYTHON) -m repro.obs.perfdb --history benchmark_results/history report
-
-bench-engine:
-	$(PYTHON) -m pytest benchmarks/bench_bitset_engine.py -q
 
 sweep-bench:
 	$(PYTHON) -m pytest benchmarks/bench_sweep.py -q

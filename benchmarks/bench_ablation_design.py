@@ -1,6 +1,5 @@
 """Ablation benches for the design choices called out in DESIGN.md.
 
-- mining backend: Apriori vs FP-Growth (same results, different cost);
 - candidate-threshold cap in tree discretization;
 - including hierarchy roots in the mined universe (pure overhead).
 """
@@ -13,38 +12,6 @@ from repro.core.hexplorer import HDivExplorer
 from repro.core.mining.generalized import generalized_universe
 from repro.core.mining.transactions import mine
 from repro.experiments import render_table
-
-
-def test_backend_ablation(benchmark, emit, compas_ctx):
-    """Apriori and FP-Growth agree on results; compare their cost."""
-    ctx = compas_ctx
-
-    def run():
-        rows = []
-        results = {}
-        for backend in ("fpgrowth", "apriori"):
-            explorer = HDivExplorer(
-                min_support=0.05, tree_support=0.1, backend=backend
-            )
-            res = explorer.explore(ctx.features, ctx.outcomes)
-            results[backend] = res
-            rows.append(
-                (backend, len(res), round(res.max_divergence(), 3),
-                 round(res.elapsed_seconds, 3))
-            )
-        return rows, results
-
-    rows, results = run_once(benchmark, run)
-    emit(
-        "ablation_backends",
-        render_table(
-            ("backend", "itemsets", "max|d|", "time(s)"), rows,
-            "Ablation: mining backend (compas, s=0.05, st=0.1)",
-        ),
-    )
-    fp = {(r.itemset, r.count) for r in results["fpgrowth"]}
-    ap = {(r.itemset, r.count) for r in results["apriori"]}
-    assert fp == ap, "backends must return identical frequent itemsets"
 
 
 def test_split_candidate_cap(benchmark, emit, peak_ctx):

@@ -3,8 +3,7 @@
 Beyond the paper's table this bench exercises the full telemetry
 pipeline: the sweep runs under an :class:`repro.obs.ObsCollector`
 (``figure2.<dataset>`` spans with the explorers' ``discretize`` /
-``mine`` / per-backend spans nested beneath), a drilldown phase
-generates genuine cover-cache traffic, and a serial-vs-``n_jobs=4``
+``mine`` / ``bitset`` spans nested beneath), and a serial-vs-``n_jobs=4``
 parity phase asserts the merged worker counters and the result
 ranking are identical. The whole registry lands in
 ``benchmark_results/BENCH_fig2_divergence_time.json``.
@@ -14,9 +13,6 @@ from conftest import RESULTS_DIR, run_once
 
 from repro.core.config import ExploreConfig
 from repro.core.hexplorer import HDivExplorer
-from repro.core.mining.bitset import BitsetEngine
-from repro.core.mining.generalized import generalized_universe
-from repro.core.mining.transactions import mine
 from repro.experiments import render_table
 from repro.experiments.figures import FIGURE2_DATASETS, figure2
 from repro.obs import EventStream, ObsCollector, event_counts, write_chrome_trace
@@ -25,14 +21,14 @@ PARITY_SUPPORT = 0.1
 
 
 def _hierarchical_run(ctx, n_jobs):
-    """Compas hierarchical bitset exploration with a private collector.
+    """Compas hierarchical exploration with a private collector.
 
     The collector streams events so the parity phase can also compare
     the deterministic event counts across ``n_jobs``.
     """
     obs = ObsCollector(events=EventStream())
     config = ExploreConfig(
-        min_support=PARITY_SUPPORT, backend="bitset", n_jobs=n_jobs, obs=obs,
+        min_support=PARITY_SUPPORT, n_jobs=n_jobs, obs=obs,
     )
     result = HDivExplorer(config).explore(
         ctx.features, ctx.outcomes, hierarchies=ctx.dataset.hierarchies,
@@ -42,41 +38,6 @@ def _hierarchical_run(ctx, n_jobs):
         for r in result.top_k(50, by="abs_divergence")
     ]
     return ranking, dict(obs.counters), obs
-
-
-def _drilldown(obs, ctx):
-    """Re-examine the top itemsets through the cover cache.
-
-    Mining alone never revisits a cover (each node is materialized
-    once), so this phase reproduces the analyst's follow-up — stats of
-    every prefix of every top itemset, twice — which *does* share
-    prefixes and therefore exercises the BitsetEngine LRU.
-    """
-    gamma = HDivExplorer(ExploreConfig(min_support=PARITY_SUPPORT)).discretize(
-        ctx.features, ctx.outcomes
-    )
-    universe = generalized_universe(
-        ctx.features, ctx.outcomes, gamma, obs=obs
-    )
-    # reprolint: disable-next-line=RPL015 (drilldown probes the engine's LRU directly)
-    engine = BitsetEngine(universe, obs=obs)
-    mined = mine(
-        universe, PARITY_SUPPORT, "bitset", engine=engine, obs=obs
-    )
-    top = sorted(mined, key=lambda m: -abs(m.stats.mean))[:25]
-    with obs.span("drilldown", itemsets=len(top)) as span:
-        hits0, misses0 = engine.cache_hits, engine.cache_misses
-        for _ in range(2):
-            for m in top:
-                ids = tuple(sorted(m.ids))
-                for k in range(1, len(ids) + 1):
-                    engine.stats(ids[:k])
-        hits = engine.cache_hits - hits0
-        misses = engine.cache_misses - misses0
-        obs.count("cover_cache.hits", hits)
-        obs.count("cover_cache.misses", misses)
-        span.set(hits=hits, misses=misses)
-    return hits
 
 
 def test_figure2(benchmark, emit, sweep_contexts):
@@ -104,15 +65,11 @@ def test_figure2(benchmark, emit, sweep_contexts):
 
     # -- telemetry: nested spans and nonzero core counters ---------------
     span_names = {s.name for root in obs.roots for s in root.walk()}
-    for expected in ("figure2.compas", "discretize", "mine", "fpgrowth"):
+    for expected in ("figure2.compas", "discretize", "mine", "bitset"):
         assert expected in span_names, expected
     assert obs.counter("mining.candidates") > 0
     assert obs.counter("mining.support_pruned") > 0
     assert obs.counter("discretize.splits_accepted") > 0
-
-    # -- drilldown: genuine cover-cache hits -----------------------------
-    assert _drilldown(obs, sweep_contexts["compas"]) > 0
-    assert obs.counter("cover_cache.hits") > 0
 
     # -- parity: n_jobs=4 merges to the serial counters and ranking ------
     serial_rank, serial_counters, serial_obs = _hierarchical_run(

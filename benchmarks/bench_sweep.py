@@ -96,7 +96,6 @@ def test_sweep_min_support(benchmark, emit, compas_ctx):
             "supports": list(DEFAULT_SUPPORTS),
             "tree_support": 0.1,
             "criterion": "divergence",
-            "backend": "fpgrowth",
         },
         extra={
             "cold_seconds": round(cold_total, 4),

@@ -1,10 +1,10 @@
-"""Backend smoke check — fast agreement gate for CI.
+"""Mining smoke check — fast serial/parallel agreement gate for CI.
 
-Runs the hierarchical exploration of the synthetic-peak dataset once
-per mining backend (plus the 2-way parallel bitset path) and fails if
+Runs the hierarchical exploration of the synthetic-peak dataset
+serially and with the 2-way parallel fan-out, and fails if
 
 * any single run takes longer than ``TIME_BUDGET`` seconds, or
-* any backend's ResultSet diverges from the fpgrowth reference
+* the ``n_jobs=2`` ResultSet diverges from the serial reference
   (same subgroups, same counts, divergences equal at 9 decimals), or
 * reprolint reports any non-baselined finding over ``src`` +
   ``benchmarks`` (the determinism/purity static gate).
@@ -58,7 +58,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.mining import BACKENDS
 from repro.devtools import Baseline, LintRunner
 from repro.devtools.suppressions import BASELINE_FILENAME
 from repro.experiments.harness import load_context, run_hierarchical
@@ -86,7 +85,8 @@ MAX_CPUPROF_OVERHEAD = 0.10
 #: GatePolicy phase gate and collect tens of samples at 97 Hz.
 INJECTED_REGRESSION_SECONDS = 0.4
 
-VARIANTS = [(backend, 1) for backend in BACKENDS] + [("bitset", 2)]
+#: The ``n_jobs`` settings compared; the first is the reference.
+VARIANTS = (1, 2)
 
 
 def signature(result):
@@ -102,10 +102,10 @@ def main() -> int:
     ctx.leaf_items(0.1, "divergence")  # warm the discretization cache
     reference = None
     failures = []
-    for backend, n_jobs in VARIANTS:
-        label = backend if n_jobs == 1 else f"{backend} (n_jobs={n_jobs})"
+    for n_jobs in VARIANTS:
+        label = "serial" if n_jobs == 1 else f"n_jobs={n_jobs}"
         start = time.perf_counter()
-        result = run_hierarchical(ctx, SUPPORT, backend=backend, n_jobs=n_jobs)
+        result = run_hierarchical(ctx, SUPPORT, n_jobs=n_jobs)
         elapsed = time.perf_counter() - start
         sig = signature(result)
         status = "ok"
@@ -115,7 +115,7 @@ def main() -> int:
         if reference is None:
             reference = sig
         elif sig != reference:
-            status = "DIVERGED from fpgrowth"
+            status = "DIVERGED from serial"
             failures.append(label)
         print(
             f"{label:20s} {len(sig):5d} subgroups  {elapsed:6.2f}s  {status}"
@@ -139,7 +139,7 @@ def main() -> int:
     if failures:
         print(f"smoke FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("smoke passed: all backends agree")
+    print("smoke passed: serial and parallel mining agree")
     return 0
 
 

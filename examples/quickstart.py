@@ -36,7 +36,7 @@ def main() -> None:
     print(f"overall error rate: {errors.mean():.3f}\n")
 
     # One frozen config drives every explorer; replace() derives
-    # variants (e.g. backend="bitset" for the fast mining engine).
+    # variants (e.g. max_length=2 to cap itemset length).
     config = ExploreConfig(min_support=0.05, tree_support=0.1)
 
     # Hierarchical exploration: trees discretize age and income into
@@ -46,11 +46,6 @@ def main() -> None:
     print("H-DivExplorer top subgroups (support >= 0.05):")
     for r in result.top_k(5):
         print(f"  {r}")
-
-    fast = HDivExplorer(config.replace(backend="bitset")).explore(
-        table, outcome
-    )
-    assert fast.itemsets() == result.itemsets()  # same answer, faster
 
     print("\nitem hierarchy discovered for 'age':")
     print(explorer.last_hierarchies_["age"].render())

@@ -25,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.config import ExploreConfig, resolve_config
+from repro.core.divergence import min_support_count
 from repro.core.items import Item, Itemset
 from repro.core.mining.transactions import EncodedUniverse
 from repro.core.outcomes import Outcome, coerce_outcome
@@ -117,7 +118,7 @@ class SliceLine:
             table, list(items), coerce_outcome(outcome)
         )
         n = universe.n_rows
-        min_count = max(1, math.ceil(self.min_support * n))
+        min_count = min_support_count(self.min_support, n)
         errors = universe.outcomes
         defined = ~np.isnan(errors)
         e_filled = np.where(defined, errors, 0.0)

@@ -35,7 +35,7 @@ import math
 import sys
 
 from repro.core.config import ExploreConfig
-from repro.core.mining.transactions import BACKENDS
+from repro.core.mining.transactions import BACKENDS, RETIRED_BACKENDS
 from repro.obs.events import RunCancelled
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
@@ -272,7 +272,7 @@ def _explore_config(args, obs=None) -> ExploreConfig:
             "min_support": args.support,
             "tree_support": args.tree_support,
             "criterion": args.criterion,
-            "backend": getattr(args, "backend", "fpgrowth"),
+            "backend": getattr(args, "backend", "bitset"),
             "polarity": getattr(args, "polarity", False),
             "max_length": getattr(args, "max_length", None),
             "n_jobs": getattr(args, "n_jobs", 1),
@@ -466,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
             default="divergence",
         )
         p.add_argument(
-            "--backend", choices=list(BACKENDS), default="fpgrowth",
-            help="mining backend (all return identical subgroups)",
+            "--backend", choices=list(BACKENDS + RETIRED_BACKENDS),
+            default="bitset",
+            help="deprecated: the bitset engine is the only miner",
         )
         p.add_argument(
             "--n-jobs", type=int, default=1, dest="n_jobs",

@@ -2,13 +2,12 @@
 
 One frozen dataclass, :class:`ExploreConfig`, captures every knob the
 explorers and baselines share — support thresholds, tree criterion,
-mining backend, polarity pruning, itemset length cap and parallelism —
+polarity pruning, itemset length cap and parallelism —
 so a single object can drive :class:`~repro.core.hexplorer.HDivExplorer`,
 :class:`~repro.core.explorer.DivExplorer` and the baseline finders
 interchangeably::
 
-    cfg = ExploreConfig(min_support=0.05, tree_support=0.1,
-                        backend="bitset", n_jobs=4)
+    cfg = ExploreConfig(min_support=0.05, tree_support=0.1, n_jobs=4)
     HDivExplorer(cfg).explore(table, outcome)
     DivExplorer(cfg).explore(table, outcome, items)
 
@@ -26,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.core.mining.transactions import BACKENDS
+from repro.core.mining.transactions import resolve_backend
 from repro.obs.collector import NULL_OBS, AnyCollector
 
 #: Tree-split criteria accepted by the discretizers.
@@ -57,8 +56,10 @@ class ExploreConfig:
         Tree split gain: ``"divergence"`` (any outcome) or
         ``"entropy"`` (boolean outcomes only).
     backend:
-        Mining backend; one of
-        :data:`~repro.core.mining.transactions.BACKENDS`.
+        Deprecated. ``"bitset"`` (the default) is the only mining
+        engine; the retired backend names are accepted with a
+        :class:`DeprecationWarning` and normalised to ``"bitset"``
+        (:func:`~repro.core.mining.transactions.resolve_backend`).
     polarity:
         Enable polarity pruning (Section V-C of the paper).
     max_length:
@@ -123,7 +124,7 @@ class ExploreConfig:
     min_support: float = 0.05
     tree_support: float = 0.1
     criterion: str = "divergence"
-    backend: str = "fpgrowth"
+    backend: str = "bitset"
     polarity: bool = False
     max_length: int | None = None
     n_jobs: int = 1
@@ -141,8 +142,7 @@ class ExploreConfig:
             raise ValueError("tree_support must be in (0, 1]")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown split criterion {self.criterion!r}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown mining backend {self.backend!r}")
+        object.__setattr__(self, "backend", resolve_backend(self.backend))
         if self.max_length is not None and self.max_length < 1:
             raise ValueError("max_length must be positive")
         if self.obs is None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.discretize.criteria import GainCriterion, get_criterion
-from repro.core.divergence import OutcomeStats
+from repro.core.divergence import OutcomeStats, min_support_count
 from repro.core.items import IntervalItem, Itemset
 from repro.core.outcomes import Outcome
 from repro.tabular import Table
@@ -100,7 +100,7 @@ class CombinedTreeDiscretizer:
             outcomes = np.asarray(outcome, dtype=np.float64)
         values = {a: table.continuous(a).values for a in attributes}
         n_total = table.n_rows
-        min_count = max(1, math.ceil(self.min_support * n_total))
+        min_count = min_support_count(self.min_support, n_total)
         # Rows with any NaN attribute are excluded, as in per-attribute
         # trees (they satisfy no interval item).
         keep = np.ones(n_total, dtype=bool)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.discretize.criteria import GainCriterion, get_criterion
-from repro.core.divergence import OutcomeStats
+from repro.core.divergence import OutcomeStats, min_support_count
 from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.items import IntervalItem
 from repro.core.outcomes import Outcome
@@ -220,7 +220,7 @@ class TreeDiscretizer:
                 total_sq=float(cum_o2[i1] - cum_o2[i0]),
             )
 
-        min_count = max(1, math.ceil(self.min_support * n_total))
+        min_count = min_support_count(self.min_support, n_total)
         root_item = IntervalItem(attribute)
         with self.obs.span("fit", attribute=attribute) as span:
             root = self._grow(

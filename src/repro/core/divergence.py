@@ -95,6 +95,23 @@ class OutcomeStats:
         return max(var, 0.0)
 
 
+def min_support_count(min_support: float, n_rows: int) -> int:
+    """The smallest row count ``c >= 1`` with ``c / n_rows >= min_support``.
+
+    This is the support threshold in the units
+    :attr:`~repro.core.results.SubgroupResult.support` reports, so a
+    subgroup whose reported support is ``>= s`` is never dropped.
+    ``ceil(s * n)`` alone is off by one whenever ``s * n`` rounds just
+    above an integer (``0.07 * 100 == 7.000000000000001``).
+    """
+    if n_rows <= 0:
+        return 1
+    count = max(1, math.ceil(min_support * n_rows))
+    while count > 1 and (count - 1) / n_rows >= min_support:
+        count -= 1
+    return count
+
+
 def divergence(subgroup: OutcomeStats, dataset: OutcomeStats) -> float:
     """Δf = f(subgroup) − f(dataset); NaN if either side is undefined."""
     return subgroup.mean - dataset.mean

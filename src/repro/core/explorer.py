@@ -32,7 +32,7 @@ def results_from_mined(
     """Convert mined id-itemsets into a ranked :class:`ResultSet`.
 
     The results are put in canonical order (sorted id tuples), which
-    makes the ResultSet independent of the backend's emission order and
+    makes the ResultSet independent of the engine's emission order and
     stable under support filtering — a warm `ExploreSession` replay and
     a cold run produce bit-identical sets, in the same order.
     """
@@ -56,8 +56,8 @@ class DivExplorer:
         An :class:`~repro.core.config.ExploreConfig` carrying the
         shared exploration knobs, or a bare number read as
         ``min_support`` (the historical positional form). Individual
-        keyword arguments (``min_support=``, ``backend=``,
-        ``max_length=``, ``polarity=``, ``n_jobs=``) override it;
+        keyword arguments (``min_support=``, ``max_length=``,
+        ``polarity=``, ``n_jobs=``) override it;
         renamed legacy spellings (``support=``, ``max_level=``) still
         work with a :class:`DeprecationWarning`.
     include_missing_items:
@@ -80,7 +80,6 @@ class DivExplorer:
             )
         self.config = cfg
         self.min_support = cfg.min_support
-        self.backend = cfg.backend
         self.max_length = cfg.max_length
         self.polarity = cfg.polarity
         self.n_jobs = cfg.n_jobs
@@ -132,8 +131,8 @@ class DivExplorer:
 
         The wall time lands on ``ResultSet.elapsed_seconds`` whether or
         not observability is on; with an enabled collector the mining
-        additionally runs inside a ``mine`` span (with the per-backend
-        span nested under it) and the collector travels on the
+        additionally runs inside a ``mine`` span (with the engine's
+        ``bitset`` span nested under it) and the collector travels on the
         returned :class:`ResultSet`.
         """
         obs = self.obs
@@ -144,12 +143,12 @@ class DivExplorer:
         with obs.span("mine", polarity=self.polarity):
             if self.polarity:
                 mined = mine_with_polarity(
-                    universe, self.min_support, self.backend, self.max_length,
+                    universe, self.min_support, max_length=self.max_length,
                     n_jobs=self.n_jobs, obs=obs,
                 )
             else:
                 mined = mine(
-                    universe, self.min_support, self.backend, self.max_length,
+                    universe, self.min_support, max_length=self.max_length,
                     n_jobs=self.n_jobs, obs=obs,
                 )
         elapsed = time.perf_counter() - start

@@ -39,7 +39,7 @@ class HDivExplorer:
     config:
         An :class:`~repro.core.config.ExploreConfig` carrying the
         shared exploration knobs (``min_support``, ``tree_support``,
-        ``criterion``, ``backend``, ``polarity``, ``max_length``,
+        ``criterion``, ``polarity``, ``max_length``,
         ``n_jobs``), or a bare number read as ``min_support`` (the
         historical positional form). Individual keyword arguments
         override it; renamed legacy spellings (``support=``, ``st=``,
@@ -82,7 +82,6 @@ class HDivExplorer:
         self.min_support = cfg.min_support
         self.tree_support = cfg.tree_support
         self.criterion = cfg.criterion
-        self.backend = cfg.backend
         self.polarity = cfg.polarity
         self.max_length = cfg.max_length
         self.n_jobs = cfg.n_jobs
@@ -195,13 +194,15 @@ class HDivExplorer:
             with obs.span("mine", polarity=self.polarity):
                 if self.polarity:
                     mined = mine_with_polarity(
-                        universe, self.min_support, self.backend,
-                        self.max_length, n_jobs=self.n_jobs, obs=obs,
+                        universe, self.min_support,
+                        max_length=self.max_length, n_jobs=self.n_jobs,
+                        obs=obs,
                     )
                 else:
                     mined = mine(
-                        universe, self.min_support, self.backend,
-                        self.max_length, n_jobs=self.n_jobs, obs=obs,
+                        universe, self.min_support,
+                        max_length=self.max_length, n_jobs=self.n_jobs,
+                        obs=obs,
                     )
             elapsed = time.perf_counter() - start
             return results_from_mined(universe, mined, elapsed, obs=obs)

@@ -1,11 +1,11 @@
 """Frequent-pattern mining with in-pass divergence accumulation.
 
-Four interchangeable backends (Apriori, FP-Growth, Eclat and the
-packed-bitset engine) mine all frequent itemsets over an encoded item
-universe while accumulating the outcome sufficient statistics of every
-itemset, so divergence and significance come out of the mining pass for
-free (Algorithm 1 of the paper). :func:`mine` with ``n_jobs != 1``
-shards first-level prefixes across worker processes
+One engine, the packed-bitset depth-first search
+(:class:`BitsetEngine`), mines all frequent itemsets over an encoded
+item universe while accumulating the outcome sufficient statistics of
+every itemset, so divergence and significance come out of the mining
+pass for free (Algorithm 1 of the paper). :func:`mine` with
+``n_jobs != 1`` shards first-level prefixes across worker processes
 (:mod:`repro.core.mining.parallel`).
 
 The *generalized* universe (:func:`generalized_universe`) augments the
@@ -15,10 +15,7 @@ one-item-per-attribute rule keeps ancestor/descendant pairs from ever
 sharing an itemset.
 """
 
-from repro.core.mining.apriori import mine_apriori
-from repro.core.mining.bitset import BitsetEngine, mine_bitset
-from repro.core.mining.eclat import mine_eclat
-from repro.core.mining.fpgrowth import mine_fpgrowth
+from repro.core.mining.bitset import BitsetEngine
 from repro.core.mining.generalized import base_universe, generalized_universe
 from repro.core.mining.parallel import mine_parallel
 from repro.core.mining.transactions import (
@@ -36,9 +33,5 @@ __all__ = [
     "base_universe",
     "generalized_universe",
     "mine",
-    "mine_apriori",
-    "mine_bitset",
-    "mine_eclat",
-    "mine_fpgrowth",
     "mine_parallel",
 ]

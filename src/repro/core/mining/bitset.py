@@ -1,9 +1,9 @@
-"""Packed-bitset transaction engine.
+"""Packed-bitset mining engine — the one miner.
 
-The hot path of every mining backend is *cover algebra*: intersect the
-row covers of items, count the surviving rows, and aggregate the
-outcome over them. :class:`BitsetEngine` packs each item's boolean row
-mask into a ``numpy.uint64`` bit array (64 rows per word) so that
+The hot path of mining is *cover algebra*: intersect the row covers of
+items, count the surviving rows, and aggregate the outcome over them.
+:class:`BitsetEngine` packs each item's boolean row mask into a
+``numpy.uint64`` bit array (64 rows per word) so that
 
 - itemset intersection is a vectorized ``np.bitwise_and``,
 - support counting is a popcount kernel over the packed words,
@@ -13,30 +13,24 @@ mask into a ``numpy.uint64`` bit array (64 rows per word) so that
   outcomes),
 
 and candidate evaluation is *batched*: all sibling extensions of a
-prefix are intersected and counted in one fused numpy call, which is
-where the speedup over per-candidate boolean masks comes from.
+prefix are intersected and counted in one fused numpy call, and each
+survivor's cover is handed down the depth-first recursion, so no cover
+is ever rebuilt.
 
 Statistics are bit-identical to :meth:`EncodedUniverse.stats_of_mask`:
 counts are exact integers from popcounts, and numeric totals reuse the
 universe's own ``_o @ mask`` dot product on the unpacked cover.
-
-An LRU *cover cache* keyed by the canonical (sorted) itemset lets
-parent covers be reused when extending itemsets — FP-growth conditional
-bases, Eclat tid-lists and the parallel fan-out's per-prefix shards all
-re-derive prefix covers through :meth:`BitsetEngine.cover`.
 """
 
 from __future__ import annotations
 
-import math
-from collections import OrderedDict
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.divergence import OutcomeStats
+from repro.core.divergence import OutcomeStats, min_support_count
 from repro.core.mining.transactions import EncodedUniverse, MinedItemset
-from repro.obs.collector import NULL_OBS, AnyCollector, resolve_obs
+from repro.obs.collector import AnyCollector, resolve_obs
 
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _LUT16: np.ndarray | None = None
@@ -104,13 +98,9 @@ class BitsetEngine:
     ----------
     universe:
         The encoded dataset whose item masks to pack.
-    cache_size:
-        Capacity of the LRU cover cache (number of cached itemsets).
     obs:
         Optional :class:`repro.obs.ObsCollector`; per-DFS-step candidate
-        and pruning counters are recorded when enabled. Cover-cache
-        statistics always accumulate on ``cache_hits``/``cache_misses``
-        and are folded into the registry by the mining entry points.
+        and pruning counters are recorded when enabled.
 
     Attributes
     ----------
@@ -119,14 +109,11 @@ class BitsetEngine:
     boolean:
         True when every defined outcome value is 0 or 1, enabling the
         pure-popcount aggregation path.
-    cache_hits / cache_misses:
-        Cover-cache statistics, for instrumentation and tests.
     """
 
     def __init__(
         self,
         universe: EncodedUniverse,
-        cache_size: int = 1024,
         obs: AnyCollector | None = None,
     ):
         self.universe = universe
@@ -143,10 +130,6 @@ class BitsetEngine:
             pack_mask(universe._o != 0.0) if self.boolean else None
         )
         self._attr_codes = self._encode_attributes(universe.attribute_of)
-        self.cache_size = int(cache_size)
-        self._cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @staticmethod
     def _encode_attributes(attributes: Sequence[str]) -> np.ndarray:
@@ -159,49 +142,14 @@ class BitsetEngine:
     # -- cover algebra ----------------------------------------------------
 
     def cover(self, ids: Iterable[int]) -> np.ndarray:
-        """The packed cover of an itemset, via the LRU cover cache.
-
-        The cover is built by extending the longest cached prefix of
-        the canonical (sorted) id tuple, so repeated extensions of the
-        same parent — DFS descents, polarity re-runs, parallel shards —
-        reuse prior intersections instead of re-ANDing from scratch.
-        """
-        key = tuple(sorted(ids))
-        if not key:
-            full = np.full(self.n_words, ~np.uint64(0), dtype=np.uint64)
-            tail = self.n_rows % 64
-            if tail and self.n_words:
-                full[-1] = np.uint64((1 << tail) - 1)
-            return full
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        # Longest cached proper prefix, else start from the first item.
-        start = 1
-        cover = self.item_words[key[0]]
-        for k in range(len(key) - 1, 1, -1):
-            prefix = self._cache.get(key[:k])
-            if prefix is not None:
-                self._cache.move_to_end(key[:k])
-                cover, start = prefix, k
-                break
-        for i in key[start:]:
+        """The packed cover of an itemset (all rows for the empty one)."""
+        cover = np.full(self.n_words, ~np.uint64(0), dtype=np.uint64)
+        tail = self.n_rows % 64
+        if tail and self.n_words:
+            cover[-1] = np.uint64((1 << tail) - 1)
+        for i in ids:
             cover = cover & self.item_words[i]
-        self._remember(key, cover)
         return cover
-
-    def _remember(self, key: tuple[int, ...], cover: np.ndarray) -> None:
-        self._cache[key] = cover
-        if len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def support(self, ids: Iterable[int]) -> int:
         """Number of rows covered by the itemset."""
@@ -215,13 +163,6 @@ class BitsetEngine:
         """Outcome statistics of an itemset's cover."""
         cover = self.cover(ids)
         count = int(popcount_rows(cover))
-        n, total, total_sq = self._stat_components(cover[None, :], [count])
-        return OutcomeStats(count, int(n[0]), float(total[0]), float(total_sq[0]))
-
-    def stats_of_cover(self, cover: np.ndarray, count: int | None = None) -> OutcomeStats:
-        """Outcome statistics of an explicit packed cover."""
-        if count is None:
-            count = int(popcount_rows(cover))
         n, total, total_sq = self._stat_components(cover[None, :], [count])
         return OutcomeStats(count, int(n[0]), float(total[0]), float(total_sq[0]))
 
@@ -251,11 +192,6 @@ class BitsetEngine:
             totals_sq[j] = float(u._o2 @ bools[j])
         return ns, totals, totals_sq
 
-    def transactions(self) -> list[list[int]]:
-        """Row-wise transactions derived from the packed covers."""
-        bools = unpack_cover(self.item_words, self.n_rows)
-        return [np.nonzero(col)[0].tolist() for col in bools.T]
-
     def restricted(self, item_ids: Iterable[int]) -> "BitsetEngine":
         """An engine over a sub-universe, sharing the packed rows.
 
@@ -275,10 +211,6 @@ class BitsetEngine:
         sub.boolean = self.boolean
         sub.outcome_words = self.outcome_words
         sub._attr_codes = self._attr_codes[ids]
-        sub.cache_size = self.cache_size
-        sub._cache = OrderedDict()
-        sub.cache_hits = 0
-        sub.cache_misses = 0
         return sub
 
     # -- mining -----------------------------------------------------------
@@ -295,24 +227,23 @@ class BitsetEngine:
     def _min_count(self, min_support: float) -> int:
         if not 0.0 < min_support <= 1.0:
             raise ValueError("min_support must be in (0, 1]")
-        return max(1, math.ceil(min_support * self.n_rows))
+        return min_support_count(min_support, self.n_rows)
 
     def mine(
         self, min_support: float, max_length: int | None = None
     ) -> list[MinedItemset]:
         """Mine all frequent itemsets depth-first over packed covers.
 
-        Emits itemsets in Eclat DFS order (candidate items in universe
+        Emits itemsets in DFS order (candidate items in universe
         order), so the output is deterministic and identical to the
         concatenation of :meth:`mine_subtree` over the frequent roots.
         """
-        raw = self._mine_raw(
-            (), None, np.arange(self.universe.n_items()), min_support, max_length
-        )
-        return [
-            MinedItemset(frozenset(ids), OutcomeStats(c, n, t, t2))
-            for ids, c, n, t, t2 in raw
-        ]
+        min_count = self._min_count(min_support)
+        raw: list[tuple[tuple[int, ...], int, int, float, float]] = []
+        candidates = np.arange(self.universe.n_items())
+        if len(candidates) and (max_length is None or max_length > 0):
+            self._extend((), None, candidates, min_count, max_length, raw)
+        return raw_to_mined(raw)
 
     def mine_subtree(
         self,
@@ -327,10 +258,9 @@ class BitsetEngine:
         after it, different attribute). Returns raw tuples
         ``(itemset ids, count, n, Σo, Σo²)`` — cheap to pickle across
         the parallel fan-out; :func:`raw_to_mined` materializes them.
-        The root's cover is derived through the cover cache.
         """
         min_count = self._min_count(min_support)
-        cover = self.cover((root,))
+        cover = self.item_words[root]
         count = int(popcount_rows(cover))
         if count < min_count:
             return []
@@ -342,22 +272,6 @@ class BitsetEngine:
             self._extend(
                 (root,), cover, np.asarray(tail, dtype=np.int64),
                 min_count, max_length, results,
-            )
-        return results
-
-    def _mine_raw(
-        self,
-        prefix: tuple[int, ...],
-        prefix_cover: np.ndarray | None,
-        candidates: np.ndarray,
-        min_support: float,
-        max_length: int | None,
-    ) -> list[tuple[tuple[int, ...], int, int, float, float]]:
-        min_count = self._min_count(min_support)
-        results: list[tuple[tuple[int, ...], int, int, float, float]] = []
-        if len(candidates) and (max_length is None or max_length > len(prefix)):
-            self._extend(
-                prefix, prefix_cover, candidates, min_count, max_length, results
             )
         return results
 
@@ -441,28 +355,3 @@ def raw_to_mined(
         MinedItemset(frozenset(ids), OutcomeStats(c, n, t, t2))
         for ids, c, n, t, t2 in raw
     ]
-
-
-def mine_bitset(
-    universe: EncodedUniverse,
-    min_support: float,
-    max_length: int | None = None,
-    engine: BitsetEngine | None = None,
-) -> list[MinedItemset]:
-    """Mine all frequent itemsets with the packed-bitset engine.
-
-    Drop-in backend beside Apriori/FP-Growth/Eclat: identical itemsets
-    and statistics, emitted in Eclat DFS order. Pass an existing
-    ``engine`` to reuse its packed covers and cover cache.
-    """
-    if engine is None:
-        engine = BitsetEngine(universe)
-    mined = engine.mine(min_support, max_length)
-    obs = engine.obs
-    if obs.enabled:
-        span = obs.current_span()
-        if span is not None:
-            span.set(
-                cache_entries=len(engine._cache), packed_words=engine.n_words
-            )
-    return mined

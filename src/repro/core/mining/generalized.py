@@ -4,7 +4,7 @@ In the generalized universe the item list includes *every* hierarchy
 item (roots excluded), so each instance's transaction automatically
 contains its leaf item plus all ancestors — the extended-transaction
 encoding of generalized frequent pattern mining. The
-one-item-per-attribute rule enforced by the backends keeps
+one-item-per-attribute rule enforced by the engine keeps
 ancestor/descendant pairs out of itemsets.
 """
 

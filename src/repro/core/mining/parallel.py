@@ -11,10 +11,10 @@ cheap to pickle.
 Shards are scheduled dynamically (``imap``, chunk size 1) so a few
 heavy prefixes don't serialize the pool, and results are reassembled in
 prefix order, which makes the output *order-stable*: any ``n_jobs``
-produces exactly the serial bitset DFS sequence.
+produces exactly the serial DFS sequence.
 
 ``n_jobs=1`` (the default everywhere) never touches multiprocessing —
-the serial bitset path runs in-process.
+the serial DFS runs in-process.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ class WorkerPool:
     """A persistent shard-mining pool bound to one engine.
 
     Wraps a ``multiprocessing`` pool whose workers were initialized
-    with a (cache-cleared, collector-stripped) copy of ``engine`` —
+    with a (collector-stripped) copy of ``engine`` —
     exactly the state :func:`mine_parallel` ships per call, paid once
     here instead. Pass it back into :func:`mine_parallel` (or
     ``mine(..., pool=...)``) to serve repeated mining calls over the
@@ -177,7 +177,6 @@ class WorkerPool:
         if n_jobs == 1:
             raise ValueError("a WorkerPool needs n_jobs != 1")
         ctx = _pool_context()
-        engine.clear_cache()  # ship a lean engine to the workers
         prev_obs = engine.obs
         engine.obs = NULL_OBS  # collectors stay parent-side
         # Persistent pools always carry the event queue: whether a given
@@ -227,8 +226,8 @@ def mine_parallel(
     """Mine all frequent itemsets with sharded worker processes.
 
     Returns the same itemsets, statistics *and order* as the serial
-    bitset backend (:func:`repro.core.mining.bitset.mine_bitset`), for
-    any ``n_jobs``. Falls back to the serial path when ``n_jobs`` is 1
+    DFS (:meth:`repro.core.mining.bitset.BitsetEngine.mine`), for any
+    ``n_jobs``. Falls back to the serial path when ``n_jobs`` is 1
     or the universe has at most one shard.
 
     When ``obs`` is enabled, the level-1 scan is counted here (once —
@@ -283,8 +282,8 @@ def mine_parallel(
          streaming, token)
         for root, tail in shards
     ]
-    # Progress in shards — the same unit as the serial backends'
-    # frequent level-1 roots, so final totals match across n_jobs.
+    # Progress in shards — the same unit as the serial DFS's frequent
+    # level-1 roots, so final totals match across n_jobs.
     obs.progress("mine", advance=0, expect=len(shards))
     if pool is not None:
         if streaming:
@@ -295,7 +294,6 @@ def mine_parallel(
             per_shard = pool.run(tasks)
     else:
         ctx = _pool_context()
-        engine.clear_cache()  # ship a lean engine to the workers
         prev_obs = engine.obs
         engine.obs = NULL_OBS  # collectors stay parent-side
         queue = worker_event_queue(ctx) if streaming else None

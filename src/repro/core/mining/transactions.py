@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,7 +19,7 @@ class EncodedUniverse:
     """A dataset encoded against a fixed list of items.
 
     Holds, for each item, its boolean row mask, plus the per-row outcome
-    array; everything the mining backends need, computed once.
+    array; everything the mining engine needs, computed once.
 
     Parameters
     ----------
@@ -95,11 +96,6 @@ class EncodedUniverse:
         """Per-item statistics (used for polarity assignment)."""
         return [self.stats_of_mask(self.masks[i]) for i in range(self.n_items())]
 
-    def transactions(self) -> list[list[int]]:
-        """Row-wise transactions: the sorted item ids matching each row."""
-        rows_per_item = self.masks.T  # (n_rows, n_items)
-        return [np.nonzero(row)[0].tolist() for row in rows_per_item]
-
     def restricted(self, item_ids: Iterable[int]) -> "EncodedUniverse":
         """A sub-universe containing only the given items.
 
@@ -125,7 +121,7 @@ class EncodedUniverse:
 
 @dataclass(frozen=True)
 class MinedItemset:
-    """A frequent itemset found by a mining backend.
+    """A frequent itemset found by the mining engine.
 
     ``ids`` are indices into the universe's item list; ``stats`` are the
     accumulated outcome statistics of the supporting rows.
@@ -135,120 +131,106 @@ class MinedItemset:
     stats: OutcomeStats
 
     def to_itemset(self, universe: EncodedUniverse) -> Itemset:
-        # Backends guarantee one item per attribute; skip re-validation.
+        # The engine guarantees one item per attribute; skip re-validation.
         return Itemset._from_distinct(
             frozenset(universe.items[i] for i in self.ids)
         )
 
 
-#: Names accepted by :func:`mine`'s ``backend`` parameter.
-BACKENDS = ("fpgrowth", "apriori", "eclat", "bitset")
+#: The mining engines :func:`mine` runs: the packed-bitset DFS only.
+BACKENDS = ("bitset",)
+
+#: Retired backend names, still accepted by :func:`resolve_backend`
+#: (with a DeprecationWarning) until the ``backend`` parameter goes.
+RETIRED_BACKENDS = ("fpgrowth", "apriori", "eclat")
+
+
+def resolve_backend(backend: str) -> str:
+    """Normalise a ``backend`` name to the one engine, ``"bitset"``.
+
+    The retired names warn and map to ``"bitset"``, which returns the
+    same itemsets and statistics they did; any other name raises
+    :class:`ValueError`.
+    """
+    if backend in BACKENDS:
+        return backend
+    if backend in RETIRED_BACKENDS:
+        warnings.warn(
+            f"mining backend {backend!r} is deprecated: the packed-bitset "
+            f"engine is the only miner; drop the backend argument",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        return "bitset"
+    raise ValueError(f"unknown mining backend {backend!r}")
 
 
 def mine(
     universe: EncodedUniverse,
     min_support: float,
-    backend: str = "fpgrowth",
+    backend: str = "bitset",
     max_length: int | None = None,
     n_jobs: int = 1,
     engine=None,
     obs: AnyCollector | None = None,
     pool=None,
 ) -> list[MinedItemset]:
-    """Mine all frequent itemsets with the chosen backend.
+    """Mine all frequent itemsets with the packed-bitset DFS.
 
     Parameters
     ----------
     universe:
         Encoded dataset and item universe.
     min_support:
-        The support threshold ``s`` (fraction of rows).
+        The support threshold ``s`` (fraction of rows): an itemset is
+        frequent iff ``count / n_rows >= s``.
     backend:
-        ``"fpgrowth"`` (default), ``"apriori"``, ``"eclat"``, or
-        ``"bitset"``; all return the same itemsets and statistics.
+        Deprecated; ``"bitset"`` is the only engine (see
+        :func:`resolve_backend`).
     max_length:
         Optional cap on itemset cardinality.
     n_jobs:
         With ``n_jobs != 1``, first-level prefixes are sharded across
         worker processes (``repro.core.mining.parallel``); results are
-        identical to the serial bitset backend, in the same order,
-        whatever the backend requested. Non-positive means all cores.
+        identical to the serial DFS, in the same order. Non-positive
+        means all cores.
     engine:
-        Optional :class:`repro.core.mining.bitset.BitsetEngine` to
-        reuse (packed covers + cover cache) instead of building one.
+        Optional :class:`repro.core.mining.bitset.BitsetEngine` over
+        ``universe`` to reuse instead of packing the covers again.
     obs:
-        Optional :class:`repro.obs.ObsCollector`. When enabled, the
-        dispatch runs inside a span named after the backend and the
-        registry receives the per-backend mining counters, the cover-
-        cache deltas of ``engine``, and the backend-independent
-        ``mining.frequent_itemsets`` / ``mining.frequent.level_N``
-        totals (counted here from the mined list, so they are
-        identical for every backend and every ``n_jobs``).
+        Optional :class:`repro.obs.ObsCollector`. When enabled, mining
+        runs inside a ``bitset`` span, the engine records its per-step
+        ``mining.*`` counters, and the ``mining.frequent_itemsets`` /
+        ``mining.frequent.level_N`` totals are counted here from the
+        mined list (identical for every ``n_jobs``).
     pool:
         Optional persistent :class:`repro.core.mining.parallel.WorkerPool`
         serving the ``n_jobs != 1`` fan-out from long-lived workers
         instead of spawning a pool per call (its ``n_jobs`` wins).
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown mining backend {backend!r}")
+    from repro.core.mining.bitset import BitsetEngine
+    from repro.core.mining.parallel import mine_parallel
+
+    resolve_backend(backend)
     obs = resolve_obs(obs)
-    hits0 = engine.cache_hits if engine is not None else 0
-    misses0 = engine.cache_misses if engine is not None else 0
-    restore_engine_obs = False
-    prev_engine_obs = None
-    if obs.enabled and engine is not None:
-        prev_engine_obs = engine.obs
-        restore_engine_obs = True
+    if engine is None:
+        engine = pool.engine if pool is not None else BitsetEngine(universe)
+    prev_engine_obs = engine.obs
+    if obs.enabled:
         engine.obs = obs
-    span = obs.span(backend, n_jobs=n_jobs, min_support=min_support)
+    span = obs.span("bitset", n_jobs=n_jobs, min_support=min_support)
     try:
         with span:
             if n_jobs != 1 or pool is not None:
-                from repro.core.mining.parallel import mine_parallel
-
                 mined = mine_parallel(
                     universe, min_support, max_length,
                     n_jobs=n_jobs, engine=engine, obs=obs, pool=pool,
                 )
-            elif backend == "fpgrowth":
-                from repro.core.mining.fpgrowth import mine_fpgrowth
-
-                mined = mine_fpgrowth(
-                    universe, min_support, max_length, engine=engine, obs=obs
-                )
-            elif backend == "apriori":
-                from repro.core.mining.apriori import mine_apriori
-
-                mined = mine_apriori(
-                    universe, min_support, max_length, engine=engine, obs=obs
-                )
-            elif backend == "eclat":
-                from repro.core.mining.eclat import mine_eclat
-
-                mined = mine_eclat(
-                    universe, min_support, max_length, engine=engine, obs=obs
-                )
             else:
-                from repro.core.mining.bitset import BitsetEngine, mine_bitset
-
-                if engine is None and obs.enabled:
-                    engine = BitsetEngine(universe, obs=obs)
-                mined = mine_bitset(universe, min_support, max_length, engine=engine)
+                mined = engine.mine(min_support, max_length)
     finally:
-        if restore_engine_obs:
-            engine.obs = prev_engine_obs
+        engine.obs = prev_engine_obs
     if obs.enabled:
-        if engine is not None:
-            # mine_parallel clears the engine cache before shipping it to
-            # workers; a shrunken counter means "count everything since".
-            dh = engine.cache_hits - hits0
-            dm = engine.cache_misses - misses0
-            dh = dh if dh >= 0 else engine.cache_hits
-            dm = dm if dm >= 0 else engine.cache_misses
-            if dh:
-                obs.count("cover_cache.hits", dh)
-            if dm:
-                obs.count("cover_cache.misses", dm)
         obs.count("mining.frequent_itemsets", len(mined))
         levels: dict[int, int] = {}
         for m in mined:
@@ -256,5 +238,5 @@ def mine(
             levels[k] = levels.get(k, 0) + 1
         for k in sorted(levels):
             obs.count(f"mining.frequent.level_{k}", levels[k])
-        span.set(itemsets=len(mined))
+        span.set(itemsets=len(mined), packed_words=engine.n_words)
     return mined

@@ -12,7 +12,6 @@ probability ``k+ / (k+ + k-)`` of the paper.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 
@@ -291,9 +290,10 @@ def coerce_outcome(
     * a precomputed per-row numpy array — :func:`array_outcome`, with
       ``boolean`` inferred (defined values all 0/1);
     * a ``(y_true, y_pred)`` pair of per-row arrays — the per-row
-      misclassification indicator;
-    * a plain Python list/tuple of per-row values — still accepted, but
-      deprecated in favour of a numpy array or :func:`array_outcome`.
+      misclassification indicator.
+
+    Anything else, including a plain Python list of per-row values,
+    raises :class:`TypeError`.
     """
     if isinstance(outcome, Outcome):
         return outcome
@@ -317,21 +317,6 @@ def coerce_outcome(
             return array_outcome(
                 (t != p).astype(np.float64), name="error", boolean=True
             )
-    if isinstance(outcome, (tuple, list)):
-        warnings.warn(
-            "passing a plain Python sequence as an outcome is "
-            "deprecated; pass a numpy array, an Outcome, a column "
-            "name, or a (y_true, y_pred) pair",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        values = np.asarray(outcome, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(
-                f"outcome sequence must be one-dimensional, "
-                f"got shape {values.shape}"
-            )
-        return array_outcome(values, boolean=_is_boolean_array(values))
     raise TypeError(
         f"cannot interpret {type(outcome).__name__} as an outcome; "
         "expected an Outcome, a column name, a (y_true, y_pred) pair, "

@@ -17,7 +17,13 @@ import math
 from typing import Iterable
 
 from repro.core.items import IntervalItem
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset, mine
+from repro.core.mining.bitset import BitsetEngine
+from repro.core.mining.transactions import (
+    EncodedUniverse,
+    MinedItemset,
+    mine,
+    resolve_backend,
+)
 from repro.obs.collector import AnyCollector, resolve_obs
 
 
@@ -64,7 +70,7 @@ def item_polarities(
 def mine_with_polarity(
     universe: EncodedUniverse,
     min_support: float,
-    backend: str = "fpgrowth",
+    backend: str = "bitset",
     max_length: int | None = None,
     polarize_attributes: Iterable[str] | None = None,
     n_jobs: int = 1,
@@ -75,16 +81,17 @@ def mine_with_polarity(
 
     Each run uses the polarized items of one sign plus all neutral
     items; results are deduplicated (itemsets of only neutral items
-    appear in both runs). ``backend``, ``n_jobs`` and ``engine`` are
-    forwarded to :func:`repro.core.mining.transactions.mine`; with an
-    engine (or the bitset backend, or parallel mining) both subspace
-    runs slice one set of packed covers instead of re-packing.
+    appear in both runs). ``n_jobs`` is forwarded to
+    :func:`repro.core.mining.transactions.mine`; both subspace runs
+    slice one engine's packed covers (``engine``, or one built here)
+    instead of re-packing. ``backend`` is deprecated, as in ``mine``.
 
     With ``obs`` enabled, each subspace mines inside a
     ``polarity.positive`` / ``polarity.negative`` span and the registry
     records the item split (``polarity.positive_items`` etc.) and how
     many all-neutral itemsets the merge deduplicated.
     """
+    resolve_backend(backend)
     obs = resolve_obs(obs)
     polarities = item_polarities(universe, polarize_attributes)
     positive_ids = [i for i, p in enumerate(polarities) if p >= 0]
@@ -94,9 +101,7 @@ def mine_with_polarity(
         obs.count("polarity.negative_items", sum(1 for p in polarities if p < 0))
         obs.count("polarity.neutral_items", sum(1 for p in polarities if p == 0))
 
-    if engine is None and (backend == "bitset" or n_jobs != 1):
-        from repro.core.mining.bitset import BitsetEngine
-
+    if engine is None:
         engine = BitsetEngine(universe, obs=obs)
 
     seen: dict[frozenset[int], MinedItemset] = {}
@@ -105,11 +110,11 @@ def mine_with_polarity(
             continue
         with obs.span(f"polarity.{sign}", items=len(ids)) as sub_span:
             sub = universe.restricted(ids)
-            sub_engine = engine.restricted(ids) if engine is not None else None
+            sub_engine = engine.restricted(ids)
             back = {sub.index[universe.items[i]]: i for i in ids}
             merged = 0
             for found in mine(
-                sub, min_support, backend, max_length, n_jobs=n_jobs,
+                sub, min_support, max_length=max_length, n_jobs=n_jobs,
                 engine=sub_engine, obs=obs,
             ):
                 original = frozenset(back[j] for j in found.ids)

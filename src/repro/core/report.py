@@ -60,8 +60,8 @@ def exploration_report(
         Divide displayed statistic values by this (e.g. 1000 to print
         incomes in thousands).
     verbose:
-        Append the observability section — per-phase wall times, the
-        cover-cache hit rate and pruning counters — when the
+        Append the observability section — per-phase wall times,
+        candidate and pruning counters — when the
         exploration ran with an enabled collector.
     """
     if k < 1:
@@ -129,11 +129,6 @@ def _obs_lines(result: ResultSet) -> list[str]:
         lines.append("  phase wall times:")
         for phase, seconds in s["phases"].items():
             lines.append(f"    {phase:<32s} {seconds * 1e3:10.2f} ms")
-    rate = s["cache_hit_rate"]
-    lines.append(
-        "  cover-cache hit rate: "
-        + (f"{rate:.1%}" if rate is not None else "(cache untouched)")
-    )
     lines.append(f"  candidates evaluated: {s['candidates']}")
     lines.append(f"  frequent itemsets:    {s['frequent_itemsets']}")
     if s["pruning"]:

@@ -213,7 +213,7 @@ class ResultSet:
         statistic f(D), the maximum |Δ| found, and the wall-clock
         exploration time. When the exploration ran with an enabled
         observability collector, an ``obs`` section is appended with
-        per-phase elapsed times, the cover-cache hit rate and the
+        per-phase elapsed times, the candidate counts and the
         pruning counters (see :func:`repro.obs.obs_summary`).
         """
         out: dict[str, object] = {

@@ -13,9 +13,9 @@ discretization trees   ``tree_support``, ``criterion`` (per attribute)
 hierarchy set Γ        ``tree_support``, ``criterion``
 encoded universe       ``tree_support``, ``criterion``
 bitset covers/engine   ``tree_support``, ``criterion``
-mined counters         + ``backend``/``n_jobs``, ``max_length``,
-                       ``polarity``; a ``min_support`` *decrease*
-                       re-mines, an increase filters the cached list
+mined counters         + ``max_length``, ``polarity``; a
+                       ``min_support`` *decrease* re-mines, an
+                       increase filters the cached list
 ranking / top-k        nothing — re-ranked from cached counters
 =====================  ==============================================
 
@@ -29,16 +29,13 @@ same order (both paths canonicalize through
 
 Two reuse mechanics deserve a note:
 
-* *Support derivation.* Every backend keeps an itemset frequent iff
-  ``stats.count >= ceil(min_support · n_rows)``, so a list mined at a
-  lower support filters **exactly** to any higher support. The cached
-  statistics must also be what a fresh mine would produce: true for
-  the cover-based backends (``apriori``/``eclat``/``bitset`` compute
-  stats from the full cover, independent of the threshold) and for
-  FP-growth on boolean outcomes (integer-valued float sums are exact
-  under any grouping). FP-growth on a *numeric* outcome accumulates
-  float partial sums whose grouping depends on the threshold, so that
-  one combination re-mines instead of deriving.
+* *Support derivation.* The engine keeps an itemset frequent iff
+  ``stats.count >= min_support_count(min_support, n_rows)``, so a list
+  mined at a lower support filters **exactly** to any higher support.
+  Its statistics come from the itemset's full cover, independent of
+  the threshold, so the filtered list is bit-identical to a fresh
+  mine. ``n_jobs`` does not key the cache either: every ``n_jobs``
+  returns the serial sequence.
 * *Persistent workers.* ``n_jobs != 1`` points of a sweep are served
   by one long-lived :class:`~repro.core.mining.parallel.WorkerPool`
   per universe (PR 1's shard workers, spawned once) instead of a
@@ -51,7 +48,6 @@ span tree with per-point hit/miss deltas.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -60,6 +56,7 @@ import numpy as np
 
 from repro.core.config import ExploreConfig, resolve_config
 from repro.core.discretize.tree import AttributeTree, TreeDiscretizer
+from repro.core.divergence import min_support_count
 from repro.core.explorer import results_from_mined
 from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.mining.bitset import BitsetEngine
@@ -72,12 +69,6 @@ from repro.core.results import ResultSet
 from repro.obs.bundle import bundle_scope
 from repro.obs.collector import AnyCollector, resolve_obs
 from repro.tabular import Table
-
-#: Backends whose per-itemset statistics are independent of the mining
-#: threshold (computed from the full cover), making cross-support
-#: filter-derivation bit-exact for any outcome.
-_COVER_STAT_BACKENDS = frozenset({"apriori", "eclat", "bitset"})
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -192,7 +183,7 @@ class ExploreSession:
         #   trees      (attribute, tree_support, criterion)
         #   universes  (tree_support, criterion) -> (gamma, universe)
         #   engines    (tree_support, criterion)
-        #   mined      (ukey, backend_eff, max_length, polarity)
+        #   mined      (ukey, max_length, polarity)
         #              -> (mined_at_support, mined_list)
         #   pools      (ukey, n_jobs)
         self._trees: dict[tuple, AttributeTree] = {}
@@ -289,7 +280,7 @@ class ExploreSession:
         """Explore once per value of one knob, reusing warm artifacts.
 
         ``param`` is any serialized :class:`ExploreConfig` field
-        (``min_support``, ``tree_support``, ``backend``, ...); the
+        (``min_support``, ``tree_support``, ``polarity``, ...); the
         remaining knobs come from ``config``/keyword arguments and stay
         fixed. Points run in the given order through one persistent
         worker pool (when ``n_jobs != 1``); the whole sweep lands in a
@@ -401,7 +392,8 @@ class ExploreSession:
             obs.count("session.engine.hits")
             return engine
         obs.count("session.engine.misses")
-        engine = BitsetEngine(universe, obs=obs)
+        # Collector-free: mine() lends each call's collector to it.
+        engine = BitsetEngine(universe)
         self._engines[ukey] = engine
         return engine
 
@@ -429,31 +421,18 @@ class ExploreSession:
         universe: EncodedUniverse,
         obs: AnyCollector,
     ) -> list[MinedItemset]:
-        n_jobs = resolve_n_jobs(cfg.n_jobs)
-        # Any parallel mine routes through the bitset shard workers and
-        # returns the serial bitset sequence, whatever backend was
-        # requested — so parallel runs share one cache entry.
-        backend_eff = cfg.backend if n_jobs == 1 else "bitset"
-        mkey = (ukey, backend_eff, cfg.max_length, cfg.polarity)
+        mkey = (ukey, cfg.max_length, cfg.polarity)
         cached = self._mined.get(mkey)
-        if cached is not None:
+        if cached is not None and cached[0] <= cfg.min_support:
             mined_at, mined = cached
-            derivable = (
-                backend_eff in _COVER_STAT_BACKENDS or self.outcome.boolean
-            )
-            exact = mined_at == cfg.min_support
-            if exact or (derivable and mined_at < cfg.min_support):
-                obs.count("session.mined.hits")
-                if exact:
-                    return list(mined)
-                min_count = max(
-                    1, math.ceil(cfg.min_support * universe.n_rows)
-                )
-                return [m for m in mined if m.stats.count >= min_count]
+            obs.count("session.mined.hits")
+            if mined_at == cfg.min_support:
+                return list(mined)
+            min_count = min_support_count(cfg.min_support, universe.n_rows)
+            return [m for m in mined if m.stats.count >= min_count]
         obs.count("session.mined.misses")
-        mined = self._mine(cfg, ukey, universe, n_jobs, obs)
-        if cached is None or cfg.min_support < cached[0]:
-            self._mined[mkey] = (cfg.min_support, mined)
+        mined = self._mine(cfg, ukey, universe, obs)
+        self._mined[mkey] = (cfg.min_support, mined)
         return mined
 
     def _mine(
@@ -461,28 +440,22 @@ class ExploreSession:
         cfg: ExploreConfig,
         ukey: tuple,
         universe: EncodedUniverse,
-        n_jobs: int,
         obs: AnyCollector,
     ) -> list[MinedItemset]:
-        # Mirror the cold HDivExplorer paths exactly: serial
-        # fpgrowth/apriori/eclat run engine-less, the bitset backend
-        # and the parallel fan-out share the cached engine; the
-        # polarity pipeline manages its own restricted engines.
+        # Every path mines with the cached engine; the parallel fan-out
+        # also keeps one persistent pool per (universe, n_jobs), and the
+        # polarity pipeline slices the engine per subspace.
+        engine = self._engine(ukey, universe, obs)
         if cfg.polarity:
             return mine_with_polarity(
-                universe, cfg.min_support, cfg.backend, cfg.max_length,
-                n_jobs=cfg.n_jobs, obs=obs,
+                universe, cfg.min_support, max_length=cfg.max_length,
+                n_jobs=cfg.n_jobs, engine=engine, obs=obs,
             )
-        engine = None
-        pool = None
-        if n_jobs != 1:
-            engine = self._engine(ukey, universe, obs)
-            pool = self._pool(ukey, engine, n_jobs)
-        elif cfg.backend == "bitset":
-            engine = self._engine(ukey, universe, obs)
+        n_jobs = resolve_n_jobs(cfg.n_jobs)
+        pool = self._pool(ukey, engine, n_jobs) if n_jobs != 1 else None
         return mine(
-            universe, cfg.min_support, cfg.backend, cfg.max_length,
-            n_jobs=cfg.n_jobs, engine=engine, obs=obs, pool=pool,
+            universe, cfg.min_support, max_length=cfg.max_length,
+            n_jobs=n_jobs, engine=engine, obs=obs, pool=pool,
         )
 
 

@@ -1,7 +1,7 @@
 """The reprolint rule catalogue (RPL001–RPL019).
 
 Each rule encodes one invariant the reproduction depends on —
-determinism across backends and ``n_jobs``, independence from the
+determinism across ``n_jobs`` and warm/cold paths, independence from the
 banned substrate, frozen-config semantics — as a purely syntactic check
 over the AST. See ``docs/STATIC_ANALYSIS.md`` for the full rationale
 per rule and the suppression/baseline mechanics.
@@ -94,10 +94,6 @@ _FLOAT_SENSITIVE = re.compile(r"(divergence|criteria|significance|polarity)")
 PIPELINE_INTERNAL_CALLS = {
     "TreeDiscretizer",
     "BitsetEngine",
-    "mine_fpgrowth",
-    "mine_apriori",
-    "mine_eclat",
-    "mine_bitset",
     "mine_parallel",
 }
 
@@ -310,8 +306,9 @@ class FloatEqualityRule(Rule):
     severity = Severity.WARNING
     rationale = (
         "Divergence and split-criterion math must agree bit-for-bit "
-        "across backends; == on float literals is usually a tolerance "
-        "bug unless it is an exact-zero guard (suppress those inline)."
+        "across n_jobs and warm/cold paths; == on float literals is "
+        "usually a tolerance bug unless it is an exact-zero guard "
+        "(suppress those inline)."
     )
 
     def applies_to(self, path: str) -> bool:
@@ -684,7 +681,7 @@ class PipelineInternalConstructionRule(Rule):
     name = "pipeline-internal-construction"
     severity = Severity.ERROR
     rationale = (
-        "TreeDiscretizer, BitsetEngine and the mine_* backends are "
+        "TreeDiscretizer, BitsetEngine and mine_parallel are "
         "pipeline internals: the front doors (DivExplorer/HDivExplorer, "
         "ExploreSession, the mine() dispatcher) own config resolution, "
         "canonical result ordering and artifact caching. Direct "

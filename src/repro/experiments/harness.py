@@ -113,7 +113,6 @@ def run_base(
     support: float,
     tree_support: float = 0.1,
     criterion: str = "divergence",
-    backend: str = "fpgrowth",
     max_length: int | None = None,
     n_jobs: int = 1,
     obs: AnyCollector | None = None,
@@ -121,7 +120,7 @@ def run_base(
     """Base exploration over tree-discretization *leaf* items."""
     config = ExploreConfig(
         min_support=support, tree_support=tree_support, criterion=criterion,
-        backend=backend, max_length=max_length, n_jobs=n_jobs, obs=obs,
+        max_length=max_length, n_jobs=n_jobs, obs=obs,
     )
     explorer = DivExplorer(config)
     return explorer.explore(
@@ -136,7 +135,6 @@ def run_hierarchical(
     support: float,
     tree_support: float = 0.1,
     criterion: str = "divergence",
-    backend: str = "fpgrowth",
     polarity: bool = False,
     max_length: int | None = None,
     n_jobs: int = 1,
@@ -155,7 +153,7 @@ def run_hierarchical(
     """
     config = ExploreConfig(
         min_support=support, tree_support=tree_support, criterion=criterion,
-        backend=backend, polarity=polarity, max_length=max_length,
+        polarity=polarity, max_length=max_length,
         n_jobs=n_jobs, obs=obs, bundle_dir=bundle_dir,
         profile_cpu=profile_cpu, sample_hz=sample_hz,
     )
@@ -170,7 +168,6 @@ def run_hierarchical(
 def run_manual(
     ctx: ExperimentContext,
     support: float,
-    backend: str = "fpgrowth",
     max_length: int | None = None,
     obs: AnyCollector | None = None,
 ) -> ResultSet:
@@ -178,7 +175,7 @@ def run_manual(
     if ctx.name != "compas":
         raise ValueError("a manual discretization exists only for compas")
     explorer = DivExplorer(ExploreConfig(
-        min_support=support, backend=backend, max_length=max_length, obs=obs,
+        min_support=support, max_length=max_length, obs=obs,
     ))
     return explorer.explore(
         ctx.features, ctx.outcomes, continuous_items=compas_manual_items()
@@ -189,7 +186,6 @@ def run_quantile_base(
     ctx: ExperimentContext,
     support: float,
     n_bins: int,
-    backend: str = "fpgrowth",
     obs: AnyCollector | None = None,
 ) -> ResultSet:
     """Base exploration over quantile bins (Figure 7 baseline)."""
@@ -200,6 +196,6 @@ def run_quantile_base(
         for a in ctx.features.continuous_names
     }
     explorer = DivExplorer(ExploreConfig(
-        min_support=support, backend=backend, obs=obs,
+        min_support=support, obs=obs,
     ))
     return explorer.explore(ctx.features, ctx.outcomes, continuous_items=items)

@@ -33,7 +33,6 @@ def support_sweep(
     *,
     tree_support: float = 0.1,
     criterion: str = "divergence",
-    backend: str = "fpgrowth",
     max_length: int | None = None,
     n_jobs: int = 1,
     obs: AnyCollector | None = None,
@@ -51,7 +50,6 @@ def support_sweep(
             "min_support": supports[0],
             "tree_support": tree_support,
             "criterion": criterion,
-            "backend": backend,
             "max_length": max_length,
             "n_jobs": n_jobs,
         },

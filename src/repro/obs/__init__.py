@@ -61,7 +61,6 @@ from repro.obs.runlog import (
 from repro.obs.report import (
     METRICS_SCHEMA,
     TRACE_SCHEMA,
-    cache_hit_rate,
     metrics_payload,
     obs_summary,
     render_text,
@@ -143,7 +142,6 @@ __all__ = [
     "as_event_stream",
     "bench_payload",
     "bundle_scope",
-    "cache_hit_rate",
     "compare_payload",
     "config_fingerprint",
     "cpuprof_payload",

@@ -125,7 +125,7 @@ class ObsCollector:
     ----------
     counters:
         Named monotonically-increasing integer counters (candidates
-        generated, support-pruned, cache hits, ...).
+        generated, support-pruned, session-cache hits, ...).
     gauges:
         Named point-in-time values (universe size, rows, ...); a
         repeated ``gauge`` overwrites.

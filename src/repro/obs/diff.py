@@ -16,8 +16,8 @@ exceed **both** the relative and the absolute slack, so microsecond
 phases cannot trip on timer jitter). On top of the per-phase deltas
 the diff computes counter/gauge/mem-peak shifts and *attributes* the
 top regressions: each regressed phase is annotated with the counter
-families that moved with it — cover-cache hit-rate drops, candidate
-blow-ups, worker imbalance read from heartbeat/worker-span gaps.
+families that moved with it — candidate blow-ups, worker imbalance
+read from heartbeat/worker-span gaps.
 
 Output is text (perfdb report style) or JSON (schema
 ``repro.obs/diff@1``); exit status is 1 when any phase regressed, so
@@ -48,9 +48,6 @@ DIFF_SCHEMA = "repro.obs/diff@1"
 #: Relative change below which a counter shift is noise, not a suspect.
 COUNTER_SHIFT_THRESHOLD = 0.05
 
-#: Hit-rate drop (absolute) worth naming in an attribution.
-HIT_RATE_DROP_THRESHOLD = 0.05
-
 #: Worker busy-time max/mean growth factor worth naming.
 IMBALANCE_GROWTH_THRESHOLD = 1.25
 
@@ -68,10 +65,10 @@ FUNCTION_SUSPECTS = 3
 #: Counter-name prefixes consulted when attributing a phase regression,
 #: keyed by span-path segment.
 PHASE_COUNTER_HINTS: dict[str, tuple[str, ...]] = {
-    "mine": ("mining.", "cover_cache.", "session.mined."),
+    "mine": ("mining.", "session.mined."),
     "discretize": ("discretize.", "session.trees."),
     "encode": ("encode.",),
-    "explore": ("mining.", "cover_cache.", "discretize."),
+    "explore": ("mining.", "discretize."),
     "sweep": ("session.",),
 }
 
@@ -90,17 +87,6 @@ class RunProfile:
     #: The run's ``repro.obs/cpuprof@1`` payload, when the artifact was
     #: captured (bundles only); enables function-level attribution.
     cpu: Mapping[str, Any] | None = None
-
-    def hit_rate(self, family: str = "cover_cache") -> float | None:
-        """Cache hit rate from ``<family>.hits``/``.misses`` counters."""
-        hits = self.counters.get(f"{family}.hits")
-        misses = self.counters.get(f"{family}.misses")
-        if hits is None and misses is None:
-            return None
-        total = (hits or 0) + (misses or 0)
-        if total == 0:
-            return None
-        return (hits or 0) / total
 
     def imbalance(self) -> float | None:
         """Worker busy-time max/mean ratio (None under 2 workers)."""
@@ -444,7 +430,6 @@ def _attribution(
         key=lambda r: r["delta_seconds"],
         reverse=True,
     )[:top]
-    hit_a, hit_b = a.hit_rate(), b.hit_rate()
     imb_a, imb_b = a.imbalance(), b.imbalance()
     out = []
     for row in regressed:
@@ -452,15 +437,6 @@ def _attribution(
         suspects = _function_suspects(a, b, path)
         suspects.extend(_counter_suspects(path, counter_rows))
         mine_like = any(seg in ("mine", "explore") for seg in path.split("."))
-        if (
-            mine_like
-            and hit_a is not None
-            and hit_b is not None
-            and hit_a - hit_b > HIT_RATE_DROP_THRESHOLD
-        ):
-            suspects.append(
-                f"cover-cache hit rate dropped {hit_a:.1%} -> {hit_b:.1%}"
-            )
         if (
             mine_like
             and imb_b is not None
@@ -509,7 +485,6 @@ def diff_payload(
         "mem_peaks": _mem_rows(a, b, policy),
         "cpu_functions": _function_rows(a, b),
         "derived": {
-            "cache_hit_rate": {"a": a.hit_rate(), "b": b.hit_rate()},
             "worker_imbalance": {"a": a.imbalance(), "b": b.imbalance()},
         },
         "attribution": _attribution(a, b, phase_rows, counter_rows, top),

@@ -12,7 +12,7 @@ decorator; each receives the loaded :class:`~repro.obs.bundle.Bundle`
 and a :class:`DoctorPolicy` of tunable floors and yields
 :class:`Finding` objects. Built-in checks cover: crash/cancellation
 status, dropped events (rolled in-memory window), run-log seq gaps,
-cover-cache hit-rate floors, shard skew across workers, traced-peak vs
+shard skew across workers, traced-peak vs
 RSS divergence, deadline near-misses, and sampled-CPU vs wall-time
 divergence (sampler starvation / GIL skew) when the bundle carries a
 ``cpuprof.json`` table.
@@ -62,9 +62,6 @@ class Finding:
 class DoctorPolicy:
     """Tunable floors and ratios the built-in checks test against."""
 
-    #: Cover-cache hit rates below this are worth a warning (runs that
-    #: never touch the cache are exempt).
-    cache_hit_rate_floor: float = 0.2
     #: Worker busy-time max/mean above this is shard skew.
     shard_skew_ratio: float = 1.5
     #: Peak RSS more than this multiple of the traced allocation peak
@@ -184,28 +181,6 @@ def _check_seq_gaps(
             f"{missing} event lines missing from the run log "
             f"(seq range {seqs[0]}..{seqs[-1]} holds {len(seqs)} events)",
             {"missing": missing},
-        )
-
-
-@health_check("cache-hit-rate")
-def _check_cache_hit_rate(
-    bundle: Bundle, policy: DoctorPolicy
-) -> Iterator[Finding]:
-    """A cold cover cache usually means a pathological candidate mix."""
-    counters = bundle.counters
-    hits = counters.get("cover_cache.hits", 0)
-    misses = counters.get("cover_cache.misses", 0)
-    total = hits + misses
-    if total == 0:
-        return
-    rate = hits / total
-    if rate < policy.cache_hit_rate_floor:
-        yield Finding(
-            "cache-hit-rate", "warning",
-            f"cover-cache hit rate {rate:.1%} is below the "
-            f"{policy.cache_hit_rate_floor:.0%} floor "
-            f"({hits} hits / {misses} misses)",
-            {"hit_rate": rate, "hits": hits, "misses": misses},
         )
 
 

@@ -97,22 +97,13 @@ def render_text(obs: AnyCollector, title: str = "observability") -> str:
     return "\n".join(lines)
 
 
-def cache_hit_rate(obs: AnyCollector) -> float | None:
-    """Cover-cache hit rate, or None when the cache was never touched."""
-    hits = obs.counter("cover_cache.hits")
-    misses = obs.counter("cover_cache.misses")
-    total = hits + misses
-    if total == 0:
-        return None
-    return hits / total
-
-
 def obs_summary(obs: AnyCollector) -> dict[str, Any]:
     """The ``obs`` section of :meth:`repro.core.results.ResultSet.summary`.
 
-    Phase wall times (flattened span paths), the cover-cache hit rate
-    and the pruning-related counters — the headline observability
-    numbers an analyst wants without reading a full trace. When the
+    Phase wall times (flattened span paths), the candidate and
+    frequent-itemset counts and the pruning-related counters — the
+    headline observability numbers an analyst wants without reading a
+    full trace. When the
     run profiled memory (``ExploreConfig(profile_memory=True)``) a
     ``mem_peaks`` section (peak bytes per span path) is included.
     """
@@ -124,7 +115,6 @@ def obs_summary(obs: AnyCollector) -> dict[str, Any]:
     }
     summary: dict[str, Any] = {
         "phases": obs.phase_seconds(),
-        "cache_hit_rate": cache_hit_rate(obs),
         "candidates": obs.counter("mining.candidates"),
         "frequent_itemsets": obs.counter("mining.frequent_itemsets"),
         "pruning": pruning,

@@ -1,25 +1,29 @@
-"""Unit tests for the packed-bitset transaction engine.
+"""Unit tests for the packed-bitset mining engine.
 
 Covers the packing/popcount kernels (both the ``np.bitwise_count`` and
-the LUT fallback paths), cover-cache behaviour, bit-identical statistic
+the LUT fallback paths), cover algebra, bit-identical statistic
 aggregation against :meth:`EncodedUniverse.stats_of_mask`, restricted
-sub-engines, and the DFS miner against the pure-Python backends.
+sub-engines, and the DFS miner (its agreement with brute force lives in
+``test_property_mining.py``).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.items import CategoricalItem
-from repro.core.mining import EncodedUniverse, mine_eclat
+from repro.core.mining import EncodedUniverse, mine
 from repro.core.mining import bitset as bitset_mod
 from repro.core.mining.bitset import (
     BitsetEngine,
-    mine_bitset,
     pack_mask,
     popcount_rows,
     unpack_cover,
 )
 from repro.core.mining.parallel import mine_parallel, prefix_shards
+
+
+def mine_bitset(universe, min_support, max_length=None):
+    return BitsetEngine(universe).mine(min_support, max_length)
 
 
 def random_universe(rng, n_rows, attrs, boolean=False, missing=0.1):
@@ -103,10 +107,6 @@ class TestEngineStats:
         for i in range(u.n_items()):
             assert engine.support((i,)) == int(u.masks[i].sum())
 
-    def test_transactions_match_universe(self, np_rng):
-        u = random_universe(np_rng, 97, [("a", 2), ("b", 3)])
-        assert BitsetEngine(u).transactions() == u.transactions()
-
     def test_all_missing_outcomes(self, np_rng):
         u = random_universe(np_rng, 80, [("a", 2), ("b", 2)], missing=1.0)
         engine = BitsetEngine(u)
@@ -127,37 +127,17 @@ class TestEngineStats:
 
 
 class TestCoverCache:
-    def test_hits_on_repeated_covers(self, np_rng):
-        u = random_universe(np_rng, 128, [("a", 2), ("b", 2), ("c", 2)])
-        engine = BitsetEngine(u)
-        engine.cover((0, 2, 4))
-        misses = engine.cache_misses
-        engine.cover((0, 2, 4))
-        assert engine.cache_hits >= 1
-        assert engine.cache_misses == misses
+    """``cover()`` is plain cover algebra; the class name predates the
+    removal of the LRU cache that used to sit behind it."""
 
     def test_prefix_reuse_is_correct(self, np_rng):
         u = random_universe(np_rng, 400, [("a", 3), ("b", 3), ("c", 3)])
         engine = BitsetEngine(u)
-        engine.cover((0, 3))  # warm the prefix
+        prefix = engine.cover((0, 3))
         cover = engine.cover((0, 3, 6))
         expected = u.masks[0] & u.masks[3] & u.masks[6]
         assert np.array_equal(unpack_cover(cover, u.n_rows), expected)
-
-    def test_eviction_bounds_size(self, np_rng):
-        u = random_universe(np_rng, 64, [("a", 4), ("b", 4), ("c", 4)])
-        engine = BitsetEngine(u, cache_size=4)
-        for i in range(4):
-            for j in range(4, 8):
-                engine.cover((i, j))
-        assert len(engine._cache) <= 4
-
-    def test_clear_cache(self, np_rng):
-        u = random_universe(np_rng, 64, [("a", 2), ("b", 2)])
-        engine = BitsetEngine(u)
-        engine.cover((0, 2))
-        engine.clear_cache()
-        assert len(engine._cache) == 0
+        assert np.array_equal(cover, prefix & engine.item_words[6])
 
     def test_empty_itemset_cover_is_all_rows(self, np_rng):
         for n_rows in (64, 65, 100):
@@ -171,14 +151,17 @@ class TestBitsetMining:
     @pytest.mark.parametrize("boolean", [False, True])
     @pytest.mark.parametrize("s", [0.02, 0.1, 0.4])
     def test_matches_eclat_exactly(self, np_rng, boolean, s):
+        # The retired "eclat" spelling warns and returns exactly the
+        # engine's output, in the same order.
         u = random_universe(
             np_rng, 700, [("a", 3), ("b", 4), ("c", 2), ("d", 3)],
             boolean=boolean,
         )
-        pure = mine_eclat(u, s)
+        with pytest.warns(DeprecationWarning, match="'eclat' is deprecated"):
+            retired = mine(u, s, "eclat")
         packed = mine_bitset(u, s)
         assert [(m.ids, m.stats) for m in packed] == [
-            (m.ids, m.stats) for m in pure
+            (m.ids, m.stats) for m in retired
         ]
 
     def test_max_length_respected(self, np_rng):

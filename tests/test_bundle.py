@@ -223,7 +223,6 @@ class TestExplorerBundles:
         table, errors = pocket_data
         config = ExploreConfig(
             min_support=0.1, tree_support=0.1,
-            backend="bitset" if n_jobs > 1 else "fpgrowth",
             n_jobs=n_jobs,
             bundle_dir=None if bundle_dir is None else str(bundle_dir),
             **kw,

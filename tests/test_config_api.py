@@ -22,7 +22,7 @@ class TestExploreConfig:
         assert cfg.min_support == 0.05
         assert cfg.tree_support == 0.1
         assert cfg.criterion == "divergence"
-        assert cfg.backend == "fpgrowth"
+        assert cfg.backend == "bitset"
         assert cfg.polarity is False
         assert cfg.max_length is None
         assert cfg.n_jobs == 1
@@ -36,6 +36,15 @@ class TestExploreConfig:
         assert cfg.min_support == 0.2 and cfg.backend == "bitset"
         with pytest.raises(ValueError):
             cfg.replace(min_support=0.0)
+
+    @pytest.mark.parametrize("retired", ["fpgrowth", "apriori", "eclat"])
+    def test_retired_backend_warns_once_and_normalises(self, retired):
+        with pytest.warns(DeprecationWarning) as caught:
+            cfg = ExploreConfig(min_support=0.1, backend=retired)
+        assert len(caught) == 1
+        assert cfg.backend == "bitset"
+        assert cfg == ExploreConfig(min_support=0.1)
+        assert cfg.fingerprint() == ExploreConfig(min_support=0.1).fingerprint()
 
     @pytest.mark.parametrize(
         "bad",
@@ -84,27 +93,26 @@ class TestResolveConfig:
 
 class TestExplorerConstruction:
     def test_div_explorer_from_config(self):
-        cfg = ExploreConfig(
-            min_support=0.1, backend="bitset", polarity=True, n_jobs=2
-        )
+        cfg = ExploreConfig(min_support=0.1, polarity=True, n_jobs=2)
         ex = DivExplorer(cfg)
         assert ex.config == cfg
         assert ex.min_support == 0.1
-        assert ex.backend == "bitset"
+        assert not hasattr(ex, "backend")
         assert ex.polarity is True
         assert ex.n_jobs == 2
 
     def test_hdiv_explorer_from_config(self):
-        cfg = ExploreConfig(min_support=0.07, tree_support=0.2, backend="eclat")
+        cfg = ExploreConfig(min_support=0.07, tree_support=0.2, max_length=3)
         ex = HDivExplorer(cfg, max_candidates=16)
         assert ex.min_support == 0.07
         assert ex.tree_support == 0.2
-        assert ex.backend == "eclat"
+        assert ex.max_length == 3
+        assert not hasattr(ex, "backend")
         assert ex.max_candidates == 16
 
     def test_legacy_kwargs_silent(self, recwarn):
         # Canonical keyword spellings are not deprecated.
-        HDivExplorer(min_support=0.1, tree_support=0.2, backend="apriori")
+        HDivExplorer(min_support=0.1, tree_support=0.2, backend="bitset")
         DivExplorer(min_support=0.1, max_length=2)
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
@@ -135,8 +143,8 @@ class TestExplorerConstruction:
             DivExplorer(tree_supportt=0.2)
 
     def test_config_and_kwargs_mix(self):
-        ex = DivExplorer(ExploreConfig(min_support=0.1), backend="eclat")
-        assert ex.min_support == 0.1 and ex.backend == "eclat"
+        ex = DivExplorer(ExploreConfig(min_support=0.1), polarity=True)
+        assert ex.min_support == 0.1 and ex.polarity is True
 
 
 class TestBaselineConstruction:
@@ -195,7 +203,7 @@ class TestSerializationRoundTrip:
     def test_from_dict_inverts_to_dict(self):
         cfg = ExploreConfig(
             min_support=0.07, tree_support=0.2, criterion="entropy",
-            backend="eclat", polarity=True, max_length=3, n_jobs=2,
+            polarity=True, max_length=3, n_jobs=2,
         )
         assert ExploreConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -237,8 +245,8 @@ class TestFingerprint:
         assert cfg.replace(min_support=0.2).fingerprint() != cfg.fingerprint()
 
     def test_subset_keys(self):
-        a = ExploreConfig(min_support=0.1, backend="bitset")
-        b = ExploreConfig(min_support=0.1, backend="fpgrowth")
+        a = ExploreConfig(min_support=0.1, polarity=False)
+        b = ExploreConfig(min_support=0.1, polarity=True)
         assert a.fingerprint(keys=["min_support"]) == b.fingerprint(
             keys=["min_support"]
         )

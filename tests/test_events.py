@@ -5,7 +5,7 @@ run log round-trip and its validator, the progress renderer, the
 deadline/cancellation controller, the Chrome-trace exporter, and the
 pipeline-level determinism contracts: events-off runs bit-identical to
 events-on runs, and ``event_counts`` parity across ``n_jobs`` ∈ {1, 4}
-and across backends.
+and across the (deprecated) backend names.
 """
 
 from __future__ import annotations
@@ -14,14 +14,19 @@ import io
 import json
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.core.config import ExploreConfig
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem
-from repro.core.mining import BACKENDS
-from repro.core.mining.transactions import EncodedUniverse, mine
+from repro.core.mining.transactions import (
+    BACKENDS,
+    RETIRED_BACKENDS,
+    EncodedUniverse,
+    mine,
+)
 from repro.obs import (
     EVENTS_SCHEMA,
     Event,
@@ -628,9 +633,11 @@ class TestMiningParity:
     def test_progress_totals_agree_across_backends(self, universe):
         finals = {}
         announced = {}
-        for backend in BACKENDS:
+        for backend in BACKENDS + RETIRED_BACKENDS:
             obs = ObsCollector(events=EventStream())
-            mine(universe, 0.05, backend, obs=obs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                mine(universe, 0.05, backend, obs=obs)
             finals[backend] = event_counts(obs.events)["progress:mine"]
             totals = [
                 e.attrs.get("total") for e in obs.events
@@ -639,7 +646,7 @@ class TestMiningParity:
             announced[backend] = totals[-1]
         assert len(set(finals.values())) == 1, finals
         # Every backend finishes exactly the total it announced.
-        for backend in BACKENDS:
+        for backend in BACKENDS + RETIRED_BACKENDS:
             assert finals[backend] == announced[backend]
 
     def test_event_counts_identical_across_n_jobs(self, universe):
@@ -680,10 +687,9 @@ class TestMiningParity:
         assert slice_tids == workers
 
     def test_events_off_results_bit_identical(self, universe):
-        mined_off = mine(universe, 0.05, "fpgrowth")
+        mined_off = mine(universe, 0.05)
         mined_on = mine(
-            universe, 0.05, "fpgrowth",
-            obs=ObsCollector(events=EventStream()),
+            universe, 0.05, obs=ObsCollector(events=EventStream()),
         )
         assert mined_signature(mined_on) == mined_signature(mined_off)
 
@@ -733,7 +739,7 @@ class TestExplorerDeadline:
             obs = ObsCollector(events=EventStream())
             config = ExploreConfig(
                 min_support=0.1, tree_support=0.1,
-                backend="bitset", n_jobs=n_jobs, obs=obs,
+                n_jobs=n_jobs, obs=obs,
             )
             result = HDivExplorer(config).explore(table, errors)
             return result_signature(result), event_counts(obs.events)

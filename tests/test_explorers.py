@@ -198,10 +198,14 @@ class TestHDivExplorer:
         )
 
     def test_backends_equivalent(self, pocket_data):
+        # The retired backend names warn and run the one engine.
         table, errors = pocket_data
-        fp = HDivExplorer(0.1, backend="fpgrowth").explore(table, errors)
-        ap = HDivExplorer(0.1, backend="apriori").explore(table, errors)
-        assert fp.itemsets() == ap.itemsets()
+        with pytest.warns(DeprecationWarning):
+            fp = HDivExplorer(0.1, backend="fpgrowth").explore(table, errors)
+        with pytest.warns(DeprecationWarning):
+            ap = HDivExplorer(0.1, backend="apriori").explore(table, errors)
+        default = HDivExplorer(0.1).explore(table, errors)
+        assert fp.itemsets() == ap.itemsets() == default.itemsets()
 
     def test_max_length(self, pocket_data):
         table, errors = pocket_data

@@ -86,13 +86,6 @@ class TestStatusPolicy:
 
 
 class TestRunProfile:
-    def test_hit_rate(self):
-        p = profile(counters={"cover_cache.hits": 30, "cover_cache.misses": 10})
-        assert p.hit_rate() == pytest.approx(0.75)
-        assert profile().hit_rate() is None
-        assert profile(counters={"cover_cache.hits": 0,
-                                 "cover_cache.misses": 0}).hit_rate() is None
-
     def test_imbalance(self):
         p = profile(worker_seconds={1: 1.0, 2: 1.0, 3: 4.0})
         assert p.imbalance() == pytest.approx(2.0)
@@ -153,22 +146,6 @@ class TestDiffAttribution:
 
 
 class TestDiffSignals:
-    def test_cache_hit_rate_drop_named_for_mine_phases(self):
-        a = profile(
-            phases={"explore.mine": 0.1},
-            counters={"cover_cache.hits": 90, "cover_cache.misses": 10},
-        )
-        b = profile(
-            phases={"explore.mine": 0.5},
-            counters={"cover_cache.hits": 10, "cover_cache.misses": 90},
-        )
-        payload = diff_payload(a, b)
-        (entry,) = payload["attribution"]
-        assert any("hit rate dropped" in s for s in entry["suspects"])
-        derived = payload["derived"]["cache_hit_rate"]
-        assert derived["a"] == pytest.approx(0.9)
-        assert derived["b"] == pytest.approx(0.1)
-
     def test_worker_imbalance_growth_named(self):
         a = profile(
             phases={"mine": 0.1}, worker_seconds={1: 1.0, 2: 1.0},
@@ -275,7 +252,7 @@ class TestDoctorChecks:
     def test_registry_lists_builtin_checks(self):
         checks = registered_checks()
         assert {"run-status", "dropped-events", "seq-gaps",
-                "cache-hit-rate", "shard-skew", "mem-divergence",
+                "shard-skew", "mem-divergence",
                 "deadline"} <= set(checks)
         assert list(checks) == sorted(checks)
 
@@ -323,16 +300,6 @@ class TestDoctorChecks:
         )
         (finding,) = diagnose(headless, checks=["seq-gaps"])
         assert "not 0" in finding.message
-
-    def test_cache_hit_rate_floor(self):
-        cold = synthetic_bundle(
-            metrics={"counters": {"cover_cache.hits": 1,
-                                  "cover_cache.misses": 99}},
-        )
-        (finding,) = diagnose(cold, checks=["cache-hit-rate"])
-        assert "below" in finding.message
-        untouched = synthetic_bundle()
-        assert diagnose(untouched, checks=["cache-hit-rate"]) == []
 
     def test_shard_skew_warning(self):
         def span(worker, t0, t1):

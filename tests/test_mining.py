@@ -1,10 +1,13 @@
-"""Unit tests for the mining backends (Apriori, FP-Growth).
+"""Unit tests for :func:`repro.core.mining.mine`, the one mining engine.
 
-Both are checked against a brute-force reference on small universes,
-against each other on larger ones, and their accumulated statistics
-against direct mask computation.
+Mining is checked against a brute-force reference on small universes
+(the randomized oracle suite is ``test_property_mining.py``), its
+accumulated statistics against direct mask computation, and the
+deprecated ``backend`` parameter: every retired backend name warns and
+returns exactly the engine's output.
 """
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -17,9 +20,8 @@ from repro.core.mining import (
     base_universe,
     generalized_universe,
     mine,
-    mine_apriori,
-    mine_fpgrowth,
 )
+from repro.core.mining.transactions import BACKENDS, RETIRED_BACKENDS
 from repro.core.discretize import TreeDiscretizer
 from repro.core.hierarchy import HierarchySet
 from repro.core.outcomes import array_outcome
@@ -29,7 +31,6 @@ from repro.tabular import Table
 def brute_force(universe, min_support, max_length=None):
     """Reference: enumerate all attribute-distinct itemsets directly."""
     n = universe.n_rows
-    min_count = max(1, int(np.ceil(min_support * n)))
     out = {}
     ids = range(universe.n_items())
     top = max_length or universe.n_items()
@@ -41,9 +42,15 @@ def brute_force(universe, min_support, max_length=None):
             mask = np.ones(n, dtype=bool)
             for i in combo:
                 mask &= universe.masks[i]
-            if mask.sum() >= min_count:
+            if mask.sum() / n >= min_support:
                 out[frozenset(combo)] = universe.stats_of_mask(mask)
     return out
+
+
+def mine_retired(universe, min_support, backend, **kwargs):
+    """``mine`` under a retired backend name, which must warn once."""
+    with pytest.warns(DeprecationWarning, match=f"{backend!r} is deprecated"):
+        return mine(universe, min_support, backend, **kwargs)
 
 
 def as_dict(mined):
@@ -96,7 +103,7 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("support", [0.05, 0.2, 0.5])
     def test_apriori_flat(self, flat_universe, support):
         expected = brute_force(flat_universe, support)
-        got = as_dict(mine_apriori(flat_universe, support))
+        got = as_dict(mine_retired(flat_universe, support, "apriori"))
         assert set(got) == set(expected)
         for ids in got:
             assert stats_equal(got[ids], expected[ids])
@@ -104,35 +111,45 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("support", [0.05, 0.2, 0.5])
     def test_fpgrowth_flat(self, flat_universe, support):
         expected = brute_force(flat_universe, support)
-        got = as_dict(mine_fpgrowth(flat_universe, support))
+        got = as_dict(mine_retired(flat_universe, support, "fpgrowth"))
         assert set(got) == set(expected)
         for ids in got:
             assert stats_equal(got[ids], expected[ids])
 
     @pytest.mark.parametrize("support", [0.1, 0.3])
     def test_both_generalized(self, generalized_fixture, support):
+        # Both execution paths: the serial DFS and the n_jobs=2 fan-out.
         expected = brute_force(generalized_fixture, support, max_length=3)
-        ap = as_dict(mine_apriori(generalized_fixture, support, 3))
-        fp = as_dict(mine_fpgrowth(generalized_fixture, support, 3))
-        assert set(ap) == set(expected)
-        assert set(fp) == set(expected)
+        serial = as_dict(mine(generalized_fixture, support, max_length=3))
+        par = as_dict(
+            mine(generalized_fixture, support, max_length=3, n_jobs=2)
+        )
+        assert set(serial) == set(expected)
+        assert set(par) == set(expected)
         for ids in expected:
-            assert stats_equal(ap[ids], expected[ids])
-            assert stats_equal(fp[ids], expected[ids])
+            assert serial[ids] == expected[ids]
+            assert par[ids] == expected[ids]
 
 
 class TestBackendAgreement:
+    """The deprecated ``backend`` parameter: one engine behind every name."""
+
     def test_identical_results(self, generalized_fixture):
-        ap = as_dict(mine_apriori(generalized_fixture, 0.1))
-        fp = as_dict(mine_fpgrowth(generalized_fixture, 0.1))
-        assert set(ap) == set(fp)
-        for ids in ap:
-            assert stats_equal(ap[ids], fp[ids])
+        ref = [(m.ids, m.stats) for m in mine(generalized_fixture, 0.1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            for backend in BACKENDS + RETIRED_BACKENDS:
+                got = mine(generalized_fixture, 0.1, backend)
+                assert [(m.ids, m.stats) for m in got] == ref, backend
 
     def test_mine_dispatch(self, flat_universe):
-        assert set(as_dict(mine(flat_universe, 0.1, "apriori"))) == set(
-            as_dict(mine(flat_universe, 0.1, "fpgrowth"))
-        )
+        assert BACKENDS == ("bitset",)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            default = mine(flat_universe, 0.1)
+            named = mine(flat_universe, 0.1, "bitset")
+        retired = mine_retired(flat_universe, 0.1, "apriori")
+        assert as_dict(retired) == as_dict(default) == as_dict(named)
 
     def test_unknown_backend(self, flat_universe):
         with pytest.raises(ValueError, match="backend"):
@@ -142,25 +159,39 @@ class TestBackendAgreement:
 class TestInvariants:
     def test_supports_at_least_threshold(self, flat_universe):
         s = 0.15
-        for m in mine_fpgrowth(flat_universe, s):
-            assert m.stats.count >= np.ceil(s * flat_universe.n_rows)
+        for m in mine(flat_universe, s):
+            assert m.stats.count / flat_universe.n_rows >= s
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_support_threshold_is_count_over_rows(self, n_jobs):
+        # 0.07 * 100 == 7.000000000000001: a ceil(s * n) threshold asks
+        # for 8 rows and drops the 7-row subgroup, whose reported
+        # support is exactly 0.07.
+        n = 100
+        cat = np.array(["a"] * 7 + ["b"] * 93)
+        table = Table({"cat": cat})
+        items = [CategoricalItem("cat", "a"), CategoricalItem("cat", "b")]
+        universe = EncodedUniverse.from_table(table, items, np.zeros(n))
+        mined = as_dict(mine(universe, 0.07, n_jobs=n_jobs))
+        assert frozenset({0}) in mined
+        assert mined[frozenset({0})].count == 7
 
     def test_no_same_attribute_pairs(self, generalized_fixture):
-        for m in mine_fpgrowth(generalized_fixture, 0.1):
+        for m in mine(generalized_fixture, 0.1):
             attrs = [generalized_fixture.attribute_of[i] for i in m.ids]
             assert len(set(attrs)) == len(attrs)
 
     def test_monotone_in_support(self, flat_universe):
-        loose = {m.ids for m in mine_fpgrowth(flat_universe, 0.05)}
-        tight = {m.ids for m in mine_fpgrowth(flat_universe, 0.3)}
+        loose = {m.ids for m in mine(flat_universe, 0.05)}
+        tight = {m.ids for m in mine(flat_universe, 0.3)}
         assert tight <= loose
 
     def test_max_length_respected(self, flat_universe):
-        for m in mine_fpgrowth(flat_universe, 0.05, max_length=1):
+        for m in mine(flat_universe, 0.05, max_length=1):
             assert len(m.ids) == 1
 
     def test_subset_supports_dominate(self, flat_universe):
-        mined = {m.ids: m.stats.count for m in mine_fpgrowth(flat_universe, 0.05)}
+        mined = {m.ids: m.stats.count for m in mine(flat_universe, 0.05)}
         for ids, count in mined.items():
             if len(ids) > 1:
                 for sub in combinations(sorted(ids), len(ids) - 1):
@@ -168,18 +199,18 @@ class TestInvariants:
 
     def test_invalid_support(self, flat_universe):
         with pytest.raises(ValueError):
-            mine_fpgrowth(flat_universe, 0.0)
+            mine(flat_universe, 0.0)
         with pytest.raises(ValueError):
-            mine_apriori(flat_universe, 1.5)
+            mine(flat_universe, 1.5)
 
     def test_empty_universe(self):
         table = Table({"x": [1.0, 2.0]})
         universe = EncodedUniverse.from_table(table, [], np.ones(2))
-        assert mine_fpgrowth(universe, 0.5) == []
-        assert mine_apriori(universe, 0.5) == []
+        assert mine(universe, 0.5) == []
+        assert mine(universe, 0.5, n_jobs=2) == []
 
     def test_nothing_frequent(self, flat_universe):
-        assert mine_fpgrowth(flat_universe, 0.999) == []
+        assert mine(flat_universe, 0.999) == []
 
 
 class TestEncodedUniverse:
@@ -193,12 +224,6 @@ class TestEncodedUniverse:
         got = flat_universe.stats_of_mask(mask)
         direct = OutcomeStats.from_outcomes(flat_universe.outcomes, mask)
         assert stats_equal(got, direct)
-
-    def test_transactions_match_masks(self, flat_universe):
-        transactions = flat_universe.transactions()
-        for row, items in enumerate(transactions):
-            for i in range(flat_universe.n_items()):
-                assert (i in items) == bool(flat_universe.masks[i, row])
 
     def test_restricted_preserves_masks(self, flat_universe):
         sub = flat_universe.restricted([0, 2, 4])
@@ -266,7 +291,7 @@ class TestUniverseBuilders:
 
 class TestBitsetVsPurePython:
     """Property-style: the packed-bitset engine must reproduce the
-    pure-Python backends exactly, across random tables mixing
+    pure-Python brute force exactly, across random tables mixing
     categorical and continuous attributes with missing outcomes."""
 
     @staticmethod
@@ -299,8 +324,8 @@ class TestBitsetVsPurePython:
     def test_bitset_equals_pure_python(self, seed):
         universe = self._random_universe(seed)
         support = [0.02, 0.05, 0.1, 0.25][seed % 4]
-        pure = as_dict(mine(universe, support, "eclat"))
-        packed = as_dict(mine(universe, support, "bitset"))
+        pure = brute_force(universe, support)
+        packed = as_dict(mine(universe, support))
         assert set(packed) == set(pure)
         for ids in pure:
             # Bit-identical, not approximately equal.
@@ -309,8 +334,8 @@ class TestBitsetVsPurePython:
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_n_jobs_2_order_stable(self, seed):
         universe = self._random_universe(seed)
-        serial = mine(universe, 0.05, "bitset", n_jobs=1)
-        par = mine(universe, 0.05, "bitset", n_jobs=2)
+        serial = mine(universe, 0.05, n_jobs=1)
+        par = mine(universe, 0.05, n_jobs=2)
         # Same itemsets, same statistics, same emission order.
         assert [(m.ids, m.stats) for m in par] == [
             (m.ids, m.stats) for m in serial
@@ -319,12 +344,11 @@ class TestBitsetVsPurePython:
     def test_all_backends_agree_via_engine(self, generalized_fixture):
         from repro.core.mining.bitset import BitsetEngine
 
+        # A shared engine serves every (deprecated) backend name.
         engine = BitsetEngine(generalized_fixture)
-        ref = as_dict(mine(generalized_fixture, 0.1, "fpgrowth"))
-        for backend in ("apriori", "eclat", "bitset"):
+        ref = brute_force(generalized_fixture, 0.1)
+        for backend in RETIRED_BACKENDS:
             got = as_dict(
-                mine(generalized_fixture, 0.1, backend, engine=engine)
+                mine_retired(generalized_fixture, 0.1, backend, engine=engine)
             )
-            assert set(got) == set(ref)
-            for ids in ref:
-                assert stats_equal(got[ids], ref[ids])
+            assert got == ref, backend

@@ -1,5 +1,5 @@
-"""Tests for MissingItem, missing-item universes, the Eclat backend,
-and the error-difference outcome."""
+"""Tests for MissingItem, missing-item universes, the retired Eclat
+backend name, and the error-difference outcome."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, Itemset, MissingItem
-from repro.core.mining import mine, mine_eclat, mine_fpgrowth
+from repro.core.mining import mine
 from repro.core.outcomes import error_difference
 from repro.core.serialize import item_from_dict, item_to_dict
 from repro.tabular import ColumnKind, Schema, Table
@@ -90,7 +90,24 @@ class TestMissingUniverse:
         assert all(MissingItem("x") not in r.itemset for r in result)
 
 
+def mine_retired(universe, min_support, backend, **kwargs):
+    """``mine`` under a retired backend name, which must warn."""
+    with pytest.warns(DeprecationWarning, match=f"{backend!r} is deprecated"):
+        return mine(universe, min_support, backend, **kwargs)
+
+
+def mine_eclat(universe, min_support, **kwargs):
+    return mine_retired(universe, min_support, "eclat", **kwargs)
+
+
+def mine_fpgrowth(universe, min_support, **kwargs):
+    return mine_retired(universe, min_support, "fpgrowth", **kwargs)
+
+
 class TestEclat:
+    """The retired ``eclat`` name: one engine behind it until the
+    deprecated ``backend`` parameter is removed."""
+
     def test_matches_fpgrowth_flat(self, pocket_data):
         from repro.core.discretize import TreeDiscretizer
         from repro.core.mining import base_universe
@@ -132,25 +149,26 @@ class TestEclat:
 
         table, errors = pocket_data
         universe = base_universe(table, errors, {})
-        assert {m.ids for m in mine(universe, 0.1, "eclat")} == {
-            m.ids for m in mine(universe, 0.1, "apriori")
+        assert {m.ids for m in mine_eclat(universe, 0.1)} == {
+            m.ids for m in mine(universe, 0.1)
         }
 
     def test_explorer_backend(self, pocket_data):
         table, errors = pocket_data
-        ec = HDivExplorer(0.1, tree_support=0.2, backend="eclat").explore(
-            table, errors
-        )
-        fp = HDivExplorer(0.1, tree_support=0.2).explore(table, errors)
-        assert ec.itemsets() == fp.itemsets()
+        with pytest.warns(DeprecationWarning, match="'eclat' is deprecated"):
+            explorer = HDivExplorer(0.1, tree_support=0.2, backend="eclat")
+        assert explorer.config.backend == "bitset"
+        ec = explorer.explore(table, errors)
+        default = HDivExplorer(0.1, tree_support=0.2).explore(table, errors)
+        assert [str(r) for r in ec] == [str(r) for r in default]
 
     def test_invalid_support(self, pocket_data):
         from repro.core.mining import base_universe
 
         table, errors = pocket_data
         universe = base_universe(table, errors, {})
-        with pytest.raises(ValueError):
-            mine_eclat(universe, 0.0)
+        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
+            mine(universe, 0.0, "eclat")
 
 
 class TestErrorDifference:

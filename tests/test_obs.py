@@ -1,7 +1,7 @@
 """Tests for ``repro.obs`` — spans, metrics, and telemetry determinism.
 
 Covers the collector mechanics (nesting, null-object behaviour,
-pickling), the cross-backend counter-parity contract, the
+pickling), counter parity across the retired backend names, the
 ``n_jobs``-invariance of merged worker counters, tracing-on/off
 result identity, and the three JSON payload schemas.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from repro.core.config import ExploreConfig
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem
-from repro.core.mining.transactions import EncodedUniverse, mine
+from repro.core.mining.transactions import (
+    RETIRED_BACKENDS,
+    EncodedUniverse,
+    mine,
+)
 from repro.core.report import exploration_report
 from repro.obs import (
     BENCH_SCHEMA,
@@ -28,7 +33,6 @@ from repro.obs import (
     NullCollector,
     ObsCollector,
     bench_payload,
-    cache_hit_rate,
     config_fingerprint,
     metrics_payload,
     obs_summary,
@@ -195,19 +199,22 @@ class TestConfigIntegration:
 
 
 class TestCounterParity:
-    """The cross-backend metric contract (see docs/OBSERVABILITY.md)."""
+    """The metric contract (see docs/OBSERVABILITY.md): counters do not
+    depend on ``n_jobs`` or on which (deprecated) backend name was used."""
 
     CENTRAL = ("mining.frequent_itemsets",)
 
     def collect(self, universe, backend, n_jobs=1):
         obs = ObsCollector()
-        mined = mine(universe, 0.05, backend, n_jobs=n_jobs, obs=obs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            mined = mine(universe, 0.05, backend, n_jobs=n_jobs, obs=obs)
         return mined, dict(obs.counters)
 
     def test_central_counters_identical_across_backends(self, universe):
         per_backend = {
             b: self.collect(universe, b)[1]
-            for b in ("apriori", "fpgrowth", "eclat", "bitset")
+            for b in (*RETIRED_BACKENDS, "bitset")
         }
         reference = per_backend["bitset"]
         level_keys = [
@@ -217,6 +224,7 @@ class TestCounterParity:
         for backend, counters in per_backend.items():
             for key in (*self.CENTRAL, *level_keys):
                 assert counters[key] == reference[key], (backend, key)
+            assert counters == reference, backend
 
     def test_eclat_and_bitset_fully_identical(self, universe):
         mined_e, counters_e = self.collect(universe, "eclat")
@@ -271,7 +279,7 @@ class TestTracingDeterminism:
         table, errors = pocket_data
         obs = ObsCollector()
         result = HDivExplorer(
-            ExploreConfig(min_support=0.05, backend="bitset", obs=obs)
+            ExploreConfig(min_support=0.05, obs=obs)
         ).explore(table, errors)
         names = [r.name for r in obs.roots]
         assert names == ["discretize", "encode", "mine"]
@@ -304,8 +312,6 @@ class TestPayloads:
         with obs.span("mine", polarity=False):
             with obs.span("bitset"):
                 obs.count("mining.candidates", 10)
-                obs.count("cover_cache.hits", 3)
-                obs.count("cover_cache.misses", 1)
         obs.gauge("universe.items", 9)
         return obs
 
@@ -322,15 +328,10 @@ class TestPayloads:
         assert json.loads((tmp_path / "t.json").read_text()) == trace
         assert json.loads((tmp_path / "m.json").read_text()) == metrics
 
-    def test_cache_hit_rate(self):
-        assert cache_hit_rate(ObsCollector()) is None
-        assert cache_hit_rate(self.make_obs()) == pytest.approx(0.75)
-
     def test_obs_summary_shape(self):
         s = obs_summary(self.make_obs())
         assert set(s) == {
-            "phases", "cache_hit_rate", "candidates", "frequent_itemsets",
-            "pruning",
+            "phases", "candidates", "frequent_itemsets", "pruning",
         }
         assert s["candidates"] == 10
 

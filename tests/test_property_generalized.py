@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.discretize import TreeDiscretizer
-from repro.core.mining import generalized_universe, mine_fpgrowth
+from repro.core.mining import generalized_universe, mine
 from repro.tabular import Table
 
 
@@ -47,7 +47,7 @@ def test_generalization_closure_of_frequent_itemsets(case, support):
     of a reported subgroup is also reported."""
     table, o, gamma = case
     universe = generalized_universe(table, o, gamma)
-    mined = {m.ids: m.stats.count for m in mine_fpgrowth(universe, support)}
+    mined = {m.ids: m.stats.count for m in mine(universe, support)}
     for ids, count in mined.items():
         for item_id in ids:
             item = universe.items[item_id]

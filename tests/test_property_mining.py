@@ -1,10 +1,16 @@
-"""Property-based tests: mining backends on random universes.
+"""Property-based tests: the mining engine against a brute-force oracle.
 
 The central invariants of DESIGN.md:
-(4) Apriori ≡ FP-Growth ≡ brute force, including accumulated stats;
-(3) generalized results ⊇ base results at equal support.
+(4) engine ≡ brute force, including accumulated stats, for the serial
+    DFS and the ``n_jobs=2`` fan-out;
+(3) generalized results ⊇ base results at equal support;
+(6) polarity-pruned ⊆ complete results, with the same statistics.
+
+The oracle enumerates every attribute-distinct itemset and computes its
+statistics from plain Python row sets, so it can be trusted by reading.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -14,61 +20,121 @@ from hypothesis import given, settings, strategies as st
 from repro.core.discretize import TreeDiscretizer
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
-from repro.core.items import CategoricalItem
-from repro.core.mining import EncodedUniverse, mine_apriori, mine_fpgrowth
+from repro.core.items import CategoricalItem, IntervalItem
+from repro.core.mining import EncodedUniverse, mine
+from repro.core.polarity import mine_with_polarity
 from repro.tabular import Table
+
+#: Row counts on and around the 64-bit word boundaries of the packed covers.
+WORD_BOUNDARY_ROWS = [63, 64, 65, 128]
+
+
+def interval_items(attribute, cuts):
+    """Leaves between the cuts plus every ancestor interval spanning
+    two or more adjacent leaves (the root excluded) — overlapping items
+    of one attribute, as in a generalized universe."""
+    bounds = [-math.inf, *cuts, math.inf]
+    last = len(bounds) - 1
+    return [
+        IntervalItem(attribute, bounds[i], bounds[j])
+        for i in range(last)
+        for j in range(i + 1, last + 1)
+        if (i, j) != (0, last)
+    ]
 
 
 @st.composite
 def random_universe(draw):
-    """A random dataset encoded over random categorical items."""
-    n_rows = draw(st.integers(10, 60))
-    n_attrs = draw(st.integers(1, 4))
+    """A random dataset encoded over random flat or generalized items."""
+    n_rows = draw(
+        st.one_of(st.integers(1, 40), st.sampled_from(WORD_BOUNDARY_ROWS))
+    )
+    n_attrs = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["numeric", "boolean", "all_nan"]))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     columns = {}
     items = []
     for a in range(n_attrs):
-        k = int(rng.integers(2, 4))
-        values = [f"v{j}" for j in range(k)]
-        columns[f"a{a}"] = rng.choice(values, size=n_rows)
-        items.extend(CategoricalItem(f"a{a}", v) for v in values)
-    outcomes = rng.uniform(0, 1, n_rows)
+        name = f"a{a}"
+        if draw(st.booleans()):
+            columns[name] = rng.integers(0, 6, n_rows).astype(float)
+            cuts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+            cuts = sorted(set(cuts))
+            items.extend(interval_items(name, cuts))
+        else:
+            values = [f"v{j}" for j in range(int(rng.integers(2, 4)))]
+            columns[name] = rng.choice(values, size=n_rows)
+            items.extend(CategoricalItem(name, v) for v in values)
+    if kind == "numeric":
+        outcomes = rng.normal(size=n_rows)
+    else:
+        outcomes = rng.integers(0, 2, n_rows).astype(float)
     outcomes[rng.uniform(size=n_rows) < 0.15] = np.nan
+    if kind == "all_nan":
+        outcomes[:] = np.nan
     table = Table(columns)
-    return EncodedUniverse.from_table(table, items, outcomes)
+    return EncodedUniverse.from_table(table, items, outcomes), kind != "numeric"
 
 
-def brute_force(universe, min_support):
-    n = universe.n_rows
-    min_count = max(1, int(np.ceil(min_support * n)))
+def brute_force(universe, min_support, max_length=None):
+    """``{ids: (count, n, Σo, Σo²)}`` of every itemset with at most one
+    item per attribute and ``count / n_rows >= min_support``."""
+    n_rows = universe.n_rows
+    rows_of = [set(np.flatnonzero(mask).tolist()) for mask in universe.masks]
+    outcomes = universe.outcomes.tolist()
     out = {}
-    for k in range(1, universe.n_items() + 1):
+    for k in range(1, (max_length or universe.n_items()) + 1):
         for combo in combinations(range(universe.n_items()), k):
-            attrs = [universe.attribute_of[i] for i in combo]
-            if len(set(attrs)) != len(attrs):
+            if len({universe.attribute_of[i] for i in combo}) != k:
                 continue
-            mask = np.ones(n, dtype=bool)
-            for i in combo:
-                mask &= universe.masks[i]
-            if mask.sum() >= min_count:
-                out[frozenset(combo)] = universe.stats_of_mask(mask)
+            rows = set.intersection(*(rows_of[i] for i in combo))
+            if len(rows) / n_rows < min_support:
+                continue
+            defined = [outcomes[r] for r in rows if not math.isnan(outcomes[r])]
+            out[frozenset(combo)] = (
+                len(rows),
+                len(defined),
+                math.fsum(defined),
+                math.fsum(v * v for v in defined),
+            )
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(universe=random_universe(), support=st.sampled_from([0.1, 0.25, 0.5]))
-def test_backends_match_brute_force(universe, support):
-    expected = brute_force(universe, support)
-    for miner in (mine_apriori, mine_fpgrowth):
-        got = {m.ids: m.stats for m in miner(universe, support)}
-        assert set(got) == set(expected), miner.__name__
-        for ids, stats in got.items():
-            ref = expected[ids]
-            assert stats.count == ref.count
-            assert stats.n == ref.n
-            assert stats.total == pytest.approx(ref.total)
-            assert stats.total_sq == pytest.approx(ref.total_sq)
+def assert_matches_oracle(mined, expected, exact):
+    got = {m.ids: m.stats for m in mined}
+    assert len(got) == len(mined), "an itemset was emitted twice"
+    assert set(got) == set(expected)
+    for ids, stats in got.items():
+        count, n, total, total_sq = expected[ids]
+        assert (stats.count, stats.n) == (count, n)
+        if exact:
+            # Boolean (and all-⊥) outcomes sum integers: no rounding.
+            assert (stats.total, stats.total_sq) == (total, total_sq)
+        else:
+            assert stats.total == pytest.approx(total, rel=1e-9, abs=1e-9)
+            assert stats.total_sq == pytest.approx(total_sq, rel=1e-9, abs=1e-9)
+
+
+SUPPORTS = st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0])
+MAX_LENGTHS = st.sampled_from([None, 1, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=random_universe(), support=SUPPORTS, max_length=MAX_LENGTHS
+)
+def test_backends_match_brute_force(data, support, max_length):
+    """Every execution path — the serial DFS and the n_jobs=2 fan-out —
+    returns exactly the oracle's itemsets and statistics, in one order."""
+    universe, exact = data
+    expected = brute_force(universe, support, max_length)
+    serial = mine(universe, support, max_length=max_length)
+    assert_matches_oracle(serial, expected, exact)
+    par = mine(universe, support, max_length=max_length, n_jobs=2)
+    assert [(m.ids, m.stats) for m in par] == [
+        (m.ids, m.stats) for m in serial
+    ]
 
 
 @st.composite
@@ -100,27 +166,28 @@ def test_hierarchical_superset_of_base(data, support):
 
 
 @settings(max_examples=25, deadline=None)
-@given(universe=random_universe())
-def test_support_monotone_under_threshold(universe):
-    loose = {m.ids: m.stats.count for m in mine_fpgrowth(universe, 0.1)}
-    tight = {m.ids for m in mine_fpgrowth(universe, 0.4)}
+@given(data=random_universe())
+def test_support_monotone_under_threshold(data):
+    universe, _exact = data
+    loose = {m.ids: m.stats.count for m in mine(universe, 0.1)}
+    tight = {m.ids for m in mine(universe, 0.4)}
     assert tight <= set(loose)
-    min_count = int(np.ceil(0.4 * universe.n_rows))
     for ids in tight:
-        assert loose[ids] >= min_count
+        assert loose[ids] / universe.n_rows >= 0.4
 
 
 @settings(max_examples=25, deadline=None)
-@given(universe=random_universe())
-def test_polarity_results_subset(universe):
-    """Invariant 6: polarity-pruned ⊆ complete results."""
-    from repro.core.polarity import mine_with_polarity
-
-    complete = {m.ids for m in mine_fpgrowth(universe, 0.1)}
-    pruned = {
-        m.ids
-        for m in mine_with_polarity(
-            universe, 0.1, polarize_attributes=set(universe.attribute_of)
-        )
-    }
-    assert pruned <= complete
+@given(data=random_universe(), n_jobs=st.sampled_from([1, 2]))
+def test_polarity_results_subset(data, n_jobs):
+    """Invariant 6: polarity-pruned ⊆ complete results, and every
+    itemset it keeps carries the oracle's statistics."""
+    universe, exact = data
+    expected = brute_force(universe, 0.1)
+    pruned = mine_with_polarity(
+        universe, 0.1, polarize_attributes=set(universe.attribute_of),
+        n_jobs=n_jobs,
+    )
+    assert {m.ids for m in pruned} <= set(expected)
+    assert_matches_oracle(
+        pruned, {m.ids: expected[m.ids] for m in pruned}, exact
+    )

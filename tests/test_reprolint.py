@@ -560,11 +560,11 @@ class TestPipelineInternalConstruction:
         src = """\
         from repro.core.discretize import TreeDiscretizer
         from repro.core.mining.bitset import BitsetEngine
-        from repro.core.mining.fpgrowth import mine_fpgrowth
+        from repro.core.mining.parallel import mine_parallel
 
         tree = TreeDiscretizer(0.1).fit(table, "age", outcome)
         engine = BitsetEngine(universe)
-        mined = mine_fpgrowth(universe, 0.05)
+        mined = mine_parallel(universe, 0.05)
         """
         assert codes(src) == ["RPL015", "RPL015", "RPL015"]
 

@@ -13,6 +13,8 @@ The session's contract has two halves, each tested here:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,16 @@ class TestWarmColdIdentity:
 
     @pytest.mark.parametrize("backend", ["fpgrowth", "apriori", "eclat", "bitset"])
     def test_every_backend_matches_cold(self, pocket_data, backend):
+        # Every accepted (deprecated) backend name maps to the one engine.
         table, errors = pocket_data
-        with ExploreSession(table, errors) as session:
-            warm = session.explore(min_support=0.1, backend=backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with ExploreSession(table, errors) as session:
+                warm = session.explore(min_support=0.1, backend=backend)
+            reference = cold(table, errors, min_support=0.1, backend=backend)
+        assert exact_rows(warm) == exact_rows(reference)
         assert exact_rows(warm) == exact_rows(
-            cold(table, errors, min_support=0.1, backend=backend)
+            cold(table, errors, min_support=0.1)
         )
 
     def test_parallel_matches_cold(self, pocket_data):
@@ -109,9 +116,10 @@ class TestWarmColdIdentity:
             cold(table, errors, min_support=0.03, n_jobs=4)
         )
 
-    def test_numeric_outcome_fpgrowth_remines_exactly(self, pocket_data, rng):
-        # FP-growth on a numeric outcome is the one non-derivable cell:
-        # it must re-mine, and still match cold bit-for-bit.
+    def test_numeric_outcome_derives_exactly(self, pocket_data, rng):
+        # Statistics come from full covers, so a numeric outcome derives
+        # a higher support from the cache and still matches cold
+        # bit-for-bit.
         table, _errors = pocket_data
         numeric = rng.normal(size=table.n_rows)
         with ExploreSession(table, numeric) as session:
@@ -134,6 +142,7 @@ class TestInvalidation:
         assert deltas == {
             "session.trees.misses": 2,       # x and y
             "session.universe.misses": 1,
+            "session.engine.misses": 1,
             "session.mined.misses": 1,
         }
 
@@ -161,6 +170,7 @@ class TestInvalidation:
         deltas = self.explore_deltas(session, obs, min_support=0.05)
         assert deltas == {
             "session.universe.hits": 1,
+            "session.engine.hits": 1,
             "session.mined.misses": 1,
         }
         # ... and the lower mine replaces the cached one: the original
@@ -178,6 +188,7 @@ class TestInvalidation:
         assert deltas == {
             "session.trees.misses": 2,
             "session.universe.misses": 1,
+            "session.engine.misses": 1,
             "session.mined.misses": 1,
         }
 
@@ -188,21 +199,19 @@ class TestInvalidation:
         assert deltas == {
             "session.trees.misses": 2,
             "session.universe.misses": 1,
-            "session.mined.misses": 1,
-        }
-
-    def test_backend_change_remines_only(self, obs_session):
-        session, obs, _table, _errors = obs_session
-        session.explore(min_support=0.05)
-        deltas = self.explore_deltas(session, obs, min_support=0.05, backend="bitset")
-        assert deltas == {
-            "session.universe.hits": 1,
             "session.engine.misses": 1,
             "session.mined.misses": 1,
         }
-        # The engine is an artifact too: a second bitset explore hits it
-        # through the mined cache without rebuilding anything.
-        deltas = self.explore_deltas(session, obs, min_support=0.05, backend="bitset")
+
+    def test_backend_change_hits_everything(self, obs_session):
+        # A retired backend name normalises to the one engine, so it is
+        # the same config: nothing is rebuilt or re-mined.
+        session, obs, _table, _errors = obs_session
+        session.explore(min_support=0.05)
+        with pytest.warns(DeprecationWarning):
+            deltas = self.explore_deltas(
+                session, obs, min_support=0.05, backend="fpgrowth"
+            )
         assert deltas == {
             "session.universe.hits": 1,
             "session.mined.hits": 1,
@@ -214,6 +223,7 @@ class TestInvalidation:
         deltas = self.explore_deltas(session, obs, min_support=0.05, max_length=2)
         assert deltas == {
             "session.universe.hits": 1,
+            "session.engine.hits": 1,
             "session.mined.misses": 1,
         }
 
@@ -223,10 +233,11 @@ class TestInvalidation:
         deltas = self.explore_deltas(session, obs, min_support=0.05, polarity=True)
         assert deltas == {
             "session.universe.hits": 1,
+            "session.engine.hits": 1,
             "session.mined.misses": 1,
         }
 
-    def test_numeric_fpgrowth_support_increase_remines(self, pocket_data, rng):
+    def test_numeric_support_increase_derives_from_cache(self, pocket_data, rng):
         table, _errors = pocket_data
         numeric = rng.normal(size=table.n_rows)
         obs = ObsCollector()
@@ -235,7 +246,7 @@ class TestInvalidation:
             deltas = self.explore_deltas(session, obs, min_support=0.2)
         assert deltas == {
             "session.universe.hits": 1,
-            "session.mined.misses": 1,
+            "session.mined.hits": 1,
         }
 
     def test_changed_data_means_a_fresh_session(self, pocket_data, obs_session):
@@ -286,10 +297,14 @@ class TestSweep:
 
     def test_sweep_other_params(self, obs_session):
         session, _obs, table, errors = obs_session
-        sweep = session.sweep("backend", ["fpgrowth", "bitset"], min_support=0.1)
-        rows = [exact_rows(p.result) for p in sweep]
-        # Canonical ordering makes the backends agree bit-for-bit.
-        assert rows[0] == rows[1]
+        sweep = session.sweep("max_length", [1, 2], min_support=0.1)
+        for point in sweep:
+            reference = cold(
+                table, errors, min_support=0.1, max_length=point.value
+            )
+            assert exact_rows(point.result) == exact_rows(reference)
+        short, longer = (set(exact_rows(p.result)) for p in sweep)
+        assert short < longer
 
     def test_sweep_emits_span_tree(self, pocket_data):
         table, errors = pocket_data
@@ -374,10 +389,9 @@ class TestCoerceOutcome:
         with pytest.raises(ValueError, match="disagree in shape"):
             coerce_outcome((np.zeros(3), np.zeros(4)))
 
-    def test_plain_sequence_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="plain Python sequence"):
-            outcome = coerce_outcome([0.0, 1.0, 0.0])
-        assert outcome.boolean
+    def test_plain_sequence_rejected(self):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            coerce_outcome([0.0, 1.0, 0.0])
 
     def test_garbage_raises(self):
         with pytest.raises(TypeError, match="cannot interpret"):
