@@ -1,12 +1,13 @@
 """Frequent-pattern mining with in-pass divergence accumulation.
 
-One engine, the packed-bitset depth-first search
+One engine, the level-batched packed-bitset search
 (:class:`BitsetEngine`), mines all frequent itemsets over an encoded
 item universe while accumulating the outcome sufficient statistics of
 every itemset, so divergence and significance come out of the mining
-pass for free (Algorithm 1 of the paper). :func:`mine` with
-``n_jobs != 1`` shards first-level prefixes across worker processes
-(:mod:`repro.core.mining.parallel`).
+pass for free (Algorithm 1 of the paper). :func:`mine` returns them as
+one :class:`MinedColumns` (an id matrix plus statistic columns, in
+canonical order); with ``n_jobs != 1`` it shards first-level prefixes
+across worker processes (:mod:`repro.core.mining.parallel`).
 
 The *generalized* universe (:func:`generalized_universe`) augments the
 item set with every hierarchy-internal item; transactions are extended
@@ -21,6 +22,7 @@ from repro.core.mining.parallel import mine_parallel
 from repro.core.mining.transactions import (
     BACKENDS,
     EncodedUniverse,
+    MinedColumns,
     MinedItemset,
     mine,
 )
@@ -29,6 +31,7 @@ __all__ = [
     "BACKENDS",
     "BitsetEngine",
     "EncodedUniverse",
+    "MinedColumns",
     "MinedItemset",
     "base_universe",
     "generalized_universe",

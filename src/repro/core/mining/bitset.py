@@ -12,10 +12,12 @@ items, count the surviving rows, and aggregate the outcome over them.
   masked dot product against the raw outcome vector (numeric
   outcomes),
 
-and candidate evaluation is *batched*: all sibling extensions of a
-prefix are intersected and counted in one fused numpy call, and each
-survivor's cover is handed down the depth-first recursion, so no cover
-is ever rebuilt.
+and the search is *level-batched*: each frequent root's subtree is
+mined one lattice level at a time, every candidate of a level going
+through one fused intersect–popcount–filter–aggregate step, and the
+next level's candidates come from array arithmetic. The output is one
+:class:`~repro.core.mining.transactions.MinedColumns` (an id matrix
+plus statistic columns) in canonical order.
 
 Statistics are bit-identical to :meth:`EncodedUniverse.stats_of_mask`:
 counts are exact integers from popcounts, and numeric totals reuse the
@@ -29,11 +31,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.divergence import OutcomeStats, min_support_count
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset
+from repro.core.mining.transactions import EncodedUniverse, MinedColumns
 from repro.obs.collector import AnyCollector, resolve_obs
 
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _LUT16: np.ndarray | None = None
+
+#: Byte budget of one fused mining step: the candidate covers it
+#: intersects at once. A wider level runs in several steps of
+#: ``STEP_BYTES // (8 * n_words)`` candidates, so the temporaries stay
+#: bounded on tall tables.
+STEP_BYTES = 1 << 20
 
 
 def _popcount_lut() -> np.ndarray:
@@ -99,7 +107,7 @@ class BitsetEngine:
     universe:
         The encoded dataset whose item masks to pack.
     obs:
-        Optional :class:`repro.obs.ObsCollector`; per-DFS-step candidate
+        Optional :class:`repro.obs.ObsCollector`; per-step candidate
         and pruning counters are recorded when enabled.
 
     Attributes
@@ -172,7 +180,7 @@ class BitsetEngine:
         """(n, Σo, Σo²) for a batch of packed covers, exactly.
 
         Boolean outcomes aggregate by popcount against the packed
-        outcome bitmap (exact integers). Numeric outcomes unpack the
+        outcome bitmap (exact integers). Numeric outcomes unpack each
         cover and reuse the universe's own masked dot products, so the
         floating-point summation matches ``stats_of_mask`` bit for bit.
         """
@@ -184,12 +192,14 @@ class BitsetEngine:
             totals = popcount_rows(covers & self.outcome_words).astype(np.float64)
             return ns, totals, totals.copy()
         u = self.universe
-        bools = unpack_cover(covers, self.n_rows)
         totals = np.empty(len(covers), dtype=np.float64)
         totals_sq = np.empty(len(covers), dtype=np.float64)
-        for j in range(len(covers)):
-            totals[j] = float(u._o @ bools[j])
-            totals_sq[j] = float(u._o2 @ bools[j])
+        for j, cover in enumerate(covers):
+            # One cover at a time, cast once for both products: the
+            # same BLAS inputs as ``_o @ mask`` on the boolean mask.
+            rows = unpack_cover(cover, self.n_rows).astype(np.float64)
+            totals[j] = u._o @ rows
+            totals_sq[j] = u._o2 @ rows
         return ns, totals, totals_sq
 
     def restricted(self, item_ids: Iterable[int]) -> "BitsetEngine":
@@ -197,7 +207,7 @@ class BitsetEngine:
 
         Used by polarity pruning: the positive- and negative-polarity
         explorations slice the already-packed item words instead of
-        re-packing their masks.
+        re-packing their masks. The sub-universe is ``sub.universe``.
         """
         ids = sorted(set(item_ids))
         sub = BitsetEngine.__new__(BitsetEngine)
@@ -215,14 +225,21 @@ class BitsetEngine:
 
     # -- mining -----------------------------------------------------------
 
-    def frequent_roots(
-        self, min_support: float
-    ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Level-1 scan: (frequent item ids, their covers, counts)."""
+    def shards(self, min_support: float) -> list[tuple[int, np.ndarray]]:
+        """The frequent roots, each with its tail, in id order.
+
+        A root is a frequent item; its tail holds the frequent items
+        after it of a different attribute, the level-2 candidates of its
+        subtree. Roots are the unit of :meth:`mine` progress and
+        deadline checkpoints, and the shards of the parallel fan-out.
+        """
         min_count = self._min_count(min_support)
-        counts = self.item_counts()
-        keep = np.nonzero(counts >= min_count)[0]
-        return keep.tolist(), self.item_words[keep], counts[keep]
+        roots = np.flatnonzero(self.item_counts() >= min_count)
+        codes = self._attr_codes[roots]
+        return [
+            (root, roots[pos + 1 :][codes[pos + 1 :] != codes[pos]])
+            for pos, root in enumerate(roots.tolist())
+        ]
 
     def _min_count(self, min_support: float) -> int:
         if not 0.0 < min_support <= 1.0:
@@ -231,19 +248,26 @@ class BitsetEngine:
 
     def mine(
         self, min_support: float, max_length: int | None = None
-    ) -> list[MinedItemset]:
-        """Mine all frequent itemsets depth-first over packed covers.
+    ) -> MinedColumns:
+        """Mine all frequent itemsets, one frequent root at a time.
 
-        Emits itemsets in DFS order (candidate items in universe
-        order), so the output is deterministic and identical to the
-        concatenation of :meth:`mine_subtree` over the frequent roots.
+        Rows come in canonical order, which is the concatenation of
+        :meth:`mine_subtree` over :meth:`shards`.
         """
-        min_count = self._min_count(min_support)
-        raw: list[tuple[tuple[int, ...], int, int, float, float]] = []
-        candidates = np.arange(self.universe.n_items())
-        if len(candidates) and (max_length is None or max_length > 0):
-            self._extend((), None, candidates, min_count, max_length, raw)
-        return raw_to_mined(raw)
+        n_items = self.universe.n_items()
+        shards = self.shards(min_support)
+        if not n_items or (max_length is not None and max_length < 1):
+            return MinedColumns.empty()
+        self._count_step(n_items, len(shards))
+        # Work accounting in frequent roots: the unit the parallel
+        # fan-out counts shards in, so progress totals match across n_jobs.
+        self.obs.progress("mine", advance=0, expect=len(shards))
+        parts = []
+        for root, tail in shards:
+            parts.append(self.mine_subtree(root, tail, min_support, max_length))
+            self.obs.progress("mine", root=root)
+            self.obs.checkpoint("mine")
+        return MinedColumns.concat(parts)
 
     def mine_subtree(
         self,
@@ -251,93 +275,94 @@ class BitsetEngine:
         tail: Sequence[int],
         min_support: float,
         max_length: int | None = None,
-    ) -> list[tuple[tuple[int, ...], int, int, float, float]]:
-        """Mine the DFS subtree of one first-level item, in raw form.
+    ) -> MinedColumns:
+        """Mine the subtree of one root, level by level, root included.
 
-        ``tail`` is the root's candidate extensions (frequent items
-        after it, different attribute). Returns raw tuples
-        ``(itemset ids, count, n, Σo, Σo²)`` — cheap to pickle across
-        the parallel fan-out; :func:`raw_to_mined` materializes them.
+        ``tail`` is the root's level-2 candidates (see :meth:`shards`).
+        Level ``k`` holds the subtree's frequent ``k``-itemsets with
+        their covers. Its candidates pair each node with every later
+        sibling (same parent) of a different attribute, exactly the
+        extensions a depth-first search tries, and go through
+        :meth:`_fused_step` together. The rows are returned in
+        canonical order.
         """
         min_count = self._min_count(min_support)
-        cover = self.item_words[root]
-        count = int(popcount_rows(cover))
-        if count < min_count:
-            return []
-        ns, totals, totals_sq = self._stat_components(cover[None, :], [count])
-        results: list[tuple[tuple[int, ...], int, int, float, float]] = [
-            ((root,), count, int(ns[0]), float(totals[0]), float(totals_sq[0]))
-        ]
-        if (max_length is None or max_length > 1) and len(tail):
-            self._extend(
-                (root,), cover, np.asarray(tail, dtype=np.int64),
-                min_count, max_length, results,
-            )
-        return results
-
-    def _extend(
-        self,
-        prefix: tuple[int, ...],
-        prefix_cover: np.ndarray | None,
-        candidates: np.ndarray,
-        min_count: int,
-        max_length: int | None,
-        results: list,
-    ) -> None:
-        """One batched DFS step: evaluate all extensions of ``prefix``.
-
-        All candidate covers are intersected and popcounted in fused
-        vector calls; survivors get their statistics from one batched
-        aggregation, then each is recursed into with the remaining
-        later siblings of a different attribute.
-        """
-        covers = self.item_words[candidates]
-        if prefix_cover is not None:
-            covers = covers & prefix_cover
+        covers = self.item_words[root : root + 1]
         counts = popcount_rows(covers)
-        keep = counts >= min_count
-        kept_ids = candidates[keep]
-        if self.obs.enabled:
-            self.obs.count("mining.candidates", len(candidates))
-            self.obs.count("mining.support_pruned", len(candidates) - int(kept_ids.size))
-            self.obs.count("mining.rows_scanned", len(candidates) * self.n_rows)
-        if not kept_ids.size:
-            return
-        kept_covers = covers[keep]
-        kept_counts = counts[keep]
-        ns, totals, totals_sq = self._stat_components(kept_covers, kept_counts)
-        can_extend = max_length is None or len(prefix) + 1 < max_length
-        kept_codes = self._attr_codes[kept_ids]
-        id_list = kept_ids.tolist()
-        top_level = not prefix
-        if top_level:
-            # Work accounting in frequent level-1 roots — the same unit
-            # the parallel fan-out counts shards in, so progress totals
-            # are identical across n_jobs.
-            self.obs.progress("mine", advance=0, expect=len(id_list))
-        for pos, i in enumerate(id_list):
-            itemset = prefix + (i,)
-            results.append(
-                (
-                    itemset,
-                    int(kept_counts[pos]),
-                    int(ns[pos]),
-                    float(totals[pos]),
-                    float(totals_sq[pos]),
-                )
+        if counts[0] < min_count:
+            return MinedColumns.empty()
+        ids = np.array([[root]], dtype=np.int64)
+        levels = [MinedColumns(ids, counts, *self._stat_components(covers, counts))]
+        parents = np.zeros(len(tail), dtype=np.int64)
+        items = np.asarray(tail, dtype=np.int64)
+        while items.size and (max_length is None or ids.shape[1] < max_length):
+            kept, covers, counts, stats = self._fused_step(
+                covers, parents, items, min_count
             )
-            if can_extend:
-                rest = kept_ids[pos + 1 :]
-                if rest.size:
-                    nxt = rest[kept_codes[pos + 1 :] != kept_codes[pos]]
-                    if nxt.size:
-                        self._extend(
-                            itemset, kept_covers[pos], nxt,
-                            min_count, max_length, results,
-                        )
-            if top_level:
-                self.obs.progress("mine", root=i)
-                self.obs.checkpoint("mine")
+            if not kept.size:
+                break
+            ids = np.column_stack((ids[parents[kept]], items[kept]))
+            levels.append(MinedColumns(ids, counts, *stats))
+            parents, items = self._next_candidates(parents[kept], items[kept])
+        return MinedColumns.concat(levels).canonical()
+
+    def _fused_step(
+        self,
+        covers: np.ndarray,
+        parents: np.ndarray,
+        items: np.ndarray,
+        min_count: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """Evaluate one level's candidates: node ``parents[c]`` of the
+        previous level (cover ``covers[parents[c]]``) plus ``items[c]``.
+
+        Intersection, popcount, support filter and statistics run on
+        at most :data:`STEP_BYTES` of candidate covers at a time.
+        Returns the surviving candidates' positions, covers, counts and
+        ``(n, Σo, Σo²)``.
+        """
+        step = max(1, STEP_BYTES // (8 * max(1, self.n_words)))
+        parts = []
+        for start in range(0, len(items), step):
+            stop = start + step
+            cand = covers[parents[start:stop]] & self.item_words[items[start:stop]]
+            counts = popcount_rows(cand)
+            keep = counts >= min_count
+            cand, counts = cand[keep], counts[keep]
+            parts.append(
+                (np.flatnonzero(keep) + start, cand, counts,
+                 *self._stat_components(cand, counts))
+            )
+        kept, covers, counts, *stats = (np.concatenate(col) for col in zip(*parts))
+        self._count_step(len(items), len(kept))
+        return kept, covers, counts, tuple(stats)
+
+    def _next_candidates(
+        self, parents: np.ndarray, items: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The next level's ``(node, item)`` pairs for a level whose node
+        ``j`` extends ``parents[j]`` with ``items[j]``: each node with
+        every later sibling of a different attribute, node-major.
+
+        Siblings are adjacent (``parents`` is sorted), so node ``j``
+        pairs with the nodes after it up to the end of its sibling run.
+        """
+        m = len(items)
+        run_ends = np.append(np.flatnonzero(np.diff(parents)) + 1, m)
+        run_end = np.repeat(run_ends, np.diff(run_ends, prepend=0))
+        later = run_end - np.arange(m) - 1  # siblings after each node
+        node = np.repeat(np.arange(m), later)
+        # Node j's p-th pair (p = 0, 1, ...) is with node j + 1 + p.
+        pair = np.arange(len(node)) - np.repeat(np.cumsum(later) - later, later)
+        sibling = items[node + 1 + pair]
+        distinct = self._attr_codes[items[node]] != self._attr_codes[sibling]
+        return node[distinct], sibling[distinct]
+
+    def _count_step(self, candidates: int, kept: int) -> None:
+        if self.obs.enabled:
+            self.obs.count("mining.candidates", candidates)
+            self.obs.count("mining.support_pruned", candidates - kept)
+            self.obs.count("mining.rows_scanned", candidates * self.n_rows)
 
     def __repr__(self) -> str:
         kind = "boolean" if self.boolean else "numeric"
@@ -346,12 +371,3 @@ class BitsetEngine:
             f"rows={self.n_rows}, words={self.n_words}, outcome={kind})"
         )
 
-
-def raw_to_mined(
-    raw: Iterable[tuple[tuple[int, ...], int, int, float, float]]
-) -> list[MinedItemset]:
-    """Materialize raw ``(ids, count, n, Σo, Σo²)`` tuples."""
-    return [
-        MinedItemset(frozenset(ids), OutcomeStats(c, n, t, t2))
-        for ids, c, n, t, t2 in raw
-    ]

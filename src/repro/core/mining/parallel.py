@@ -1,20 +1,21 @@
 """Process-parallel mining fan-out over first-level prefixes.
 
-The frequent-itemset lattice decomposes into independent DFS subtrees,
-one per first-level item (the *prefix shards*). This module scans
-level 1 serially with the bitset engine, then farms the subtrees out to
-``multiprocessing`` workers. Each worker holds the packed engine —
-shipped once per worker at pool start (and shared copy-on-write under
-the ``fork`` start method) — and returns raw result tuples, which are
-cheap to pickle.
+The frequent-itemset lattice decomposes into independent subtrees,
+one per frequent first-level item (the *prefix shards*). This module
+scans level 1 serially with the bitset engine, then farms the subtrees
+out to ``multiprocessing`` workers. Each worker holds the packed engine
+— shipped once per worker at pool start (and shared copy-on-write under
+the ``fork`` start method) — and returns its subtree as a
+:class:`~repro.core.mining.transactions.MinedColumns`: a few numpy
+arrays, cheap to pickle.
 
 Shards are scheduled dynamically (``imap``, chunk size 1) so a few
 heavy prefixes don't serialize the pool, and results are reassembled in
 prefix order, which makes the output *order-stable*: any ``n_jobs``
-produces exactly the serial DFS sequence.
+produces exactly the serial sequence.
 
 ``n_jobs=1`` (the default everywhere) never touches multiprocessing —
-the serial DFS runs in-process.
+the serial search runs in-process.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import platform
 import time
 from queue import Empty
 
-from repro.core.mining.bitset import BitsetEngine, raw_to_mined
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset
+from repro.core.mining.bitset import BitsetEngine
+from repro.core.mining.transactions import EncodedUniverse, MinedColumns
 from repro.obs.collector import NULL_OBS, AnyCollector, ObsCollector, resolve_obs
 from repro.obs.events import worker_event_queue
 
@@ -56,7 +57,7 @@ def _worker_env(pid: int) -> dict:
 
 
 def _mine_shard(task):
-    """Mine one prefix shard; returns ``(raw, counters, peaks, cpu_rows)``
+    """Mine one prefix shard; returns ``(mined, counters, peaks, cpu_rows)``
     (the last three ``None`` when not collected).
 
     When the parent collects metrics, the shard mines against a private
@@ -96,10 +97,10 @@ def _mine_shard(task):
             queue.put(("env", token, pid, _worker_env(pid)))
         queue.put(("hb", token, pid, t0, root))
     if not collect:
-        raw = engine.mine_subtree(root, tail, min_support, max_length)
+        mined = engine.mine_subtree(root, tail, min_support, max_length)
         if queue is not None:
             queue.put(("done", token, pid, t0, time.perf_counter(), root))
-        return raw, None, None, None
+        return mined, None, None, None
     shard_obs = ObsCollector(profile_memory=profile)
     if cpu_hz:
         shard_obs.enable_cpu_profiling(cpu_hz)
@@ -111,9 +112,9 @@ def _mine_shard(task):
             # The span scopes both profilers: the mem window and the
             # sampler lifetime (started at root open, joined at close).
             with shard_obs.span("mine.shard", root=root):
-                raw = engine.mine_subtree(root, tail, min_support, max_length)
+                mined = engine.mine_subtree(root, tail, min_support, max_length)
         else:
-            raw = engine.mine_subtree(root, tail, min_support, max_length)
+            mined = engine.mine_subtree(root, tail, min_support, max_length)
         if cpu_hz and shard_obs.cpu is not None:
             cpu_rows = shard_obs.cpu.rows()
     finally:
@@ -122,7 +123,7 @@ def _mine_shard(task):
         shard_obs.stop_cpu_profiling()
     if queue is not None:
         queue.put(("done", token, pid, t0, time.perf_counter(), root))
-    return raw, dict(shard_obs.counters), dict(shard_obs.mem_peaks), cpu_rows
+    return mined, dict(shard_obs.counters), dict(shard_obs.mem_peaks), cpu_rows
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -133,26 +134,6 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
     if n_jobs <= 0:
         return max(1, multiprocessing.cpu_count())
     return n_jobs
-
-
-def prefix_shards(
-    engine: BitsetEngine, min_support: float
-) -> list[tuple[int, list[int]]]:
-    """The first-level shards: each frequent item with its tail.
-
-    The tail of item ``i`` holds the frequent items after ``i`` of a
-    different attribute — exactly the candidate list the serial DFS
-    would recurse with.
-    """
-    roots, _covers, _counts = engine.frequent_roots(min_support)
-    codes = engine._attr_codes
-    return [
-        (
-            i,
-            [j for j in roots[pos + 1 :] if codes[j] != codes[i]],
-        )
-        for pos, i in enumerate(roots)
-    ]
 
 
 class WorkerPool:
@@ -222,11 +203,11 @@ def mine_parallel(
     engine: BitsetEngine | None = None,
     obs: AnyCollector | None = None,
     pool: WorkerPool | None = None,
-) -> list[MinedItemset]:
+) -> MinedColumns:
     """Mine all frequent itemsets with sharded worker processes.
 
     Returns the same itemsets, statistics *and order* as the serial
-    DFS (:meth:`repro.core.mining.bitset.BitsetEngine.mine`), for any
+    search (:meth:`repro.core.mining.bitset.BitsetEngine.mine`), for any
     ``n_jobs``. Falls back to the serial path when ``n_jobs`` is 1
     or the universe has at most one shard.
 
@@ -257,12 +238,12 @@ def mine_parallel(
         engine = BitsetEngine(universe, obs=obs)
     if n_jobs == 1:
         return engine.mine(min_support, max_length)
-    shards = prefix_shards(engine, min_support)
+    shards = engine.shards(min_support)
     if len(shards) <= 1:
         return engine.mine(min_support, max_length)
 
     if obs.enabled:
-        # The level-1 scan, counted exactly as the serial DFS would.
+        # The level-1 scan, counted exactly as the serial search does.
         obs.count("mining.candidates", universe.n_items())
         obs.count("mining.support_pruned", universe.n_items() - len(shards))
         obs.count("mining.rows_scanned", universe.n_items() * universe.n_rows)
@@ -282,8 +263,8 @@ def mine_parallel(
          streaming, token)
         for root, tail in shards
     ]
-    # Progress in shards — the same unit as the serial DFS's frequent
-    # level-1 roots, so final totals match across n_jobs.
+    # Progress in shards — the same unit as the serial search's frequent
+    # roots, so final totals match across n_jobs.
     obs.progress("mine", advance=0, expect=len(shards))
     if pool is not None:
         if streaming:
@@ -313,16 +294,14 @@ def mine_parallel(
             engine.obs = prev_obs
             if queue is not None:
                 queue.close()
-    results: list[MinedItemset] = []
-    for raw, counters, peaks, cpu_rows in per_shard:
-        results.extend(raw_to_mined(raw))
+    for _mined, counters, peaks, cpu_rows in per_shard:
         if counters:
             obs.merge_counters(counters)
         if peaks:
             obs.merge_peaks(peaks)
         if cpu_rows:
             obs.merge_cpu_samples(cpu_rows)
-    return results
+    return MinedColumns.concat([mined for mined, *_ in per_shard])
 
 
 def _stream_shards(pool, queue, tasks, obs: AnyCollector, token) -> list:

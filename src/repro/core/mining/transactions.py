@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,7 +137,118 @@ class MinedItemset:
         )
 
 
-#: The mining engines :func:`mine` runs: the packed-bitset DFS only.
+class MinedColumns:
+    """The frequent itemsets of one mining run, as read-only columns.
+
+    Row ``r`` is one itemset: ``ids[r]`` holds its item ids in ascending
+    order, padded with ``-1`` to the widest itemset, and ``count[r]``,
+    ``n[r]``, ``total[r]``, ``total_sq[r]`` are its
+    :class:`OutcomeStats` fields. Rows are in canonical order:
+    lexicographic on the id tuples, a prefix before its extensions,
+    which is the depth-first order of the search. Iterating yields
+    :class:`MinedItemset` objects.
+    """
+
+    __slots__ = ("ids", "count", "n", "total", "total_sq")
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        count: np.ndarray,
+        n: np.ndarray,
+        total: np.ndarray,
+        total_sq: np.ndarray,
+    ):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        if self.ids.ndim != 2 or len(self.ids) != len(count):
+            raise ValueError("ids must be a matrix with one row per itemset")
+        self.count = np.asarray(count, dtype=np.int64)
+        self.n = np.asarray(n, dtype=np.int64)
+        self.total = np.asarray(total, dtype=np.float64)
+        self.total_sq = np.asarray(total_sq, dtype=np.float64)
+        for column in (self.ids, self.count, self.n, self.total, self.total_sq):
+            column.flags.writeable = False
+
+    @classmethod
+    def empty(cls) -> "MinedColumns":
+        return cls(np.empty((0, 0), dtype=np.int64), [], [], [], [])
+
+    @classmethod
+    def concat(cls, parts: Sequence["MinedColumns"]) -> "MinedColumns":
+        """The rows of ``parts`` one after another (ids padded to one width)."""
+        if not parts:
+            return cls.empty()
+        width = max(p.ids.shape[1] for p in parts)
+        return cls(
+            np.concatenate([_pad_ids(p.ids, width) for p in parts]),
+            *(
+                np.concatenate([getattr(p, name) for p in parts])
+                for name in ("count", "n", "total", "total_sq")
+            ),
+        )
+
+    def select(self, rows: np.ndarray) -> "MinedColumns":
+        """The rows picked by a boolean mask or an index array."""
+        return MinedColumns(
+            self.ids[rows], self.count[rows], self.n[rows],
+            self.total[rows], self.total_sq[rows],
+        )
+
+    def canonical(self) -> "MinedColumns":
+        """These rows in canonical order, repeated itemsets dropped."""
+        if not len(self):
+            return self
+        order = np.lexsort(self.ids.T[::-1])
+        ids = self.ids[order]
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = (ids[1:] != ids[:-1]).any(axis=1)
+        return self.select(order[first])
+
+    def lengths(self) -> np.ndarray:
+        """Number of items of each itemset."""
+        return np.count_nonzero(self.ids >= 0, axis=1)
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def __iter__(self) -> Iterator[MinedItemset]:
+        columns = zip(
+            self.ids.tolist(), self.count.tolist(), self.n.tolist(),
+            self.total.tolist(), self.total_sq.tolist(),
+        )
+        for row, count, n, total, total_sq in columns:
+            yield MinedItemset(
+                frozenset(i for i in row if i >= 0),
+                OutcomeStats(count, n, total, total_sq),
+            )
+
+    def __eq__(self, other: object) -> bool:
+        """Same itemsets and statistics in the same order, against
+        another container or a list of :class:`MinedItemset`."""
+        if not isinstance(other, (MinedColumns, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __reduce__(self):
+        return (
+            MinedColumns,
+            (self.ids, self.count, self.n, self.total, self.total_sq),
+        )
+
+    def __repr__(self) -> str:
+        return f"MinedColumns(itemsets={len(self)}, width={self.ids.shape[1]})"
+
+
+def _pad_ids(ids: np.ndarray, width: int) -> np.ndarray:
+    """An id matrix widened to ``width`` columns with ``-1``."""
+    if ids.shape[1] == width:
+        return ids
+    padded = np.full((len(ids), width), -1, dtype=np.int64)
+    padded[:, : ids.shape[1]] = ids
+    return padded
+
+
+#: The mining engines :func:`mine` runs: the packed-bitset search only.
 BACKENDS = ("bitset",)
 
 #: Retired backend names, still accepted by :func:`resolve_backend`
@@ -174,8 +285,8 @@ def mine(
     engine=None,
     obs: AnyCollector | None = None,
     pool=None,
-) -> list[MinedItemset]:
-    """Mine all frequent itemsets with the packed-bitset DFS.
+) -> MinedColumns:
+    """Mine all frequent itemsets with the packed-bitset engine.
 
     Parameters
     ----------
@@ -192,7 +303,7 @@ def mine(
     n_jobs:
         With ``n_jobs != 1``, first-level prefixes are sharded across
         worker processes (``repro.core.mining.parallel``); results are
-        identical to the serial DFS, in the same order. Non-positive
+        identical to the serial search, in the same order. Non-positive
         means all cores.
     engine:
         Optional :class:`repro.core.mining.bitset.BitsetEngine` over
@@ -202,7 +313,7 @@ def mine(
         runs inside a ``bitset`` span, the engine records its per-step
         ``mining.*`` counters, and the ``mining.frequent_itemsets`` /
         ``mining.frequent.level_N`` totals are counted here from the
-        mined list (identical for every ``n_jobs``).
+        mined rows (identical for every ``n_jobs``).
     pool:
         Optional persistent :class:`repro.core.mining.parallel.WorkerPool`
         serving the ``n_jobs != 1`` fan-out from long-lived workers
@@ -232,11 +343,8 @@ def mine(
         engine.obs = prev_engine_obs
     if obs.enabled:
         obs.count("mining.frequent_itemsets", len(mined))
-        levels: dict[int, int] = {}
-        for m in mined:
-            k = len(m.ids)
-            levels[k] = levels.get(k, 0) + 1
-        for k in sorted(levels):
-            obs.count(f"mining.frequent.level_{k}", levels[k])
+        for k, frequent in enumerate(np.bincount(mined.lengths()).tolist()):
+            if frequent:
+                obs.count(f"mining.frequent.level_{k}", frequent)
         span.set(itemsets=len(mined), packed_words=engine.n_words)
     return mined

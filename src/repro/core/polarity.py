@@ -16,11 +16,13 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.items import IntervalItem
 from repro.core.mining.bitset import BitsetEngine
 from repro.core.mining.transactions import (
     EncodedUniverse,
-    MinedItemset,
+    MinedColumns,
     mine,
     resolve_backend,
 )
@@ -76,15 +78,16 @@ def mine_with_polarity(
     n_jobs: int = 1,
     engine=None,
     obs: AnyCollector | None = None,
-) -> list[MinedItemset]:
+) -> MinedColumns:
     """Mine the positive and negative polarity subspaces and merge.
 
     Each run uses the polarized items of one sign plus all neutral
     items; results are deduplicated (itemsets of only neutral items
-    appear in both runs). ``n_jobs`` is forwarded to
-    :func:`repro.core.mining.transactions.mine`; both subspace runs
-    slice one engine's packed covers (``engine``, or one built here)
-    instead of re-packing. ``backend`` is deprecated, as in ``mine``.
+    appear in both runs) and come back in canonical order. ``n_jobs``
+    is forwarded to :func:`repro.core.mining.transactions.mine`; both
+    subspace runs slice one engine's packed covers (``engine``, or one
+    built here) instead of re-packing. ``backend`` is deprecated, as in
+    ``mine``.
 
     With ``obs`` enabled, each subspace mines inside a
     ``polarity.positive`` / ``polarity.negative`` span and the registry
@@ -104,25 +107,29 @@ def mine_with_polarity(
     if engine is None:
         engine = BitsetEngine(universe, obs=obs)
 
-    seen: dict[frozenset[int], MinedItemset] = {}
+    merged = MinedColumns.empty()
     for sign, ids in (("positive", positive_ids), ("negative", negative_ids)):
         if not ids:
             continue
         with obs.span(f"polarity.{sign}", items=len(ids)) as sub_span:
-            sub = universe.restricted(ids)
             sub_engine = engine.restricted(ids)
-            back = {sub.index[universe.items[i]]: i for i in ids}
-            merged = 0
-            for found in mine(
-                sub, min_support, max_length=max_length, n_jobs=n_jobs,
-                engine=sub_engine, obs=obs,
-            ):
-                original = frozenset(back[j] for j in found.ids)
-                if original in seen:
-                    merged += 1
-                else:
-                    seen[original] = MinedItemset(original, found.stats)
+            found = mine(
+                sub_engine.universe, min_support, max_length=max_length,
+                n_jobs=n_jobs, engine=sub_engine, obs=obs,
+            )
+            # Sub-universe id j is ids[j]; the trailing -1 keeps the
+            # id matrix's -1 padding. ids ascend, so order is kept.
+            original = np.append(np.asarray(ids, dtype=np.int64), -1)
+            both = MinedColumns.concat([
+                merged,
+                MinedColumns(
+                    original[found.ids], found.count, found.n,
+                    found.total, found.total_sq,
+                ),
+            ])
+            merged = both.canonical()
             if obs.enabled:
-                obs.count("polarity.duplicates_merged", merged)
-                sub_span.set(duplicates_merged=merged)
-    return list(seen.values())
+                duplicates = len(both) - len(merged)
+                obs.count("polarity.duplicates_merged", duplicates)
+                sub_span.set(duplicates_merged=duplicates)
+    return merged

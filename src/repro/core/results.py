@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from repro.core.divergence import OutcomeStats, welch_t
 from repro.core.items import Itemset
 from repro.obs.collector import AnyCollector, resolve_obs
@@ -58,6 +60,39 @@ class SubgroupResult:
     @property
     def length(self) -> int:
         return len(self.itemset)
+
+    @staticmethod
+    def columns_from_stats(
+        count: np.ndarray,
+        n: np.ndarray,
+        total: np.ndarray,
+        total_sq: np.ndarray,
+        global_stats: OutcomeStats,
+        n_rows: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(support, mean, divergence, t)`` of many subgroups at once.
+
+        :meth:`from_stats` over columns of :class:`OutcomeStats` fields,
+        with the same IEEE operations in the same order (including
+        ``OutcomeStats.variance`` and :func:`welch_t`), so every value
+        is bit-identical to the scalar reference, NaNs included.
+        """
+        nan = float("nan")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            support = count / n_rows if n_rows else np.zeros(len(count))
+            mean = np.where(n == 0, nan, total / n)
+            divergence = mean - global_stats.mean
+            if global_stats.n < 2:
+                return support, mean, divergence, np.full(len(count), nan)
+            variance = (total_sq - n * mean * mean) / (n - 1)
+            variance = np.where(0.0 > variance, 0.0, variance)
+            pooled = variance / n + global_stats.variance / global_stats.n
+            t = np.where(
+                pooled == 0.0,
+                np.where(divergence == 0.0, 0.0, math.inf),
+                np.abs(divergence) / np.sqrt(pooled),
+            )
+        return support, mean, divergence, np.where(n < 2, nan, t)
 
     def __str__(self) -> str:
         return (

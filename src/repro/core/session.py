@@ -15,7 +15,7 @@ encoded universe       ``tree_support``, ``criterion``
 bitset covers/engine   ``tree_support``, ``criterion``
 mined counters         + ``max_length``, ``polarity``; a
                        ``min_support`` *decrease* re-mines, an
-                       increase filters the cached list
+                       increase masks the cached ``count`` column
 ranking / top-k        nothing — re-ranked from cached counters
 =====================  ==============================================
 
@@ -30,12 +30,12 @@ same order (both paths canonicalize through
 Two reuse mechanics deserve a note:
 
 * *Support derivation.* The engine keeps an itemset frequent iff
-  ``stats.count >= min_support_count(min_support, n_rows)``, so a list
-  mined at a lower support filters **exactly** to any higher support.
-  Its statistics come from the itemset's full cover, independent of
-  the threshold, so the filtered list is bit-identical to a fresh
-  mine. ``n_jobs`` does not key the cache either: every ``n_jobs``
-  returns the serial sequence.
+  ``count >= min_support_count(min_support, n_rows)``, so the columns
+  mined at a lower support filter **exactly** to any higher support
+  with one mask on ``count``. Statistics come from each itemset's full
+  cover, independent of the threshold, so the filtered rows are
+  bit-identical to a fresh mine. ``n_jobs`` does not key the cache
+  either: every ``n_jobs`` returns the serial sequence.
 * *Persistent workers.* ``n_jobs != 1`` points of a sweep are served
   by one long-lived :class:`~repro.core.mining.parallel.WorkerPool`
   per universe (PR 1's shard workers, spawned once) instead of a
@@ -62,7 +62,7 @@ from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.mining.bitset import BitsetEngine
 from repro.core.mining.generalized import generalized_universe
 from repro.core.mining.parallel import WorkerPool, resolve_n_jobs
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset, mine
+from repro.core.mining.transactions import EncodedUniverse, MinedColumns, mine
 from repro.core.outcomes import Outcome, array_outcome, coerce_outcome
 from repro.core.polarity import mine_with_polarity
 from repro.core.results import ResultSet
@@ -189,7 +189,7 @@ class ExploreSession:
         self._trees: dict[tuple, AttributeTree] = {}
         self._universes: dict[tuple, tuple[HierarchySet, EncodedUniverse]] = {}
         self._engines: dict[tuple, BitsetEngine] = {}
-        self._mined: dict[tuple, tuple[float, list[MinedItemset]]] = {}
+        self._mined: dict[tuple, tuple[float, MinedColumns]] = {}
         self._pools: dict[tuple, WorkerPool] = {}
 
     # -- artifact accessors ----------------------------------------------
@@ -420,16 +420,16 @@ class ExploreSession:
         ukey: tuple,
         universe: EncodedUniverse,
         obs: AnyCollector,
-    ) -> list[MinedItemset]:
+    ) -> MinedColumns:
         mkey = (ukey, cfg.max_length, cfg.polarity)
         cached = self._mined.get(mkey)
         if cached is not None and cached[0] <= cfg.min_support:
             mined_at, mined = cached
             obs.count("session.mined.hits")
             if mined_at == cfg.min_support:
-                return list(mined)
+                return mined
             min_count = min_support_count(cfg.min_support, universe.n_rows)
-            return [m for m in mined if m.stats.count >= min_count]
+            return mined.select(mined.count >= min_count)
         obs.count("session.mined.misses")
         mined = self._mine(cfg, ukey, universe, obs)
         self._mined[mkey] = (cfg.min_support, mined)
@@ -441,7 +441,7 @@ class ExploreSession:
         ukey: tuple,
         universe: EncodedUniverse,
         obs: AnyCollector,
-    ) -> list[MinedItemset]:
+    ) -> MinedColumns:
         # Every path mines with the cached engine; the parallel fan-out
         # also keeps one persistent pool per (universe, n_jobs), and the
         # polarity pipeline slices the engine per subspace.

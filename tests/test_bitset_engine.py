@@ -3,9 +3,11 @@
 Covers the packing/popcount kernels (both the ``np.bitwise_count`` and
 the LUT fallback paths), cover algebra, bit-identical statistic
 aggregation against :meth:`EncodedUniverse.stats_of_mask`, restricted
-sub-engines, and the DFS miner (its agreement with brute force lives in
-``test_property_mining.py``).
+sub-engines, and the level-batched miner (its agreement with brute
+force lives in ``test_property_mining.py``).
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from repro.core.mining.bitset import (
     popcount_rows,
     unpack_cover,
 )
-from repro.core.mining.parallel import mine_parallel, prefix_shards
+from repro.core.divergence import OutcomeStats
+from repro.core.mining import MinedColumns, MinedItemset
+from repro.core.mining.parallel import mine_parallel
 
 
 def mine_bitset(universe, min_support, max_length=None):
@@ -178,11 +182,10 @@ class TestBitsetMining:
         engine = BitsetEngine(u)
         s = 0.05
         full = engine.mine(s)
-        from repro.core.mining.bitset import raw_to_mined
-
-        stitched = []
-        for root, tail in prefix_shards(engine, s):
-            stitched.extend(raw_to_mined(engine.mine_subtree(root, tail, s, None)))
+        stitched = MinedColumns.concat(
+            [engine.mine_subtree(root, tail, s) for root, tail in engine.shards(s)]
+        )
+        assert stitched == full
         assert [(m.ids, m.stats) for m in stitched] == [
             (m.ids, m.stats) for m in full
         ]
@@ -201,3 +204,44 @@ class TestBitsetMining:
         assert [(m.ids, m.stats) for m in mine_parallel(u, 0.05, n_jobs=1)] == [
             (m.ids, m.stats) for m in mine_bitset(u, 0.05)
         ]
+
+
+class TestMinedColumns:
+    def test_iteration_yields_mined_itemsets(self, np_rng):
+        u = random_universe(np_rng, 240, [("a", 3), ("b", 2)])
+        mined = mine_bitset(u, 0.05)
+        rows = list(mined)
+        assert len(rows) == len(mined) > 0
+        assert all(isinstance(m, MinedItemset) for m in rows)
+        for m, ids, count in zip(rows, mined.ids.tolist(), mined.count.tolist()):
+            assert m.ids == frozenset(i for i in ids if i >= 0)
+            assert m.stats.count == count and type(m.stats.count) is int
+        assert mined.lengths().tolist() == [len(m.ids) for m in rows]
+
+    def test_rows_are_canonical_and_read_only(self, np_rng):
+        u = random_universe(np_rng, 240, [("a", 3), ("b", 2), ("c", 2)])
+        mined = mine_bitset(u, 0.05)
+        keys = [tuple(sorted(m.ids)) for m in mined]
+        assert keys == sorted(keys)
+        with pytest.raises(ValueError):
+            mined.count[0] = 0
+
+    def test_select_concat_canonical(self):
+        mined = MinedColumns(
+            np.array([[0, -1], [0, 2], [1, -1]]), [5, 3, 4], [5, 3, 4],
+            [1.0, 2.0, 3.0], [1.0, 4.0, 9.0],
+        )
+        tail, head = mined.select(np.array([False, False, True])), mined.select([0, 1])
+        shuffled = MinedColumns.concat([tail, head, head.select([1])])
+        assert shuffled.canonical() == mined
+        assert MinedColumns.concat([]) == MinedColumns.empty() == []
+        assert list(mined.select([2])) == [
+            MinedItemset(frozenset({1}), OutcomeStats(4, 4, 3.0, 9.0))
+        ]
+
+    def test_pickle_round_trip(self, np_rng):
+        u = random_universe(np_rng, 130, [("a", 2), ("b", 3)])
+        mined = mine_bitset(u, 0.1)
+        back = pickle.loads(pickle.dumps(mined))
+        assert back == mined
+        assert not back.total.flags.writeable

@@ -1,8 +1,8 @@
 """Property-based tests: the mining engine against a brute-force oracle.
 
 The central invariants of DESIGN.md:
-(4) engine ≡ brute force, including accumulated stats, for the serial
-    DFS and the ``n_jobs=2`` fan-out;
+(4) engine ≡ brute force, including accumulated stats and the work
+    counters, for the serial search and the ``n_jobs=2`` fan-out;
 (3) generalized results ⊇ base results at equal support;
 (6) polarity-pruned ⊆ complete results, with the same statistics.
 
@@ -22,7 +22,8 @@ from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem
 from repro.core.mining import EncodedUniverse, mine
-from repro.core.polarity import mine_with_polarity
+from repro.core.polarity import item_polarities, mine_with_polarity
+from repro.obs import ObsCollector
 from repro.tabular import Table
 
 #: Row counts on and around the 64-bit word boundaries of the packed covers.
@@ -101,6 +102,38 @@ def brute_force(universe, min_support, max_length=None):
     return out
 
 
+def expected_candidates(universe, frequent, max_length=None, item_ids=None):
+    """The candidates a complete search over ``item_ids`` (default: all
+    items) evaluates: every item, plus every attribute-distinct ``S``
+    with ``2 <= |S| <= max_length`` whose two subsets ``S`` minus its
+    largest id and ``S`` minus its second-largest id are both frequent.
+    ``frequent`` is the oracle's dict over the whole universe."""
+    ids = sorted(range(universe.n_items()) if item_ids is None else item_ids)
+    n_attributes = len({universe.attribute_of[i] for i in ids})
+    longest = min(max_length or n_attributes, n_attributes)
+    candidates = len(ids)
+    for k in range(2, longest + 1):
+        for combo in combinations(ids, k):
+            if len({universe.attribute_of[i] for i in combo}) != k:
+                continue
+            without_last = frozenset(combo[:-1])
+            without_second = frozenset(combo[:-2] + combo[-1:])
+            if without_last in frequent and without_second in frequent:
+                candidates += 1
+    return candidates
+
+
+def assert_counters_reconcile(obs, candidates):
+    """The work counters match the oracle and add up:
+    candidates − support-pruned = frequent itemsets."""
+    counters = obs.counters
+    assert counters["mining.candidates"] == candidates
+    assert (
+        counters["mining.candidates"] - counters["mining.support_pruned"]
+        == counters.get("mining.frequent_itemsets", 0)
+    )
+
+
 def assert_matches_oracle(mined, expected, exact):
     got = {m.ids: m.stats for m in mined}
     assert len(got) == len(mined), "an itemset was emitted twice"
@@ -117,7 +150,7 @@ def assert_matches_oracle(mined, expected, exact):
 
 
 SUPPORTS = st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0])
-MAX_LENGTHS = st.sampled_from([None, 1, 2])
+MAX_LENGTHS = st.sampled_from([None, 1, 2, 3])
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,16 +158,22 @@ MAX_LENGTHS = st.sampled_from([None, 1, 2])
     data=random_universe(), support=SUPPORTS, max_length=MAX_LENGTHS
 )
 def test_backends_match_brute_force(data, support, max_length):
-    """Every execution path — the serial DFS and the n_jobs=2 fan-out —
-    returns exactly the oracle's itemsets and statistics, in one order."""
+    """Every execution path — the serial search and the n_jobs=2
+    fan-out — returns exactly the oracle's itemsets and statistics, in
+    one order, and evaluates exactly the oracle's candidates."""
     universe, exact = data
     expected = brute_force(universe, support, max_length)
-    serial = mine(universe, support, max_length=max_length)
+    candidates = expected_candidates(universe, expected, max_length)
+    obs = ObsCollector()
+    serial = mine(universe, support, max_length=max_length, obs=obs)
     assert_matches_oracle(serial, expected, exact)
-    par = mine(universe, support, max_length=max_length, n_jobs=2)
+    assert_counters_reconcile(obs, candidates)
+    obs = ObsCollector()
+    par = mine(universe, support, max_length=max_length, n_jobs=2, obs=obs)
     assert [(m.ids, m.stats) for m in par] == [
         (m.ids, m.stats) for m in serial
     ]
+    assert_counters_reconcile(obs, candidates)
 
 
 @st.composite
@@ -180,14 +219,29 @@ def test_support_monotone_under_threshold(data):
 @given(data=random_universe(), n_jobs=st.sampled_from([1, 2]))
 def test_polarity_results_subset(data, n_jobs):
     """Invariant 6: polarity-pruned ⊆ complete results, and every
-    itemset it keeps carries the oracle's statistics."""
+    itemset it keeps carries the oracle's statistics. Each polarity
+    subspace is a complete search over its items, so the counters add
+    up to the oracle's candidates of both subspaces."""
     universe, exact = data
     expected = brute_force(universe, 0.1)
+    attributes = set(universe.attribute_of)
+    obs = ObsCollector()
     pruned = mine_with_polarity(
-        universe, 0.1, polarize_attributes=set(universe.attribute_of),
-        n_jobs=n_jobs,
+        universe, 0.1, polarize_attributes=attributes, n_jobs=n_jobs, obs=obs,
     )
     assert {m.ids for m in pruned} <= set(expected)
     assert_matches_oracle(
         pruned, {m.ids: expected[m.ids] for m in pruned}, exact
+    )
+    polarities = item_polarities(universe, attributes)
+    subspaces = [
+        [i for i, p in enumerate(polarities) if p * sign >= 0]
+        for sign in (1, -1)
+    ]
+    assert_counters_reconcile(
+        obs,
+        sum(
+            expected_candidates(universe, expected, item_ids=ids)
+            for ids in subspaces if ids
+        ),
     )

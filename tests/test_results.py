@@ -1,12 +1,15 @@
 """Unit tests for SubgroupResult / ResultSet."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core.divergence import OutcomeStats
+from repro.core.explorer import results_from_mined
 from repro.core.items import CategoricalItem, Itemset
+from repro.core.mining import EncodedUniverse, mine
 from repro.core.results import ResultSet, SubgroupResult
 
 
@@ -52,6 +55,103 @@ class TestFromStats:
     def test_str(self):
         r = make_result("x", 0.25)
         assert "Δ=+0.250" in str(r)
+
+
+def bits(x):
+    """The IEEE-754 bit pattern of a float, NaN sign and payload included."""
+    return struct.pack("<d", x)
+
+
+def assert_bitwise_equal(got, ref):
+    assert got.itemset == ref.itemset
+    assert got.count == ref.count
+    for field in ("support", "mean", "divergence", "t"):
+        assert bits(getattr(got, field)) == bits(getattr(ref, field)), field
+
+
+class TestColumnsFromStats:
+    """The column arithmetic of ``results_from_mined`` against the scalar
+    reference ``SubgroupResult.from_stats`` (with ``welch_t``), field for
+    field and bit for bit."""
+
+    SUBGROUPS = [
+        OutcomeStats(5, 0, 0.0, 0.0),  # all-⊥ cover: n = 0
+        OutcomeStats(3, 1, 1.0, 1.0),  # n = 1
+        OutcomeStats(4, 4, 4.0, 4.0),  # zero variance, mean 1
+        OutcomeStats(4, 4, 0.0, 0.0),  # zero variance, mean 0
+        OutcomeStats(6, 5, 2.0, 2.0),
+        OutcomeStats(7, 6, 2.5, 1.7),
+        OutcomeStats(9, 9, -3.25, 11.0),
+    ]
+    DATASETS = [
+        OutcomeStats(20, 18, 7.0, 7.0),
+        OutcomeStats(20, 20, 20.0, 20.0),  # zero variance: t = 0 or inf
+        OutcomeStats(20, 1, 1.0, 1.0),  # one defined outcome: t is NaN
+        OutcomeStats(20, 0, 0.0, 0.0),  # all ⊥
+    ]
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    def test_edge_cases_match_scalar_reference(self, dataset):
+        stats = self.SUBGROUPS
+        support, mean, divergence, t = SubgroupResult.columns_from_stats(
+            np.array([s.count for s in stats]),
+            np.array([s.n for s in stats]),
+            np.array([s.total for s in stats]),
+            np.array([s.total_sq for s in stats]),
+            dataset,
+            20,
+        )
+        itemset = Itemset([CategoricalItem("c", "x")])
+        for row, s in enumerate(stats):
+            got = SubgroupResult(
+                itemset, float(support[row]), s.count, float(mean[row]),
+                float(divergence[row]), float(t[row]),
+            )
+            assert_bitwise_equal(
+                got, SubgroupResult.from_stats(itemset, s, dataset, 20)
+            )
+
+    def test_zero_variance_dataset_gives_zero_and_inf(self):
+        dataset = self.DATASETS[1]
+        *_, t = SubgroupResult.columns_from_stats(
+            np.array([4, 4]), np.array([4, 4]), np.array([4.0, 0.0]),
+            np.array([4.0, 0.0]), dataset, 20,
+        )
+        assert t.tolist() == [0.0, math.inf]
+
+    @pytest.mark.parametrize("kind", ["boolean", "numeric", "constant", "sparse"])
+    def test_results_from_mined_matches_from_stats(self, kind):
+        rng = np.random.default_rng(7)
+        n_rows = 150
+        items, masks = [], []
+        for attribute, n_values in (("a", 3), ("b", 4), ("c", 2)):
+            values = rng.integers(0, n_values, n_rows)
+            for v in range(n_values):
+                items.append(CategoricalItem(attribute, str(v)))
+                masks.append(values == v)
+        if kind == "numeric":
+            outcomes = rng.normal(size=n_rows)
+        elif kind == "constant":  # zero-variance dataset
+            outcomes = np.ones(n_rows)
+        else:
+            outcomes = rng.integers(0, 2, n_rows).astype(float)
+        # Mostly-⊥ outcomes leave covers with n = 0 and n = 1.
+        missing = 0.97 if kind == "sparse" else 0.1
+        outcomes[rng.uniform(size=n_rows) < missing] = np.nan
+        universe = EncodedUniverse(items, np.array(masks), outcomes)
+        mined = mine(universe, 0.01)
+        result = results_from_mined(universe, mined, 0.0)
+        global_stats = universe.global_stats()
+        assert len(result) == len(mined) > 0
+        for got, m in zip(result, mined):
+            assert_bitwise_equal(
+                got,
+                SubgroupResult.from_stats(
+                    m.to_itemset(universe), m.stats, global_stats, n_rows
+                ),
+            )
+        if kind == "sparse":
+            assert {0, 1} <= {m.stats.n for m in mined}
 
 
 class TestRanking:
