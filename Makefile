@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke perf-gate perf-report sweep-bench bundle-gate cpuprof-gate
+.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke perf-gate perf-report sweep-bench bundle-gate cpuprof-gate perfbench-test
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,7 +22,11 @@ lint-json:
 lint-baseline:
 	$(PYTHON) -m repro.devtools.lint src benchmarks --write-baseline
 
-verify: lint arch-gate test bench-smoke obs-smoke bundle-gate cpuprof-gate perf-gate
+verify: lint arch-gate test perfbench-test bench-smoke obs-smoke bundle-gate cpuprof-gate perf-gate
+
+# perfbench's self-test: every workload's outputs against golden.json.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 bench-smoke:
 	$(PYTHON) benchmarks/smoke.py

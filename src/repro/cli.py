@@ -77,6 +77,13 @@ def _feature_table(table: Table, args) -> Table:
     return table.drop(drop) if drop else table
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_outcome_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kind",
@@ -479,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="cap itemset length of mined subgroups (default: no cap)",
         )
         p.add_argument("--polarity", action="store_true")
-        p.add_argument("--top", type=int, default=10)
+        p.add_argument("--top", type=_non_negative_int, default=10)
         p.add_argument(
             "--rank-by",
             choices=[

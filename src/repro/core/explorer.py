@@ -7,14 +7,13 @@ statistics inside the frequent-pattern mining pass.
 
 from __future__ import annotations
 
-import gc
 import time
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.config import ExploreConfig, resolve_config
-from repro.core.items import Item, Itemset
+from repro.core.items import Item
 from repro.core.mining.generalized import base_universe
 from repro.core.mining.transactions import EncodedUniverse, MinedColumns, mine
 from repro.core.outcomes import Outcome, coerce_outcome
@@ -30,46 +29,25 @@ def results_from_mined(
     elapsed_seconds: float,
     obs: AnyCollector | None = None,
 ) -> ResultSet:
-    """Convert mined id-itemsets into a ranked :class:`ResultSet`.
+    """Wrap mined id-itemsets into a ranked :class:`ResultSet`.
 
     The results keep the mined rows' canonical order (lexicographic id
     tuples), which is independent of the engine's execution path and
     stable under support filtering: a warm `ExploreSession` replay and
     a cold run produce bit-identical sets, in the same order. Support,
     mean, divergence and Welch t are computed as columns
-    (:meth:`SubgroupResult.columns_from_stats`).
+    (:meth:`SubgroupResult.columns_from_stats`); the result set shares
+    them and the mined id matrix, and builds no subgroup object here.
     """
     global_stats = universe.global_stats()
     columns = SubgroupResult.columns_from_stats(
         mined.count, mined.n, mined.total, mined.total_sq,
         global_stats, universe.n_rows,
     )
-    # Unions of one-item sets reuse the items' stored hashes; the -1
-    # padding picks the trailing empty set.
-    singles = [frozenset((item,)) for item in universe.items] + [frozenset()]
-    single = singles.__getitem__
-    empty = frozenset()
-    # The loop allocates a few objects per subgroup and none of them
-    # form cycles, so the cyclic collector's repeated scans of the
-    # growing list are pure overhead (~40 % of this loop on german).
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        # The engine guarantees one item per attribute; skip re-validation.
-        results = [
-            SubgroupResult(
-                Itemset._from_distinct(empty.union(*map(single, row))),
-                support, count, mean, divergence, t,
-            )
-            for row, count, support, mean, divergence, t in zip(
-                mined.ids.tolist(), mined.count.tolist(),
-                *(column.tolist() for column in columns),
-            )
-        ]
-    finally:
-        if collecting:
-            gc.enable()
-    return ResultSet(results, global_stats, elapsed_seconds, obs=obs)
+    return ResultSet._from_columns(
+        universe.items, mined.ids, (mined.count, *columns),
+        global_stats, elapsed_seconds, obs,
+    )
 
 
 class DivExplorer:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, overload
 
 import numpy as np
 
 from repro.core.divergence import OutcomeStats, welch_t
-from repro.core.items import Itemset
+from repro.core.items import Item, Itemset
 from repro.obs.collector import AnyCollector, resolve_obs
 
 
@@ -102,12 +104,21 @@ class SubgroupResult:
 
 
 class ResultSet:
-    """A collection of :class:`SubgroupResult` with ranking helpers.
+    """Explored subgroups, stored as columns, with ranking helpers.
+
+    Row ``r`` is one subgroup: ``ids[r]`` holds its item ids into
+    ``vocabulary`` in ascending order, padded with ``-1`` to the widest
+    itemset, and ``count[r]``, ``support[r]``, ``mean[r]``,
+    ``divergence[r]`` and ``t[r]`` are its :class:`SubgroupResult`
+    fields. All columns are read-only arrays. Iterating, indexing and
+    :meth:`top_k` build the :class:`SubgroupResult` of a row each time
+    it is read and keep none of them, so two reads of one row give
+    equal but distinct objects (unequal if a field is NaN).
 
     Parameters
     ----------
     results:
-        The explored subgroups.
+        The explored subgroups, converted into columns in this order.
     global_stats:
         Whole-dataset outcome statistics (f(D) is ``global_stats.mean``).
     elapsed_seconds:
@@ -125,19 +136,132 @@ class ResultSet:
         elapsed_seconds: float = 0.0,
         obs: AnyCollector | None = None,
     ) -> None:
-        self.results = list(results)
+        rows = list(results)
+        index: dict[Item, int] = {}
+        id_rows = [
+            sorted(index.setdefault(item, len(index)) for item in r.itemset)
+            for r in rows
+        ]
+        ids = np.full(
+            (len(rows), max(map(len, id_rows), default=0)), -1, dtype=np.int64
+        )
+        for padded, row in zip(ids, id_rows):
+            padded[: len(row)] = row
+        self._store(
+            tuple(index), ids,
+            [[getattr(r, name) for r in rows] for name in _COLUMNS],
+            global_stats, elapsed_seconds, obs,
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        vocabulary: Sequence[Item],
+        ids: np.ndarray,
+        columns: Sequence[np.ndarray],
+        global_stats: OutcomeStats,
+        elapsed_seconds: float,
+        obs: AnyCollector | None,
+    ) -> "ResultSet":
+        """Construct over ready columns, sharing the arrays.
+
+        Internal fast path for the explorers: ``ids`` must index
+        ``vocabulary`` with ascending ids, one item per attribute, and
+        ``columns`` holds ``count``, ``support``, ``mean``,
+        ``divergence`` and ``t`` in that order.
+        """
+        self = object.__new__(cls)
+        self._store(
+            tuple(vocabulary), ids, columns, global_stats, elapsed_seconds, obs
+        )
+        return self
+
+    def _store(
+        self,
+        vocabulary: tuple[Item, ...],
+        ids: np.ndarray,
+        columns: Sequence[Sequence[float]],
+        global_stats: OutcomeStats,
+        elapsed_seconds: float,
+        obs: AnyCollector | None,
+    ) -> None:
+        count, support, mean, divergence, t = columns
+        self.vocabulary = vocabulary
+        self.ids = _read_only(ids, np.int64)
+        self.count = _read_only(count, np.int64)
+        self.support = _read_only(support, np.float64)
+        self.mean = _read_only(mean, np.float64)
+        self.divergence = _read_only(divergence, np.float64)
+        self.t = _read_only(t, np.float64)
         self.global_stats = global_stats
         self.elapsed_seconds = elapsed_seconds
         self.obs = resolve_obs(obs)
 
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in _COLUMNS]
+
+    def _select(self, rows: np.ndarray) -> "ResultSet":
+        """The rows picked by a boolean mask or an index array."""
+        return ResultSet._from_columns(
+            self.vocabulary, self.ids[rows],
+            [column[rows] for column in self._columns()],
+            self.global_stats, self.elapsed_seconds, self.obs,
+        )
+
+    def _rows(self, rows: slice | np.ndarray) -> list[SubgroupResult]:
+        """Build the :class:`SubgroupResult` of each picked row."""
+        # Unions of one-item sets reuse the items' stored hashes; the -1
+        # padding picks the trailing empty set.
+        singles = [frozenset((item,)) for item in self.vocabulary]
+        single = (singles + [frozenset()]).__getitem__
+        empty = frozenset()
+        # The rows' objects form no cycles, so the cyclic collector's
+        # scans of them are pure overhead (~40 % of a bulk build).
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            # Rows hold one item per attribute; skip re-validation.
+            return [
+                SubgroupResult(
+                    Itemset._from_distinct(empty.union(*map(single, row))),
+                    support, count, mean, divergence, t,
+                )
+                for row, count, support, mean, divergence, t in zip(
+                    self.ids[rows].tolist(),
+                    *(column[rows].tolist() for column in self._columns()),
+                )
+            ]
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _lengths(self) -> np.ndarray:
+        return np.count_nonzero(self.ids >= 0, axis=1)
+
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self.count)
 
     def __iter__(self) -> Iterator[SubgroupResult]:
-        return iter(self.results)
+        for start in range(0, len(self), _CHUNK_ROWS):
+            yield from self._rows(slice(start, start + _CHUNK_ROWS))
 
-    def __getitem__(self, i: int) -> SubgroupResult:
-        return self.results[i]
+    @overload
+    def __getitem__(self, i: int) -> SubgroupResult: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> list[SubgroupResult]: ...
+
+    def __getitem__(
+        self, i: int | slice
+    ) -> SubgroupResult | list[SubgroupResult]:
+        if isinstance(i, slice):
+            return self._rows(i)
+        row = operator.index(i)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("ResultSet index out of range")
+        return self._rows(slice(row, row + 1))[0]
 
     @property
     def global_mean(self) -> float:
@@ -145,14 +269,19 @@ class ResultSet:
         return self.global_stats.mean
 
     def find(self, itemset: Itemset) -> SubgroupResult | None:
-        """Return the result for ``itemset``, or None if not explored."""
-        for r in self.results:
-            if r.itemset == itemset:
-                return r
-        return None
+        """Return the result for ``itemset``, or None if not explored.
+
+        A row matches when it has as many items as ``itemset`` and each
+        of its ids names one of them (the padding always qualifies).
+        """
+        member = np.array([it in itemset for it in self.vocabulary] + [True])
+        hits = np.flatnonzero(
+            member[self.ids].all(axis=1) & (self._lengths() == len(itemset))
+        )
+        return self[int(hits[0])] if len(hits) else None
 
     def itemsets(self) -> set[Itemset]:
-        return {r.itemset for r in self.results}
+        return {r.itemset for r in self}
 
     # -- ranking ---------------------------------------------------------
 
@@ -165,10 +294,15 @@ class ResultSet:
     ) -> list[SubgroupResult]:
         """The ``k`` best subgroups under a ranking criterion.
 
+        Rows with a NaN divergence never rank. The rest pass the
+        ``min_length`` and ``min_t`` filters and are ordered by
+        descending key; ties keep row order (one stable sort), and only
+        the returned rows are built.
+
         Parameters
         ----------
         k:
-            How many results to return.
+            How many results to return (non-negative).
         by:
             ``"abs_divergence"`` (default), ``"divergence"`` (highest
             positive), ``"neg_divergence"`` (lowest), or ``"support"``.
@@ -179,15 +313,28 @@ class ResultSet:
             Discard subgroups with fewer items than this (the empty
             itemset has length 0 and zero divergence).
         """
-        key = _rank_key(by)
-        pool = [
-            r
-            for r in self.results
-            if r.length >= min_length
-            and (min_t <= 0.0 or (not math.isnan(r.t) and r.t >= min_t))
-            and not math.isnan(r.divergence)
-        ]
-        return sorted(pool, key=key, reverse=True)[:k]
+        key = self._rank_key(by)
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
+        keep = ~np.isnan(self.divergence)
+        if min_length > 0:
+            keep &= self._lengths() >= min_length
+        if not min_t <= 0.0:  # a NaN min_t keeps no row
+            keep &= self.t >= min_t
+        rows = np.flatnonzero(keep)
+        order = np.argsort(-key[rows], kind="stable")
+        return self._rows(rows[order[:k]])
+
+    def _rank_key(self, by: str) -> np.ndarray:
+        if by == "abs_divergence":
+            return np.abs(self.divergence)
+        if by == "divergence":
+            return self.divergence
+        if by == "neg_divergence":
+            return -self.divergence
+        if by == "support":
+            return self.support
+        raise ValueError(f"unknown ranking criterion {by!r}")
 
     def max_divergence(self, signed: bool = False, min_t: float = 0.0) -> float:
         """Maximum |Δ| over results (or max signed Δ if ``signed``).
@@ -203,12 +350,8 @@ class ResultSet:
 
     def filtered(self, predicate: Callable[[SubgroupResult], bool]) -> "ResultSet":
         """A new result set keeping results where ``predicate`` holds."""
-        return ResultSet(
-            [r for r in self.results if predicate(r)],
-            self.global_stats,
-            self.elapsed_seconds,
-            obs=self.obs,
-        )
+        keep = [bool(predicate(r)) for r in self]
+        return self._select(np.array(keep, dtype=bool))
 
     def at_support(self, min_support: float) -> "ResultSet":
         """Restrict to subgroups with support ≥ ``min_support``.
@@ -220,7 +363,7 @@ class ResultSet:
         """
         if not 0.0 < min_support <= 1.0:
             raise ValueError("min_support must be in (0, 1]")
-        return self.filtered(lambda r: r.support >= min_support)
+        return self._select(self.support >= min_support)
 
     def merged(self, other: "ResultSet") -> "ResultSet":
         """Union of two result sets, deduplicated by itemset.
@@ -228,8 +371,8 @@ class ResultSet:
         Used by polarity pruning to combine the positive- and
         negative-polarity explorations. Elapsed times add up.
         """
-        seen = {r.itemset: r for r in self.results}
-        for r in other.results:
+        seen = {r.itemset: r for r in self}
+        for r in other:
             seen.setdefault(r.itemset, r)
         return ResultSet(
             seen.values(),
@@ -252,7 +395,7 @@ class ResultSet:
         pruning counters (see :func:`repro.obs.obs_summary`).
         """
         out: dict[str, object] = {
-            "n_subgroups": len(self.results),
+            "n_subgroups": len(self),
             "global_mean": self.global_mean,
             "max_abs_divergence": self.max_divergence(),
             "elapsed_seconds": self.elapsed_seconds,
@@ -291,18 +434,20 @@ class ResultSet:
 
     def __repr__(self) -> str:
         return (
-            f"ResultSet(n={len(self.results)}, f(D)={self.global_mean:.4f}, "
+            f"ResultSet(n={len(self)}, f(D)={self.global_mean:.4f}, "
             f"elapsed={self.elapsed_seconds:.2f}s)"
         )
 
 
-def _rank_key(by: str) -> Callable[[SubgroupResult], float]:
-    if by == "abs_divergence":
-        return lambda r: abs(r.divergence)
-    if by == "divergence":
-        return lambda r: r.divergence
-    if by == "neg_divergence":
-        return lambda r: -r.divergence
-    if by == "support":
-        return lambda r: r.support
-    raise ValueError(f"unknown ranking criterion {by!r}")
+#: The per-row columns of a :class:`ResultSet`, besides its id matrix.
+_COLUMNS = ("count", "support", "mean", "divergence", "t")
+
+#: Rows built per GC pause while iterating a :class:`ResultSet`: the
+#: objects of one chunk are all that iteration itself keeps alive.
+_CHUNK_ROWS = 4096
+
+
+def _read_only(values: Sequence[float] | np.ndarray, dtype: type) -> np.ndarray:
+    array = np.asarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array

@@ -44,15 +44,12 @@ def p_values_from_results(results: ResultSet) -> list[float]:
     large-sample approximation (the subgroup counts are recoverable but
     per-subgroup variances are already folded into t).
     """
-    out = []
-    for r in results:
-        if math.isnan(r.t):
-            out.append(float("nan"))
-        elif math.isinf(r.t):
-            out.append(0.0)
-        else:
-            out.append(float(2.0 * scipy_stats.norm.sf(abs(r.t))))
-    return out
+    return _p_values(results.t).tolist()
+
+
+def _p_values(t: np.ndarray) -> np.ndarray:
+    """``2·sf(|t|)`` of a t column: NaN stays NaN, ±inf gives exactly 0."""
+    return 2.0 * scipy_stats.norm.sf(np.abs(t))
 
 
 def bonferroni(
@@ -61,16 +58,11 @@ def bonferroni(
     """Results significant under Bonferroni FWER control at ``alpha``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    ps = p_values_from_results(results)
-    m = len(ps)
+    m = len(results)
     if m == 0:
         return []
-    threshold = alpha / m
-    return [
-        r
-        for r, p in zip(results, ps)
-        if not math.isnan(p) and p <= threshold
-    ]
+    # NaN p-values compare false: never selected.
+    return results._rows(np.flatnonzero(_p_values(results.t) <= alpha / m))
 
 
 def benjamini_hochberg(
@@ -82,16 +74,13 @@ def benjamini_hochberg(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    ps = np.asarray(p_values_from_results(results))
-    valid = ~np.isnan(ps)
-    indices = np.nonzero(valid)[0]
+    ps = _p_values(results.t)
+    indices = np.flatnonzero(~np.isnan(ps))
     if indices.size == 0:
         return []
     order = indices[np.argsort(ps[indices])]
     m = indices.size
-    cutoff_rank = 0
-    for rank, idx in enumerate(order, start=1):
-        if ps[idx] <= alpha * rank / m:
-            cutoff_rank = rank
-    selected = set(order[:cutoff_rank])
-    return [r for i, r in enumerate(results) if i in selected]
+    ranks = np.arange(1, m + 1)
+    passing = np.flatnonzero(ps[order] <= alpha * ranks / m)
+    cutoff_rank = passing[-1] + 1 if passing.size else 0
+    return results._rows(np.sort(order[:cutoff_rank]))

@@ -44,6 +44,19 @@ def test_explore_hierarchical(german_csv, capsys):
     assert "Δ=" in out
 
 
+def test_explore_rejects_negative_top(german_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "explore", german_csv, "--kind", "error",
+                "--y-true", "label", "--y-pred", "pred",
+                "--support", "0.2", "--top", "-1",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
 def test_explore_base(german_csv, capsys):
     code = main(
         [

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.divergence import OutcomeStats
 from repro.core.explorer import results_from_mined
@@ -183,6 +184,13 @@ class TestRanking:
         with pytest.raises(ValueError):
             result_set.top_k(1, by="magic")
 
+    def test_negative_k_raises(self, result_set):
+        with pytest.raises(ValueError, match="non-negative"):
+            result_set.top_k(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            result_set.to_rows(-1)
+        assert result_set.top_k(0) == []
+
     def test_max_divergence(self, result_set):
         assert result_set.max_divergence() == 0.5
         assert result_set.max_divergence(signed=True) == 0.4
@@ -230,6 +238,17 @@ class TestSetOps:
     def test_iteration_and_indexing(self, result_set):
         assert len(list(result_set)) == 4
         assert result_set[0].divergence == 0.4
+        assert result_set[-1].divergence == 0.05
+        assert [r.divergence for r in result_set[1:3]] == [-0.5, 0.1]
+        with pytest.raises(IndexError):
+            result_set[4]
+        with pytest.raises(IndexError):
+            result_set[-5]
+
+    def test_columns_are_read_only(self, result_set):
+        for column in (result_set.ids, result_set.divergence, result_set.t):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_global_mean(self, result_set):
         assert result_set.global_mean == pytest.approx(0.5)
@@ -250,3 +269,144 @@ class TestToRows:
         )
         rows = ResultSet([r], OutcomeStats.empty()).to_rows(1)
         assert math.isnan(rows[0]["t"])
+
+
+# -- the columnar store against the list semantics it replaced ----------------
+
+ITEMS = [CategoricalItem(f"a{j}", str(v)) for j in range(4) for v in range(3)]
+
+
+def assert_same_rows(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert_bitwise_equal(g, r)
+
+
+@st.composite
+def itemsets(draw):
+    """An itemset over four attributes with three values each, or the
+    empty itemset."""
+    attributes = draw(st.lists(st.integers(0, 3), unique=True, max_size=4))
+    return Itemset(ITEMS[3 * a + draw(st.integers(0, 2))] for a in attributes)
+
+
+#: Small value pools, so that ranking keys tie; ±0.0, NaN and inf included.
+DIVERGENCES = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, math.nan])
+T_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5, math.inf, math.nan])
+
+
+@st.composite
+def subgroup_results(draw):
+    return SubgroupResult(
+        itemset=draw(itemsets()),
+        support=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])),
+        count=draw(st.integers(0, 1000)),
+        mean=draw(st.one_of(DIVERGENCES, st.floats(-1, 1))),
+        divergence=draw(st.one_of(DIVERGENCES, st.floats(-1, 1))),
+        t=draw(st.one_of(T_VALUES, st.floats(-1, 10))),
+    )
+
+
+result_rows = st.lists(subgroup_results(), max_size=30)
+
+GLOBAL = OutcomeStats.from_outcomes(np.array([0.0, 1.0, 1.0]))
+
+
+def reference_top_k(rows, k, by, min_t, min_length):
+    """The list-era ranking: filter built objects, then a stable sorted()."""
+    key = {
+        "abs_divergence": lambda r: abs(r.divergence),
+        "divergence": lambda r: r.divergence,
+        "neg_divergence": lambda r: -r.divergence,
+        "support": lambda r: r.support,
+    }[by]
+    pool = [
+        r
+        for r in rows
+        if r.length >= min_length
+        and (min_t <= 0.0 or (not math.isnan(r.t) and r.t >= min_t))
+        and not math.isnan(r.divergence)
+    ]
+    return sorted(pool, key=key, reverse=True)[:k]
+
+
+class TestColumnarRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=result_rows,
+        k=st.integers(0, 35),
+        by=st.sampled_from(
+            ["abs_divergence", "divergence", "neg_divergence", "support"]
+        ),
+        min_t=st.sampled_from([0.0, -1.0, 1.0, 2.0, 2.5, math.inf]),
+        min_length=st.integers(0, 4),
+    )
+    def test_top_k_matches_sorted_reference(self, rows, k, by, min_t, min_length):
+        rs = ResultSet(rows, GLOBAL)
+        got = rs.top_k(k, by=by, min_t=min_t, min_length=min_length)
+        assert_same_rows(got, reference_top_k(list(rs), k, by, min_t, min_length))
+
+
+class TestConstructorRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=result_rows)
+    def test_iteration_and_indexing(self, rows):
+        rs = ResultSet(rows, GLOBAL, 2.0)
+        assert len(rs) == len(rows)
+        assert_same_rows(list(rs), rows)
+        for i in range(-len(rows), len(rows)):
+            assert_bitwise_equal(rs[i], rows[i])
+        for cut in (slice(None), slice(2, None), slice(None, -3),
+                    slice(1, 20, 3), slice(None, None, -2)):
+            assert_same_rows(rs[cut], rows[cut])
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                rs[i]
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=result_rows, probes=st.lists(itemsets(), max_size=5))
+    def test_set_operations(self, rows, probes):
+        rs = ResultSet(rows, GLOBAL, 2.0)
+        for s in (0.1, 0.25, 1.0):
+            kept = rs.at_support(s)
+            assert_same_rows(list(kept), [r for r in rows if r.support >= s])
+            assert kept.elapsed_seconds == 2.0
+        positive = rs.filtered(lambda r: r.divergence > 0)
+        assert_same_rows(list(positive), [r for r in rows if r.divergence > 0])
+        for itemset in [r.itemset for r in rows] + probes + [Itemset()]:
+            ref = next((r for r in rows if r.itemset == itemset), None)
+            got = rs.find(itemset)
+            if ref is None:
+                assert got is None
+            else:
+                assert_bitwise_equal(got, ref)
+        assert rs.itemsets() == {r.itemset for r in rows}
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=result_rows, others=result_rows)
+    def test_merged(self, rows, others):
+        seen = {r.itemset: r for r in rows}
+        for r in others:
+            seen.setdefault(r.itemset, r)
+        merged = ResultSet(rows, GLOBAL, 1.0).merged(ResultSet(others, GLOBAL, 0.5))
+        assert_same_rows(list(merged), list(seen.values()))
+        assert merged.elapsed_seconds == 1.5
+
+    def test_explored_rows_match_their_reconstruction(self):
+        rng = np.random.default_rng(3)
+        items, masks = [], []
+        for attribute in ("a", "b", "c"):
+            values = rng.integers(0, 3, 120)
+            for v in range(3):
+                items.append(CategoricalItem(attribute, str(v)))
+                masks.append(values == v)
+        outcomes = rng.integers(0, 2, 120).astype(float)
+        universe = EncodedUniverse(items, np.array(masks), outcomes)
+        result = results_from_mined(universe, mine(universe, 0.02), 0.0)
+        rows = list(result)
+        rebuilt = ResultSet(rows, result.global_stats)
+        assert_same_rows(list(rebuilt), rows)
+        for by in ("abs_divergence", "support"):
+            assert_same_rows(rebuilt.top_k(20, by=by), result.top_k(20, by=by))
+        target = rows[len(rows) // 2]
+        assert_bitwise_equal(result.find(target.itemset), target)

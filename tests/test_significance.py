@@ -1,9 +1,11 @@
 """Tests for multiple-testing corrections."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from repro.core.divergence import OutcomeStats
@@ -119,3 +121,66 @@ class TestBenjaminiHochberg:
             [result_with_t("x", float("nan"))], OutcomeStats.empty()
         )
         assert benjamini_hochberg(rs) == []
+
+
+# -- the column formulas against the per-row loops they replaced -------------
+
+
+def reference_p_value(t: float) -> float:
+    if math.isnan(t):
+        return float("nan")
+    if math.isinf(t):
+        return 0.0
+    return float(2.0 * scipy_stats.norm.sf(abs(t)))
+
+
+def reference_bonferroni(rows, alpha):
+    ps = [reference_p_value(r.t) for r in rows]
+    if not ps:
+        return []
+    threshold = alpha / len(ps)
+    return [r for r, p in zip(rows, ps) if not math.isnan(p) and p <= threshold]
+
+
+def reference_benjamini_hochberg(rows, alpha):
+    ps = np.asarray([reference_p_value(r.t) for r in rows])
+    indices = np.nonzero(~np.isnan(ps))[0]
+    if indices.size == 0:
+        return []
+    order = indices[np.argsort(ps[indices])]
+    m = indices.size
+    cutoff_rank = 0
+    for rank, idx in enumerate(order, start=1):
+        if ps[idx] <= alpha * rank / m:
+            cutoff_rank = rank
+    selected = set(order[:cutoff_rank])
+    return [r for i, r in enumerate(rows) if i in selected]
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+T_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.0, -2.0, math.inf, -math.inf, math.nan]),
+    st.floats(-40.0, 40.0),
+)
+
+
+class TestColumnFormulas:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ts=st.lists(T_VALUES, max_size=40),
+        alpha=st.sampled_from([0.001, 0.05, 0.2, 0.9]),
+    )
+    def test_match_per_row_reference(self, ts, alpha):
+        rows = [result_with_t(f"s{i}", t) for i, t in enumerate(ts)]
+        rs = ResultSet(rows, OutcomeStats.empty())
+        got = p_values_from_results(rs)
+        assert [bits(p) for p in got] == [bits(reference_p_value(t)) for t in ts]
+        for select, reference in (
+            (bonferroni, reference_bonferroni),
+            (benjamini_hochberg, reference_benjamini_hochberg),
+        ):
+            chosen = [str(r.itemset) for r in select(rs, alpha)]
+            assert chosen == [str(r.itemset) for r in reference(rows, alpha)]
