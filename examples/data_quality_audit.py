@@ -94,7 +94,7 @@ def main() -> None:
     # 3. Stability of the findings.
     report = bootstrap_stability(
         features, new_err,
-        explorer=HDivExplorer(0.05, tree_support=0.1,
+        explorer=HDivExplorer(min_support=0.05, tree_support=0.1,
                               include_missing_items=True),
         k=3, n_runs=6, seed=1,
     )

@@ -43,9 +43,8 @@ class ErrorTree:
     ----------
     config:
         An :class:`~repro.core.config.ExploreConfig`; ErrorTree uses
-        its ``min_support`` and ``criterion``. Keyword arguments
-        override it; the historical ``support=`` spelling still works
-        with a :class:`DeprecationWarning`.
+        its ``min_support`` and ``criterion``. Its field names as
+        keyword arguments override it.
     min_support:
         Minimum fraction of instances per leaf.
     max_depth:
@@ -56,16 +55,12 @@ class ErrorTree:
 
     def __init__(
         self,
-        config: ExploreConfig | float | None = None,
+        config: ExploreConfig | None = None,
         *,
         max_depth: int | None = None,
         **kwargs,
     ):
         cfg = resolve_config(config, kwargs, owner="ErrorTree")
-        if kwargs:
-            raise TypeError(
-                f"ErrorTree got unexpected keyword arguments {sorted(kwargs)}"
-            )
         self.config = cfg
         self.min_support = cfg.min_support
         self.criterion = cfg.criterion

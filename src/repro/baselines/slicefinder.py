@@ -62,9 +62,8 @@ class SliceFinder:
     config:
         An :class:`~repro.core.config.ExploreConfig`; Slice Finder uses
         its ``max_length`` (the original applies no support control, so
-        ``min_support`` is ignored). Keyword arguments override it; the
-        historical ``max_level=`` spelling still works with a
-        :class:`DeprecationWarning`.
+        ``min_support`` is ignored). Its field names as keyword
+        arguments override it.
     effect_size_threshold:
         Minimum effect size for a slice to count as problematic
         (the original's default is 0.4).
@@ -93,11 +92,6 @@ class SliceFinder:
         cfg = resolve_config(
             config, kwargs, defaults={"max_length": 3}, owner="SliceFinder"
         )
-        if kwargs:
-            raise TypeError(
-                f"SliceFinder got unexpected keyword arguments "
-                f"{sorted(kwargs)}"
-            )
         if k < 1:
             raise ValueError("k must be positive")
         self.config = cfg

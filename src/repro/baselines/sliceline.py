@@ -50,9 +50,8 @@ class SliceLine:
     ----------
     config:
         An :class:`~repro.core.config.ExploreConfig`; SliceLine uses
-        its ``min_support`` and ``max_length``. Keyword arguments
-        override it; the historical ``max_level=`` spelling still works
-        with a :class:`DeprecationWarning`.
+        its ``min_support`` and ``max_length``. Its field names as
+        keyword arguments override it.
     alpha:
         Weight of the average-error term versus the size term,
         in (0, 1].
@@ -77,10 +76,6 @@ class SliceLine:
             defaults={"min_support": 0.01, "max_length": 3},
             owner="SliceLine",
         )
-        if kwargs:
-            raise TypeError(
-                f"SliceLine got unexpected keyword arguments {sorted(kwargs)}"
-            )
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.config = cfg

@@ -397,30 +397,47 @@ def cmd_discretize(args) -> int:
     return 0
 
 
+def _polarity_value(text: str) -> bool:
+    word = text.lower()
+    if word in ("true", "yes", "1"):
+        return True
+    if word in ("false", "no", "0"):
+        return False
+    raise ValueError("expected one of true/false/yes/no/1/0")
+
+
+#: How a --values entry is parsed, per swept parameter (default: str).
 _SWEEP_VALUE_PARSERS = {
     "min_support": float,
     "tree_support": float,
+    "max_length": lambda text: None if text.lower() == "none" else int(text),
+    "polarity": _polarity_value,
     "n_jobs": int,
 }
 
 
-def _sweep_value(param: str, text: str):
-    """Parse one --values entry according to the swept parameter."""
-    if param == "max_length":
-        return None if text.lower() == "none" else int(text)
-    if param == "polarity":
-        return text.lower() in ("1", "true", "yes")
-    return _SWEEP_VALUE_PARSERS.get(param, str)(text)
+def _sweep_points(args) -> list:
+    """The parsed --values; an entry that does not parse is a usage error."""
+    parse = _SWEEP_VALUE_PARSERS.get(args.param, str)
+    points = []
+    for text in args.values.split(","):
+        try:
+            points.append(parse(text))
+        except ValueError as exc:
+            args.usage_error(
+                f"--values: cannot parse {text!r} as {args.param}: {exc}"
+            )
+    return points
 
 
 def cmd_sweep(args) -> int:
+    points = _sweep_points(args)
     table = read_csv(args.csv)
     outcome = _build_outcome(args)
     values = outcome.values(table)
     features = _feature_table(table, args)
     obs = _build_obs(args)
     config = _explore_config(args, obs=obs)
-    points = [_sweep_value(args.param, v) for v in args.values.split(",")]
     with ExploreSession(features, values, obs=obs) as session:
         sweep = session.sweep(args.param, points, config)
     print(
@@ -434,11 +451,16 @@ def cmd_sweep(args) -> int:
             f"  best: {top[0]['itemset']}  Δ={top[0]['divergence']:+.3f}"
             if top else "  (no subgroups)"
         )
+        # Cache traffic is counted on the collector: without an enabled
+        # one the session measures nothing, so print nothing.
+        cache = (
+            f", cache {pt.cache_hits} hits / {pt.cache_misses} misses"
+            if config.obs.enabled else ""
+        )
         print(
             f"{args.param}={pt.value}: "
             f"{headline['n_subgroups']} subgroups, "
-            f"{pt.elapsed_seconds:.3f}s, "
-            f"cache {pt.cache_hits} hits / {pt.cache_misses} misses"
+            f"{pt.elapsed_seconds:.3f}s{cache}"
         )
         print(best)
     _write_obs(args, obs)
@@ -525,9 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--values", required=True,
-        help="comma-separated values for --param (e.g. 0.05,0.1,0.2)",
+        help="comma-separated values for --param (e.g. 0.05,0.1,0.2; "
+        "polarity takes true/false/yes/no/1/0, max_length takes none)",
     )
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser(
         "report", help="full divergence report for a CSV (hierarchical)"

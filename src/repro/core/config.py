@@ -11,17 +11,18 @@ interchangeably::
     HDivExplorer(cfg).explore(table, outcome)
     DivExplorer(cfg).explore(table, outcome, items)
 
-Constructors still accept the historical keyword arguments; canonical
-field names (``min_support=...``) stay silent, while renamed legacy
-spellings (``support=``, ``st=``, ``max_level=``) keep working but emit
-a :class:`DeprecationWarning`.
+Every entry point takes an :class:`ExploreConfig` (or ``None``) plus
+field names as keyword arguments (``HDivExplorer(min_support=0.1)``),
+which override it. Nothing else is accepted: an unknown keyword, a
+retired spelling (``support=``, ``st=``, ``max_level=``) or a bare
+number in place of the config raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -30,15 +31,6 @@ from repro.obs.collector import NULL_OBS, AnyCollector
 
 #: Tree-split criteria accepted by the discretizers.
 CRITERIA = ("divergence", "entropy")
-
-#: Renamed legacy keyword spellings still accepted by the explorer and
-#: baseline constructors (with a DeprecationWarning), mapped to the
-#: canonical :class:`ExploreConfig` field they set.
-LEGACY_ALIASES = {
-    "support": "min_support",
-    "st": "tree_support",
-    "max_level": "max_length",
-}
 
 
 @dataclass(frozen=True)
@@ -135,16 +127,39 @@ class ExploreConfig:
     sample_hz: float = field(default=97.0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.min_support <= 1.0:
-            raise ValueError("min_support must be in (0, 1]")
-        if not 0.0 < self.tree_support <= 1.0:
-            raise ValueError("tree_support must be in (0, 1]")
+        # Store each result-affecting field in one type, so configs that
+        # compare equal (min_support=1 and 1.0) also fingerprint equal.
+        for name in ("min_support", "tree_support"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(
+                    f"{name} must be a number, not {type(value).__name__}"
+                )
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1]")
+            object.__setattr__(self, name, float(value))
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown split criterion {self.criterion!r}")
+        if self.polarity not in (True, False):
+            raise TypeError(
+                f"polarity must be True or False, not {self.polarity!r}"
+            )
+        object.__setattr__(self, "polarity", bool(self.polarity))
         object.__setattr__(self, "backend", resolve_backend(self.backend))
         object.__setattr__(self, "n_jobs", resolve_n_jobs(self.n_jobs))
-        if self.max_length is not None and self.max_length < 1:
-            raise ValueError("max_length must be positive")
+        if self.max_length is not None:
+            length = self.max_length
+            if (
+                isinstance(length, bool)
+                or not isinstance(length, numbers.Real)
+                or not float(length).is_integer()
+            ):
+                raise TypeError(
+                    f"max_length must be an integer or None, not {length!r}"
+                )
+            if length < 1:
+                raise ValueError("max_length must be positive")
+            object.__setattr__(self, "max_length", int(length))
         if self.obs is None:
             object.__setattr__(self, "obs", NULL_OBS)
         if self.deadline_s is not None and not self.deadline_s > 0:
@@ -266,47 +281,29 @@ _SERIALIZED_FIELDS = frozenset(
 
 
 def resolve_config(
-    config: "ExploreConfig | float | None",
-    kwargs: dict[str, object],
-    defaults: dict[str, object] | None = None,
+    config: ExploreConfig | None,
+    overrides: Mapping[str, object],
+    defaults: Mapping[str, object] | None = None,
     owner: str = "this constructor",
 ) -> ExploreConfig:
     """Build the effective :class:`ExploreConfig` for a constructor.
 
-    Pops canonical field names and deprecated legacy aliases out of
-    ``kwargs`` (in place — whatever remains is the caller's own
-    parameters to interpret). Precedence: per-class ``defaults`` <
-    ``config`` < explicit keyword arguments, with canonical spellings
-    beating their legacy aliases.
-
-    ``config`` may also be a bare number, kept for the historical
-    ``Explorer(0.05, ...)`` positional form: it is read as
-    ``min_support``.
+    ``overrides`` is the caller's ``**kwargs``, read and not changed;
+    every key must be an :class:`ExploreConfig` field name, or a
+    :class:`TypeError` naming ``owner`` is raised. Precedence:
+    per-class ``defaults`` < ``config`` < ``overrides``.
     """
-    overrides: dict = {}
-    for legacy, canonical in LEGACY_ALIASES.items():
-        if legacy in kwargs:
-            warnings.warn(
-                f"{owner}: keyword {legacy!r} is deprecated; use "
-                f"{canonical!r} or pass an ExploreConfig",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            overrides[canonical] = kwargs.pop(legacy)
-    for name in _FIELD_NAMES:
-        if name in kwargs:
-            overrides[name] = kwargs.pop(name)
-
-    if isinstance(config, (int, float)) and not isinstance(config, bool):
-        overrides.setdefault("min_support", float(config))
-        config = None
+    unknown = sorted(set(overrides) - _FIELD_NAMES)
+    if unknown:
+        raise TypeError(f"{owner} got unexpected keyword arguments {unknown}")
     if config is None:
         base = ExploreConfig(**(defaults or {}))
     elif isinstance(config, ExploreConfig):
         base = config
     else:
         raise TypeError(
-            f"{owner}: config must be an ExploreConfig or a min_support "
-            f"number, not {type(config).__name__}"
+            f"{owner}: config must be an ExploreConfig or None, not "
+            f"{type(config).__name__}; pass thresholds by name, e.g. "
+            f"min_support=0.05"
         )
     return base.replace(**overrides) if overrides else base

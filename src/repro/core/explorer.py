@@ -57,12 +57,8 @@ class DivExplorer:
     ----------
     config:
         An :class:`~repro.core.config.ExploreConfig` carrying the
-        shared exploration knobs, or a bare number read as
-        ``min_support`` (the historical positional form). Individual
-        keyword arguments (``min_support=``, ``max_length=``,
-        ``polarity=``) override it;
-        renamed legacy spellings (``support=``, ``max_level=``) still
-        work with a :class:`DeprecationWarning`.
+        shared exploration knobs. Its field names as keyword arguments
+        (``min_support=``, ``max_length=``, ``polarity=``) override it.
     include_missing_items:
         Add ``A = ⊥`` items for attributes with missing values (not
         part of the shared config).
@@ -70,17 +66,12 @@ class DivExplorer:
 
     def __init__(
         self,
-        config: ExploreConfig | float | None = None,
+        config: ExploreConfig | None = None,
         *,
         include_missing_items: bool = False,
         **kwargs,
     ):
         cfg = resolve_config(config, kwargs, owner="DivExplorer")
-        if kwargs:
-            raise TypeError(
-                f"DivExplorer got unexpected keyword arguments "
-                f"{sorted(kwargs)}"
-            )
         self.config = cfg
         self.min_support = cfg.min_support
         self.max_length = cfg.max_length

@@ -39,11 +39,8 @@ class HDivExplorer:
     config:
         An :class:`~repro.core.config.ExploreConfig` carrying the
         shared exploration knobs (``min_support``, ``tree_support``,
-        ``criterion``, ``polarity``, ``max_length``), or a bare
-        number read as ``min_support`` (the historical positional
-        form). Individual keyword arguments override it; renamed
-        legacy spellings (``support=``, ``st=``, ``max_level=``) still
-        work with a :class:`DeprecationWarning`.
+        ``criterion``, ``polarity``, ``max_length``). The same field
+        names as keyword arguments override it.
     max_candidates:
         Candidate-threshold cap per tree node (see
         :class:`TreeDiscretizer`).
@@ -65,7 +62,7 @@ class HDivExplorer:
 
     def __init__(
         self,
-        config: ExploreConfig | float | None = None,
+        config: ExploreConfig | None = None,
         *,
         max_candidates: int = 64,
         max_depth: int | None = None,
@@ -73,11 +70,6 @@ class HDivExplorer:
         **kwargs,
     ):
         cfg = resolve_config(config, kwargs, owner="HDivExplorer")
-        if kwargs:
-            raise TypeError(
-                f"HDivExplorer got unexpected keyword arguments "
-                f"{sorted(kwargs)}"
-            )
         self.config = cfg
         self.min_support = cfg.min_support
         self.tree_support = cfg.tree_support

@@ -64,7 +64,12 @@ from repro.tabular import Table
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One point of a parameter sweep: its config, result and cache traffic."""
+    """One point of a parameter sweep: its config, result and cache traffic.
+
+    ``cache_hits``/``cache_misses`` are read off the collector's
+    ``session.*`` counters, so both are 0 unless the sweep ran with an
+    enabled collector (on the config or on the session).
+    """
 
     value: object
     config: ExploreConfig
@@ -236,23 +241,17 @@ class ExploreSession:
 
     def explore(
         self,
-        config: ExploreConfig | float | None = None,
+        config: ExploreConfig | None = None,
         **kwargs: object,
     ) -> ResultSet:
         """One exploration, recomputing only what ``config`` invalidates.
 
         Accepts the same configuration forms as the explorer
-        constructors (an :class:`ExploreConfig`, a bare
-        ``min_support`` number, individual keyword arguments). The
-        result is bit-identical to a cold
+        constructors (an :class:`ExploreConfig` and/or its field names
+        as keyword arguments). The result is bit-identical to a cold
         ``HDivExplorer(config).explore(table, outcome)``.
         """
         cfg = resolve_config(config, kwargs, owner="ExploreSession.explore")
-        if kwargs:
-            raise TypeError(
-                f"ExploreSession.explore got unexpected keyword arguments "
-                f"{sorted(kwargs)}"
-            )
         obs = cfg.obs if cfg.obs.enabled else self.obs
         obs.arm_deadline(cfg.deadline_s)
         with bundle_scope(cfg, obs, dataset=self.table, name="session"):
@@ -263,7 +262,7 @@ class ExploreSession:
         self,
         param: str,
         values: Sequence[object],
-        config: ExploreConfig | float | None = None,
+        config: ExploreConfig | None = None,
         **kwargs: object,
     ) -> SweepResult:
         """Explore once per value of one knob, reusing warm artifacts.
@@ -280,11 +279,6 @@ class ExploreSession:
         the cached counters.
         """
         base = resolve_config(config, kwargs, owner="ExploreSession.sweep")
-        if kwargs:
-            raise TypeError(
-                f"ExploreSession.sweep got unexpected keyword arguments "
-                f"{sorted(kwargs)}"
-            )
         if param not in base.to_dict():
             raise ValueError(
                 f"unknown sweep parameter {param!r} "
@@ -383,7 +377,7 @@ class ExploreSession:
         return engine
 
     def _explore(self, cfg: ExploreConfig, obs: AnyCollector) -> ResultSet:
-        ukey = (float(cfg.tree_support), cfg.criterion)
+        ukey = (cfg.tree_support, cfg.criterion)
         _gamma, universe = self._universe_entry(ukey, obs)
         start = time.perf_counter()
         with obs.span("mine", polarity=cfg.polarity):

@@ -20,8 +20,8 @@ Format::
     "repro.obs" = "repro.obs.perfdb"
 
     [[deprecations]]
-    site = "repro.core.config:resolve_config"
-    reason = "legacy kwarg aliases (support/st/max_level)"
+    site = "repro.core.mining.transactions:resolve_backend"
+    reason = "retired mining backend names (fpgrowth/apriori/eclat)"
     remove_by_pr = 12
 
     [[exemptions.dead-export]]

@@ -1,4 +1,4 @@
-"""The reprolint rule catalogue (RPL001–RPL016, RPL018 and RPL019).
+"""The reprolint rule catalogue (RPL001–010, RPL012–016, RPL018, RPL019).
 
 Each rule encodes one invariant the reproduction depends on —
 determinism across warm/cold paths, independence from the
@@ -42,10 +42,6 @@ STDLIB_RANDOM_FUNCS = {
 #: Mutable constructors whose results must not be default arguments or
 #: fork-captured module globals.
 MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-
-#: Legacy ExploreConfig keyword spellings (PR 1); popping one of these
-#: without warning silently changes API semantics.
-LEGACY_KWARGS = {"support", "st", "max_level"}
 
 #: Modules whose public surface ships real type annotations (py.typed).
 TYPED_PUBLIC_MODULES = (
@@ -495,65 +491,6 @@ class WallClockTimingRule(Rule):
                             "'from time import time' hides the wall-clock "
                             "nature of the call: import time.perf_counter"
                         )
-
-
-@register
-class SilentDeprecationRule(Rule):
-    code = "RPL011"
-    name = "silent-deprecation"
-    severity = Severity.ERROR
-    rationale = (
-        "The PR 1 legacy-kwarg shims (support=, st=, max_level=) must "
-        "stay *loud*: any code path that consumes a legacy spelling "
-        "without a DeprecationWarning freezes the old API silently."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            markers = list(self._shim_markers(node))
-            if markers and not _warns_deprecation(node):
-                for marker, what in markers:
-                    yield marker, (
-                        f"{node.name}() consumes legacy keyword {what} "
-                        f"without emitting a DeprecationWarning"
-                    )
-
-    def _shim_markers(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[tuple[ast.AST, str]]:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                if (
-                    isinstance(fn, ast.Attribute)
-                    and fn.attr in ("pop", "get")
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value in LEGACY_KWARGS
-                ):
-                    yield node, repr(node.args[0].value)
-            elif isinstance(node, ast.Name) and node.id == "LEGACY_ALIASES":
-                yield node, "via LEGACY_ALIASES"
-
-
-def _warns_deprecation(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name in ("warnings.warn", "warn"):
-                mentioned = [
-                    dotted_name(a) for a in list(node.args) + [
-                        kw.value for kw in node.keywords
-                    ]
-                ]
-                if any(
-                    m is not None and m.endswith("DeprecationWarning")
-                    for m in mentioned
-                ):
-                    return True
-    return False
 
 
 @register

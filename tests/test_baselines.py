@@ -88,7 +88,7 @@ class TestSliceFinder:
     def test_max_level_respected(self, sliced_data):
         table, errors, items = sliced_data
         found = SliceFinder(
-            effect_size_threshold=0.0, k=100, max_level=1
+            effect_size_threshold=0.0, k=100, max_length=1
         ).find(table, errors, items)
         assert all(len(r.itemset) == 1 for r in found)
 
@@ -110,7 +110,7 @@ class TestSliceFinder:
         with pytest.raises(ValueError):
             SliceFinder(k=0)
         with pytest.raises(ValueError):
-            SliceFinder(max_level=0)
+            SliceFinder(max_length=0)
 
     def test_no_attribute_repeats(self, sliced_data):
         table, errors, items = sliced_data
@@ -174,7 +174,7 @@ class TestSliceLine:
     def test_max_level(self, sliced_data):
         table, errors, items = sliced_data
         found = SliceLine(
-            alpha=0.9, k=100, min_support=0.01, max_level=1
+            alpha=0.9, k=100, min_support=0.01, max_length=1
         ).find(table, errors, items)
         assert all(len(r.itemset) == 1 for r in found)
 
@@ -195,7 +195,7 @@ class TestSliceLine:
         interval_items = {
             "x": [it for it in items if it.attribute == "x"]
         }
-        dx = DivExplorer(0.05).explore(
+        dx = DivExplorer(min_support=0.05).explore(
             table, errors, continuous_items=interval_items
         )
         best_dx = dx.top_k(1, by="divergence")[0]

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -181,3 +183,60 @@ def test_explore_deadline_generous_budget_completes(german_csv, capsys):
     )
     assert code == 0
     assert "hierarchical exploration" in capsys.readouterr().out
+
+
+def _sweep_args(csv, param, values):
+    return [
+        "sweep", csv, "--kind", "error",
+        "--y-true", "label", "--y-pred", "pred",
+        "--support", "0.2", "--param", param, "--values", values,
+    ]
+
+
+@pytest.mark.parametrize(
+    "param,values,bad",
+    [
+        ("polarity", "true,tru", "tru"),
+        ("max_length", "2,2.5", "2.5"),
+        ("min_support", "0.2,abc", "abc"),
+    ],
+)
+def test_sweep_rejects_unparseable_values(
+    german_csv, capsys, param, values, bad
+):
+    with pytest.raises(SystemExit) as exc:
+        main(_sweep_args(german_csv, param, values))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro sweep")
+    assert f"cannot parse '{bad}' as {param}" in err
+
+
+def test_sweep_polarity_accepts_boolean_words(german_csv, capsys):
+    assert main(_sweep_args(german_csv, "polarity", "TRUE,no,Yes,0")) == 0
+    points = [
+        line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+        if line.startswith("polarity=")
+    ]
+    assert points == [
+        "polarity=True", "polarity=False", "polarity=True", "polarity=False"
+    ]
+
+
+def test_sweep_prints_cache_traffic_only_when_measured(
+    german_csv, tmp_path, capsys
+):
+    args = _sweep_args(german_csv, "min_support", "0.2,0.3")
+    assert main(args) == 0
+    assert "cache" not in capsys.readouterr().out
+    assert main(args + ["--trace", str(tmp_path / "trace.json")]) == 0
+    points = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("min_support=")
+    ]
+    # The first point fills the session cache; the second derives from
+    # the counters mined for the first.
+    first = re.search(r"cache (\d+) hits / (\d+) misses$", points[0])
+    second = re.search(r"cache (\d+) hits / (\d+) misses$", points[1])
+    assert first and int(first[1]) == 0 and int(first[2]) > 0
+    assert second and int(second[1]) > 0 and int(second[2]) == 0

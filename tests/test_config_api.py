@@ -1,20 +1,45 @@
 """Tests for the unified ExploreConfig construction surface.
 
-Every explorer and baseline must construct from a single
-:class:`ExploreConfig`; historical keyword arguments keep working, with
-renamed spellings (``support=``, ``st=``, ``max_level=``) emitting a
-DeprecationWarning.
+Every explorer, baseline and session entry point takes an
+:class:`ExploreConfig` and/or its field names as keyword arguments.
+Anything else — a misspelled field, a retired spelling (``support=``,
+``st=``, ``max_level=``) or a bare number as the config — raises
+:class:`TypeError` naming the entry point.
 """
 
 import dataclasses
+import re
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.baselines import ErrorTree, SliceFinder, SliceLine
 from repro.core.config import ExploreConfig, resolve_config
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
+from repro.core.session import ExploreSession
+from repro.tabular import Table
+
+
+def _session() -> ExploreSession:
+    table = Table({"x": [0.0, 1.0, 2.0, 3.0], "c": ["a", "b", "a", "b"]})
+    return ExploreSession(table, np.array([0.0, 1.0, 0.0, 1.0]))
+
+
+#: Every front door that resolves an ExploreConfig, keyed by the owner
+#: name its TypeError carries. Each takes ``(config, **fields)``.
+ENTRY_POINTS = {
+    "DivExplorer": DivExplorer,
+    "HDivExplorer": HDivExplorer,
+    "SliceFinder": SliceFinder,
+    "SliceLine": SliceLine,
+    "ErrorTree": ErrorTree,
+    "ExploreSession.explore": lambda *a, **kw: _session().explore(*a, **kw),
+    "ExploreSession.sweep": lambda *a, **kw: _session().sweep(
+        "min_support", [0.1], *a, **kw
+    ),
+}
 
 
 class TestExploreConfig:
@@ -77,30 +102,55 @@ class TestExploreConfig:
         with pytest.raises(ValueError):
             ExploreConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"min_support": True},
+            {"min_support": "0.05"},
+            {"tree_support": False},
+            {"tree_support": "0.1"},
+            {"max_length": 2.5},
+            {"max_length": True},
+            {"max_length": "2"},
+            {"polarity": "false"},
+            {"polarity": 2},
+        ],
+        ids=repr,
+    )
+    def test_wrongly_typed_field_raises(self, bad):
+        (name,) = bad
+        with pytest.raises(TypeError, match=name):
+            ExploreConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "name,value,canonical",
+        [
+            ("min_support", 1, 1.0),
+            ("tree_support", np.float64(0.2), 0.2),
+            ("max_length", 2.0, 2),
+            ("max_length", np.int64(2), 2),
+            ("polarity", 1, True),
+            ("polarity", 0, False),
+        ],
+    )
+    def test_equal_configs_fingerprint_equal(self, name, value, canonical):
+        cfg = ExploreConfig(**{name: value})
+        same = ExploreConfig(**{name: canonical})
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg.fingerprint() == same.fingerprint()
+        assert type(getattr(cfg, name)) is type(canonical)
+
 
 class TestResolveConfig:
     def test_kwargs_override_config(self):
         kwargs = {"min_support": 0.3}
         cfg = resolve_config(ExploreConfig(min_support=0.1), kwargs)
         assert cfg.min_support == 0.3
-        assert kwargs == {}  # consumed
-
-    def test_number_positional_is_min_support(self):
-        assert resolve_config(0.2, {}).min_support == 0.2
+        assert kwargs == {"min_support": 0.3}  # read, not consumed
 
     def test_defaults_apply_without_config(self):
         cfg = resolve_config(None, {}, defaults={"min_support": 0.01})
         assert cfg.min_support == 0.01
-
-    def test_legacy_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="'support' is deprecated"):
-            cfg = resolve_config(None, {"support": 0.15})
-        assert cfg.min_support == 0.15
-
-    def test_canonical_beats_alias(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = resolve_config(None, {"st": 0.5, "tree_support": 0.3})
-        assert cfg.tree_support == 0.3
 
     def test_bad_config_type(self):
         with pytest.raises(TypeError):
@@ -132,31 +182,22 @@ class TestExplorerConstruction:
         DivExplorer(min_support=0.1, max_length=2)
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_positional_min_support_silent(self, recwarn):
-        ex = HDivExplorer(0.1, tree_support=0.2)
-        assert ex.min_support == 0.1
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
+    @pytest.mark.parametrize("owner", ENTRY_POINTS)
     @pytest.mark.parametrize(
-        "ctor,legacy,canonical",
-        [
-            (HDivExplorer, {"support": 0.2}, ("min_support", 0.2)),
-            (HDivExplorer, {"st": 0.3}, ("tree_support", 0.3)),
-            (HDivExplorer, {"max_level": 2}, ("max_length", 2)),
-            (DivExplorer, {"support": 0.2}, ("min_support", 0.2)),
-        ],
+        "keyword", ["min_supprt", "support", "st", "max_level"]
     )
-    def test_renamed_kwargs_warn(self, ctor, legacy, canonical):
-        with pytest.warns(DeprecationWarning):
-            ex = ctor(**legacy)
-        name, value = canonical
-        assert getattr(ex.config, name) == value
+    def test_unknown_kwarg_raises(self, owner, keyword):
+        # A misspelled field and each retired spelling are all unknown.
+        message = f"{owner} got unexpected keyword arguments ['{keyword}']"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            ENTRY_POINTS[owner](**{keyword: 0.1})
 
-    def test_unknown_kwarg_raises(self):
-        with pytest.raises(TypeError):
-            HDivExplorer(min_supprt=0.1)
-        with pytest.raises(TypeError):
-            DivExplorer(tree_supportt=0.2)
+    @pytest.mark.parametrize("owner", ENTRY_POINTS)
+    def test_number_as_config_raises(self, owner):
+        with pytest.raises(
+            TypeError, match=rf"^{re.escape(owner)}: .*min_support="
+        ):
+            ENTRY_POINTS[owner](0.1)
 
     def test_config_and_kwargs_mix(self):
         ex = DivExplorer(ExploreConfig(min_support=0.1), polarity=True)
@@ -175,19 +216,13 @@ class TestBaselineConstruction:
         assert sl.min_support == 0.01
         assert sl.max_level == 3
 
-    def test_sliceline_max_level_warns(self):
-        with pytest.warns(DeprecationWarning):
-            sl = SliceLine(max_level=2)
-        assert sl.max_level == 2
-
     def test_slicefinder_from_config(self):
         sf = SliceFinder(ExploreConfig(max_length=1), k=3)
         assert sf.max_level == 1 and sf.k == 3
 
     def test_slicefinder_max_level_validation(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                SliceFinder(max_level=0)
+        with pytest.raises(ValueError):
+            SliceFinder(max_length=0)
 
     def test_errortree_from_config(self):
         et = ErrorTree(ExploreConfig(min_support=0.2, criterion="entropy"))
@@ -204,14 +239,18 @@ class TestConfigDrivenExploration:
         table, errors = pocket_data
         cfg = ExploreConfig(min_support=0.1, tree_support=0.2)
         from_config = HDivExplorer(cfg).explore(table, errors)
-        legacy = HDivExplorer(0.1, tree_support=0.2).explore(table, errors)
-        assert from_config.itemsets() == legacy.itemsets()
+        from_kwargs = HDivExplorer(min_support=0.1, tree_support=0.2).explore(
+            table, errors
+        )
+        assert from_config.itemsets() == from_kwargs.itemsets()
 
     def test_bitset_backend_config(self, pocket_data):
         table, errors = pocket_data
         cfg = ExploreConfig(min_support=0.1, tree_support=0.2, backend="bitset")
         bit = HDivExplorer(cfg).explore(table, errors)
-        ref = HDivExplorer(0.1, tree_support=0.2).explore(table, errors)
+        ref = HDivExplorer(min_support=0.1, tree_support=0.2).explore(
+            table, errors
+        )
         assert bit.itemsets() == ref.itemsets()
 
 

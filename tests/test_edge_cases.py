@@ -18,20 +18,22 @@ class TestDegenerateData:
     def test_all_nan_outcome_explores_without_divergence(self, rng):
         table = Table({"x": rng.uniform(0, 1, 100)})
         outcomes = np.full(100, np.nan)
-        result = HDivExplorer(0.2, tree_support=0.3).explore(table, outcomes)
+        result = HDivExplorer(min_support=0.2, tree_support=0.3).explore(
+            table, outcomes
+        )
         assert all(math.isnan(r.divergence) for r in result)
         assert result.max_divergence() == 0.0  # NaNs never rank
 
     def test_constant_outcome_zero_divergence(self, rng):
         table = Table({"x": rng.uniform(0, 1, 100)})
-        result = HDivExplorer(0.2, tree_support=0.3).explore(
+        result = HDivExplorer(min_support=0.2, tree_support=0.3).explore(
             table, np.ones(100)
         )
         assert all(r.divergence == pytest.approx(0.0) for r in result)
 
     def test_single_row_table(self):
         table = Table({"x": [1.0], "c": ["a"]})
-        result = HDivExplorer(0.5, tree_support=0.5).explore(
+        result = HDivExplorer(min_support=0.5, tree_support=0.5).explore(
             table, np.array([1.0])
         )
         assert len(result) >= 1
@@ -44,7 +46,9 @@ class TestDegenerateData:
             schema=schema,
         )
         o = (np.asarray(table["c"].to_list()) == "a").astype(float)
-        result = HDivExplorer(0.1, tree_support=0.2).explore(table, o)
+        result = HDivExplorer(min_support=0.1, tree_support=0.2).explore(
+            table, o
+        )
         # The NaN attribute contributes no items; cat still explored.
         assert all(
             item.attribute == "c" for r in result for item in r.itemset
@@ -61,19 +65,21 @@ class TestDegenerateData:
         values = ["a", None, "b", None, "a"]
         table = Table({"c": values})
         o = np.ones(5)
-        result = DivExplorer(0.2).explore(table, o)
+        result = DivExplorer(min_support=0.2).explore(table, o)
         for r in result:
             assert r.count <= 3  # the two missing rows match nothing
 
     def test_extreme_outcome_magnitudes(self, rng):
         table = Table({"x": rng.uniform(0, 1, 200)})
         o = rng.normal(0, 1, 200) * 1e12
-        result = HDivExplorer(0.2, tree_support=0.3).explore(table, o)
+        result = HDivExplorer(min_support=0.2, tree_support=0.3).explore(
+            table, o
+        )
         assert np.isfinite(result.global_mean)
 
     def test_support_one_returns_universal_items_only(self, rng):
         table = Table({"c": ["a"] * 100})
-        result = DivExplorer(1.0).explore(table, np.ones(100))
+        result = DivExplorer(min_support=1.0).explore(table, np.ones(100))
         assert len(result) == 1
         assert result[0].support == 1.0
 
@@ -121,14 +127,16 @@ class TestOutcomeBoundaries:
     def test_explorer_with_negative_numeric_outcomes(self, rng):
         table = Table({"x": rng.uniform(0, 1, 300)})
         o = np.where(table.continuous("x").values > 0.5, -100.0, 100.0)
-        result = HDivExplorer(0.2, tree_support=0.3).explore(table, o)
+        result = HDivExplorer(min_support=0.2, tree_support=0.3).explore(
+            table, o
+        )
         assert result.max_divergence() > 50
 
     def test_welch_t_large_subgroup_equals_dataset(self, rng):
         """A subgroup = whole dataset has Δ = 0 and t = 0."""
         table = Table({"c": ["a"] * 100})
         o = rng.normal(size=100)
-        result = DivExplorer(0.5).explore(table, o)
+        result = DivExplorer(min_support=0.5).explore(table, o)
         full = result.find(Itemset([CategoricalItem("c", "a")]))
         assert full.divergence == pytest.approx(0.0)
         assert full.t == pytest.approx(0.0)

@@ -69,5 +69,5 @@ def test_compares_below_hierarchical(peak_like):
 
     table, o = peak_like
     tree_best = ErrorTree(min_support=0.05).find(table, o, k=1)[0]
-    hier = HDivExplorer(0.05, tree_support=0.1).explore(table, o)
+    hier = HDivExplorer(min_support=0.05, tree_support=0.1).explore(table, o)
     assert hier.max_divergence() >= abs(tree_best.divergence) - 0.05

@@ -20,7 +20,7 @@ def leaf_items(pocket_data):
 class TestDivExplorer:
     def test_finds_the_pocket_direction(self, pocket_data, leaf_items):
         table, errors = pocket_data
-        result = DivExplorer(0.05).explore(
+        result = DivExplorer(min_support=0.05).explore(
             table, errors, continuous_items=leaf_items
         )
         best = result.top_k(1)[0]
@@ -31,7 +31,7 @@ class TestDivExplorer:
     def test_all_supports_above_threshold(self, pocket_data, leaf_items):
         table, errors = pocket_data
         s = 0.1
-        result = DivExplorer(s).explore(
+        result = DivExplorer(min_support=s).explore(
             table, errors, continuous_items=leaf_items
         )
         assert all(r.support >= s for r in result)
@@ -39,7 +39,7 @@ class TestDivExplorer:
 
     def test_result_counts_match_direct_masks(self, pocket_data, leaf_items):
         table, errors = pocket_data
-        result = DivExplorer(0.2).explore(
+        result = DivExplorer(min_support=0.2).explore(
             table, errors, continuous_items=leaf_items
         )
         for r in list(result)[:20]:
@@ -47,7 +47,7 @@ class TestDivExplorer:
 
     def test_divergences_match_direct_computation(self, pocket_data, leaf_items):
         table, errors = pocket_data
-        result = DivExplorer(0.2).explore(
+        result = DivExplorer(min_support=0.2).explore(
             table, errors, continuous_items=leaf_items
         )
         global_mean = np.nanmean(errors)
@@ -59,7 +59,7 @@ class TestDivExplorer:
 
     def test_categorical_only(self, pocket_data):
         table, errors = pocket_data
-        result = DivExplorer(0.05).explore(table, errors)
+        result = DivExplorer(min_support=0.05).explore(table, errors)
         assert all(
             item.attribute == "cat" for r in result for item in r.itemset
         )
@@ -67,31 +67,31 @@ class TestDivExplorer:
     def test_extra_items(self, pocket_data):
         table, errors = pocket_data
         custom = IntervalItem("x", 0, 2)
-        result = DivExplorer(0.05).explore(
+        result = DivExplorer(min_support=0.05).explore(
             table, errors, categorical_attributes=[], extra_items=[custom]
         )
         assert result.find(Itemset([custom])) is not None
 
     def test_elapsed_recorded(self, pocket_data, leaf_items):
         table, errors = pocket_data
-        result = DivExplorer(0.1).explore(
+        result = DivExplorer(min_support=0.1).explore(
             table, errors, continuous_items=leaf_items
         )
         assert result.elapsed_seconds > 0
 
     def test_polarity_option_subset(self, pocket_data, leaf_items):
         table, errors = pocket_data
-        full = DivExplorer(0.05).explore(
+        full = DivExplorer(min_support=0.05).explore(
             table, errors, continuous_items=leaf_items
         )
-        pruned = DivExplorer(0.05, polarity=True).explore(
+        pruned = DivExplorer(min_support=0.05, polarity=True).explore(
             table, errors, continuous_items=leaf_items
         )
         assert pruned.itemsets() <= full.itemsets()
 
     def test_invalid_support(self):
         with pytest.raises(ValueError):
-            DivExplorer(0.0)
+            DivExplorer(min_support=0.0)
 
 
 class TestHDivExplorer:
@@ -99,22 +99,26 @@ class TestHDivExplorer:
         """The paper's guarantee: hierarchical results ⊇ base results."""
         table, errors = pocket_data
         s = 0.05
-        base = DivExplorer(s).explore(
+        base = DivExplorer(min_support=s).explore(
             table, errors, continuous_items=leaf_items
         )
-        hier = HDivExplorer(s, tree_support=0.1).explore(table, errors)
+        hier = HDivExplorer(min_support=s, tree_support=0.1).explore(
+            table, errors
+        )
         assert base.itemsets() <= hier.itemsets()
         assert hier.max_divergence() >= base.max_divergence() - 1e-12
 
     def test_pocket_found_with_higher_divergence(self, pocket_data):
         table, errors = pocket_data
-        hier = HDivExplorer(0.05, tree_support=0.1).explore(table, errors)
+        hier = HDivExplorer(min_support=0.05, tree_support=0.1).explore(
+            table, errors
+        )
         best = hier.top_k(1)[0]
         assert best.divergence > 0.15
 
     def test_last_hierarchies_populated(self, pocket_data):
         table, errors = pocket_data
-        explorer = HDivExplorer(0.1)
+        explorer = HDivExplorer(min_support=0.1)
         explorer.explore(table, errors)
         gamma = explorer.last_hierarchies_
         assert "x" in gamma and "y" in gamma
@@ -140,7 +144,7 @@ class TestHDivExplorer:
                             IntervalItem(attr, low=0))},
                 )
             )
-        explorer = HDivExplorer(0.1)
+        explorer = HDivExplorer(min_support=0.1)
         explorer.last_discretization_seconds_ = None  # sentinel
         explorer.explore(table, errors, hierarchies=hierarchies)
         # No attribute was discretized...
@@ -158,7 +162,7 @@ class TestHDivExplorer:
             "x", root,
             {root: (IntervalItem("x", high=0), IntervalItem("x", low=0))},
         )
-        explorer = HDivExplorer(0.05)
+        explorer = HDivExplorer(min_support=0.05)
         result = explorer.explore(table, errors, hierarchies=[custom])
         # x items in results come only from the custom hierarchy.
         x_items = {
@@ -171,7 +175,7 @@ class TestHDivExplorer:
 
     def test_continuous_attribute_selection(self, pocket_data):
         table, errors = pocket_data
-        explorer = HDivExplorer(0.05)
+        explorer = HDivExplorer(min_support=0.05)
         result = explorer.explore(
             table, errors, continuous_attributes=["x"]
         )
@@ -182,7 +186,7 @@ class TestHDivExplorer:
 
     def test_categorical_attribute_selection(self, pocket_data):
         table, errors = pocket_data
-        result = HDivExplorer(0.05).explore(
+        result = HDivExplorer(min_support=0.05).explore(
             table, errors, categorical_attributes=[]
         )
         assert all(
@@ -191,8 +195,10 @@ class TestHDivExplorer:
 
     def test_polarity_preserves_pocket(self, pocket_data):
         table, errors = pocket_data
-        full = HDivExplorer(0.05).explore(table, errors)
-        pruned = HDivExplorer(0.05, polarity=True).explore(table, errors)
+        full = HDivExplorer(min_support=0.05).explore(table, errors)
+        pruned = HDivExplorer(min_support=0.05, polarity=True).explore(
+            table, errors
+        )
         assert pruned.max_divergence() == pytest.approx(
             full.max_divergence()
         )
@@ -201,20 +207,28 @@ class TestHDivExplorer:
         # The retired backend names warn and run the one engine.
         table, errors = pocket_data
         with pytest.warns(DeprecationWarning):
-            fp = HDivExplorer(0.1, backend="fpgrowth").explore(table, errors)
+            fp = HDivExplorer(min_support=0.1, backend="fpgrowth").explore(
+                table, errors
+            )
         with pytest.warns(DeprecationWarning):
-            ap = HDivExplorer(0.1, backend="apriori").explore(table, errors)
-        default = HDivExplorer(0.1).explore(table, errors)
+            ap = HDivExplorer(min_support=0.1, backend="apriori").explore(
+                table, errors
+            )
+        default = HDivExplorer(min_support=0.1).explore(table, errors)
         assert fp.itemsets() == ap.itemsets() == default.itemsets()
 
     def test_max_length(self, pocket_data):
         table, errors = pocket_data
-        result = HDivExplorer(0.05, max_length=1).explore(table, errors)
+        result = HDivExplorer(min_support=0.05, max_length=1).explore(
+            table, errors
+        )
         assert all(r.length == 1 for r in result)
 
     def test_entropy_criterion(self, pocket_data):
         table, errors = pocket_data
-        result = HDivExplorer(0.05, criterion="entropy").explore(table, errors)
+        result = HDivExplorer(min_support=0.05, criterion="entropy").explore(
+            table, errors
+        )
         assert result.max_divergence() > 0.1
 
     def test_invalid_support(self):

@@ -46,12 +46,12 @@ def test_base_vs_hierarchical_consistency(name):
     outcomes = ds.outcome().values(ds.table)
     features = ds.features()
     trees = TreeDiscretizer(0.25).fit_all(features, outcomes)
-    base = DivExplorer(0.15).explore(
+    base = DivExplorer(min_support=0.15).explore(
         features,
         outcomes,
         continuous_items={a: t.leaf_items() for a, t in trees.items()},
     )
-    hier = HDivExplorer(0.15, tree_support=0.25).explore(
+    hier = HDivExplorer(min_support=0.15, tree_support=0.25).explore(
         features, outcomes
     )
     assert hier.max_divergence() >= base.max_divergence() - 1e-12
@@ -61,7 +61,7 @@ def test_folktables_hierarchy_items_reachable():
     """Generalized items from predefined taxonomies appear in results."""
     ds = load_dataset("folktables", n_rows=4_000)
     outcomes = ds.outcome().values(ds.table)
-    result = HDivExplorer(0.1, tree_support=0.25).explore(
+    result = HDivExplorer(min_support=0.1, tree_support=0.25).explore(
         ds.features(), outcomes, hierarchies=ds.hierarchies
     )
     occp_labels = {

@@ -53,7 +53,7 @@ class TestMissingUniverse:
     def test_explorer_finds_missingness_subgroup(self, dirty_data):
         table, o, _ = dirty_data
         result = HDivExplorer(
-            0.05, tree_support=0.2, include_missing_items=True
+            min_support=0.05, tree_support=0.2, include_missing_items=True
         ).explore(table, o)
         best = result.top_k(1)[0]
         assert MissingItem("x") in best.itemset
@@ -61,7 +61,9 @@ class TestMissingUniverse:
 
     def test_without_flag_missingness_invisible(self, dirty_data):
         table, o, _ = dirty_data
-        result = HDivExplorer(0.05, tree_support=0.2).explore(table, o)
+        result = HDivExplorer(min_support=0.05, tree_support=0.2).explore(
+            table, o
+        )
         for r in result:
             assert MissingItem("x") not in r.itemset
 
@@ -72,7 +74,7 @@ class TestMissingUniverse:
         table, o, _ = dirty_data
         trees = TreeDiscretizer(0.2).fit_all(table, o)
         result = DivExplorer(
-            0.05, include_missing_items=True
+            min_support=0.05, include_missing_items=True
         ).explore(
             table, o,
             continuous_items={a: t.leaf_items() for a, t in trees.items()},
@@ -85,7 +87,7 @@ class TestMissingUniverse:
     ):
         table, o, _ = dirty_data
         result = DivExplorer(
-            0.05, include_missing_items=True
+            min_support=0.05, include_missing_items=True
         ).explore(table, o)  # x not covered (no continuous items)
         assert all(MissingItem("x") not in r.itemset for r in result)
 
@@ -156,10 +158,14 @@ class TestEclat:
     def test_explorer_backend(self, pocket_data):
         table, errors = pocket_data
         with pytest.warns(DeprecationWarning, match="'eclat' is deprecated"):
-            explorer = HDivExplorer(0.1, tree_support=0.2, backend="eclat")
+            explorer = HDivExplorer(
+                min_support=0.1, tree_support=0.2, backend="eclat"
+            )
         assert explorer.config.backend == "bitset"
         ec = explorer.explore(table, errors)
-        default = HDivExplorer(0.1, tree_support=0.2).explore(table, errors)
+        default = HDivExplorer(min_support=0.1, tree_support=0.2).explore(
+            table, errors
+        )
         assert [str(r) for r in ec] == [str(r) for r in default]
 
     def test_invalid_support(self, pocket_data):
@@ -194,7 +200,7 @@ class TestErrorDifference:
         pred_a[regress] = np.where(y[regress] == "1", "0", "1")
         table = Table({"cat": cat, "y": y, "a": pred_a, "b": pred_b})
         out = error_difference("y", "a", "b").values(table)
-        result = DivExplorer(0.1).explore(
+        result = DivExplorer(min_support=0.1).explore(
             table.project(["cat"]), out
         )
         best = result.top_k(1, by="divergence")[0]

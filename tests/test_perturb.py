@@ -128,7 +128,7 @@ class TestSubgroupShift:
         planted = flip_subgroup_outcome(
             outcomes, base_table, pocket, 0.8, rng
         )
-        result = HDivExplorer(0.05, tree_support=0.15).explore(
+        result = HDivExplorer(min_support=0.05, tree_support=0.15).explore(
             base_table, planted
         )
         best = result.top_k(1)[0]

@@ -34,7 +34,7 @@ def exploration_case(draw):
 @given(case=exploration_case())
 def test_every_result_matches_direct_computation(case):
     table, outcomes, support = case
-    explorer = HDivExplorer(support, tree_support=0.3)
+    explorer = HDivExplorer(min_support=support, tree_support=0.3)
     result = explorer.explore(table, outcomes)
     global_stats = OutcomeStats.from_outcomes(outcomes)
     for r in result:

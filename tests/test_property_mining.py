@@ -189,10 +189,12 @@ def test_hierarchical_superset_of_base(data, support):
     table, outcomes = data
     trees = TreeDiscretizer(0.25).fit_all(table, outcomes)
     leaves = {a: t.leaf_items() for a, t in trees.items()}
-    base = DivExplorer(support).explore(
+    base = DivExplorer(min_support=support).explore(
         table, outcomes, continuous_items=leaves
     )
-    hier = HDivExplorer(support, tree_support=0.25).explore(table, outcomes)
+    hier = HDivExplorer(min_support=support, tree_support=0.25).explore(
+        table, outcomes
+    )
     assert base.itemsets() <= hier.itemsets()
     assert hier.max_divergence() >= base.max_divergence() - 1e-12
 

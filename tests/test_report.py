@@ -19,7 +19,7 @@ def explored_pocket():
     p = np.where((x > 0) & (x <= 2) & (cat == "b"), 0.5, 0.05)
     o = (rng.uniform(size=n) < p).astype(float)
     table = Table({"x": x, "cat": cat})
-    explorer = HDivExplorer(0.05, tree_support=0.1)
+    explorer = HDivExplorer(min_support=0.05, tree_support=0.1)
     result = explorer.explore(table, o)
     return result, explorer.last_hierarchies_
 

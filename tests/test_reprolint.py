@@ -232,35 +232,6 @@ class TestWallClockTiming:
         assert codes("import time\nstart = time.perf_counter()\n") == []
 
 
-class TestSilentDeprecation:
-    def test_flags_silent_legacy_pop(self):
-        src = """\
-        def shim(**kwargs):
-            support = kwargs.pop("max_level", None)
-            return support
-        """
-        assert codes(src) == ["RPL011"]
-
-    def test_warned_shim_is_fine(self):
-        src = """\
-        import warnings
-
-        def shim(**kwargs):
-            if "max_level" in kwargs:
-                warnings.warn("deprecated", DeprecationWarning, stacklevel=2)
-            return kwargs.pop("max_level", None)
-        """
-        assert codes(src) == []
-
-    def test_legacy_aliases_reference_needs_warning(self):
-        src = """\
-        def shim(kwargs):
-            for legacy, canonical in LEGACY_ALIASES.items():
-                kwargs.pop(legacy, None)
-        """
-        assert codes(src) == ["RPL011"]
-
-
 class TestUntypedPublicApi:
     CFG_PATH = "src/repro/core/config.py"
 
@@ -580,8 +551,8 @@ class TestPipelineInternalConstruction:
         from repro.core.mining.transactions import mine
 
         session = ExploreSession(table, outcome)
-        result = session.explore(0.05)
-        cold = HDivExplorer(0.05).explore(table, outcome)
+        result = session.explore(min_support=0.05)
+        cold = HDivExplorer(min_support=0.05).explore(table, outcome)
         mined = mine(universe, 0.05, "bitset")
         combined = CombinedTreeDiscretizer(0.1).fit(table, outcome)
         """

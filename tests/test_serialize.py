@@ -77,7 +77,9 @@ class TestResultsRoundtrip:
         from repro.core.hexplorer import HDivExplorer
 
         table, errors = pocket_data
-        return HDivExplorer(0.1, tree_support=0.2).explore(table, errors)
+        return HDivExplorer(min_support=0.1, tree_support=0.2).explore(
+            table, errors
+        )
 
     def test_file_roundtrip(self, explored, tmp_path):
         path = tmp_path / "results.json"

@@ -21,7 +21,7 @@ def explored(rng):
     p = np.where(fix == "z", 0.35, p)  # z flattens everything to ~mean
     o = (rng.uniform(size=n) < p).astype(float)
     table = Table({"cat": cat, "fix": fix, "noise": noise})
-    result = DivExplorer(0.05).explore(table, o)
+    result = DivExplorer(min_support=0.05).explore(table, o)
     return table, o, result
 
 

@@ -28,7 +28,7 @@ def test_bootstrap_stability_high_for_strong_signal(strong_pocket):
     table, o = strong_pocket
     report = bootstrap_stability(
         table, o,
-        explorer=HDivExplorer(0.1, tree_support=0.2),
+        explorer=HDivExplorer(min_support=0.1, tree_support=0.2),
         k=3, n_runs=5, seed=1,
     )
     assert report.n_runs == 5
@@ -48,7 +48,7 @@ def test_bootstrap_stability_low_for_noise():
     o = (rng.uniform(size=n) < 0.5).astype(float)  # pure noise
     report = bootstrap_stability(
         table, o,
-        explorer=HDivExplorer(0.1, tree_support=0.2),
+        explorer=HDivExplorer(min_support=0.1, tree_support=0.2),
         k=3, n_runs=5, seed=2,
     )
     # Noise findings should be visibly less stable than strong signal.
@@ -60,7 +60,7 @@ def test_perturbation_stability_runs(strong_pocket):
     report = perturbation_stability(
         table, o,
         missing_fraction=0.05,
-        explorer=HDivExplorer(0.1, tree_support=0.2),
+        explorer=HDivExplorer(min_support=0.1, tree_support=0.2),
         k=3, n_runs=3, seed=4,
     )
     assert isinstance(report, StabilityReport)
@@ -72,7 +72,7 @@ def test_recovery_rates_bounded(strong_pocket):
     table, o = strong_pocket
     report = bootstrap_stability(
         table, o,
-        explorer=HDivExplorer(0.15, tree_support=0.25),
+        explorer=HDivExplorer(min_support=0.15, tree_support=0.25),
         k=2, n_runs=3, seed=5,
     )
     assert all(0.0 <= r <= 1.0 for r in report.recovery_rate)

@@ -9,10 +9,10 @@ def test_filter_equals_direct_exploration(pocket_data):
     """Mining once at the lowest support and filtering upward gives
     exactly the results of re-mining at the higher support."""
     table, errors = pocket_data
-    explorer_low = HDivExplorer(0.05, tree_support=0.2)
+    explorer_low = HDivExplorer(min_support=0.05, tree_support=0.2)
     low = explorer_low.explore(table, errors)
 
-    explorer_high = HDivExplorer(0.15, tree_support=0.2)
+    explorer_high = HDivExplorer(min_support=0.15, tree_support=0.2)
     high = explorer_high.explore(table, errors)
 
     filtered = low.at_support(0.15)
@@ -22,14 +22,18 @@ def test_filter_equals_direct_exploration(pocket_data):
 
 def test_at_support_monotone(pocket_data):
     table, errors = pocket_data
-    result = HDivExplorer(0.05, tree_support=0.2).explore(table, errors)
+    result = HDivExplorer(min_support=0.05, tree_support=0.2).explore(
+        table, errors
+    )
     sizes = [len(result.at_support(s)) for s in (0.05, 0.1, 0.2, 0.4)]
     assert sizes == sorted(sizes, reverse=True)
 
 
 def test_at_support_validates(pocket_data):
     table, errors = pocket_data
-    result = HDivExplorer(0.2, tree_support=0.3).explore(table, errors)
+    result = HDivExplorer(min_support=0.2, tree_support=0.3).explore(
+        table, errors
+    )
     with pytest.raises(ValueError):
         result.at_support(0.0)
 
