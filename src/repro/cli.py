@@ -176,7 +176,7 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="cancel the run cooperatively after SECONDS "
-        "(checked at phase and root boundaries)",
+        "(checked at phase boundaries and mining step slices)",
     )
     g.add_argument(
         "--bundle", metavar="DIR",

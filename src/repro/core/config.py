@@ -79,9 +79,10 @@ class ExploreConfig:
     deadline_s:
         Optional cooperative deadline in seconds. The explorers arm a
         :class:`repro.obs.RunController` at run start and check it at
-        phase and root boundaries; a run past the deadline raises
-        :class:`repro.obs.RunCancelled` carrying the partial event
-        log. ``None`` (the default) disables the checks entirely.
+        phase boundaries and after every mining step slice; a run
+        past the deadline raises :class:`repro.obs.RunCancelled`
+        carrying the partial event log. ``None`` (the default)
+        disables the checks entirely.
         Completed runs are bit-identical with or without a deadline,
         so — like the other observability fields — it is excluded
         from equality, :meth:`to_dict` and :meth:`fingerprint`.

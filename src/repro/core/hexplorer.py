@@ -152,7 +152,7 @@ class HDivExplorer:
             ]
         obs = self.obs
         # A configured deadline_s starts counting here; the collector
-        # checkpoints (per attribute fitted, per root mined) raise
+        # checkpoints (per attribute fitted, per mining step slice) raise
         # RunCancelled once it expires. The bundle scope is inert
         # unless config.bundle_dir is set, in which case the whole run
         # — including a crash or cancellation inside it — is captured

@@ -12,12 +12,15 @@ items, count the surviving rows, and aggregate the outcome over them.
   masked dot product against the raw outcome vector (numeric
   outcomes),
 
-and the search is *level-batched*: each frequent root's subtree is
-mined one lattice level at a time, every candidate of a level going
-through one fused intersect–popcount–filter–aggregate step, and the
-next level's candidates come from array arithmetic. The output is one
+and the search is *level-batched*: the whole lattice is mined one
+level at a time across all frequent items, every candidate of a level
+going through one fused intersect–popcount–filter–aggregate step
+(sliced at :data:`STEP_BYTES`), and the next level's candidates come
+from array arithmetic. Each level keeps its nodes' links to their
+parents; from them the rows are scattered once into canonical
+(depth-first) order. The output is one
 :class:`~repro.core.mining.transactions.MinedColumns` (an id matrix
-plus statistic columns) in canonical order.
+plus statistic columns).
 
 Statistics are bit-identical to :meth:`EncodedUniverse.stats_of_mask`:
 counts are exact integers from popcounts, and numeric totals reuse the
@@ -167,6 +170,16 @@ class BitsetEngine:
         """Per-item support counts, one popcount pass."""
         return popcount_rows(self.item_words)
 
+    def item_stats(self) -> list[OutcomeStats]:
+        """Per-item statistics in one batched pass over the packed
+        covers, bit-identical to :meth:`EncodedUniverse.item_stats`."""
+        counts = self.item_counts()
+        columns = (counts, *self._stat_components(self.item_words, counts))
+        return [
+            OutcomeStats(*fields)
+            for fields in zip(*(column.tolist() for column in columns))
+        ]
+
     def stats(self, ids: Iterable[int]) -> OutcomeStats:
         """Outcome statistics of an itemset's cover."""
         cover = self.cover(ids)
@@ -225,22 +238,6 @@ class BitsetEngine:
 
     # -- mining -----------------------------------------------------------
 
-    def shards(self, min_support: float) -> list[tuple[int, np.ndarray]]:
-        """The frequent roots, each with its tail, in id order.
-
-        A root is a frequent item; its tail holds the frequent items
-        after it of a different attribute, the level-2 candidates of its
-        subtree. Roots are the unit of :meth:`mine` progress and
-        deadline checkpoints.
-        """
-        min_count = self._min_count(min_support)
-        roots = np.flatnonzero(self.item_counts() >= min_count)
-        codes = self._attr_codes[roots]
-        return [
-            (root, roots[pos + 1 :][codes[pos + 1 :] != codes[pos]])
-            for pos, root in enumerate(roots.tolist())
-        ]
-
     def _min_count(self, min_support: float) -> int:
         if not 0.0 < min_support <= 1.0:
             raise ValueError("min_support must be in (0, 1]")
@@ -249,60 +246,46 @@ class BitsetEngine:
     def mine(
         self, min_support: float, max_length: int | None = None
     ) -> MinedColumns:
-        """Mine all frequent itemsets, one frequent root at a time.
+        """Mine all frequent itemsets, one lattice level at a time.
 
-        Rows come in canonical order, which is the concatenation of
-        :meth:`mine_subtree` over :meth:`shards`.
-        """
-        n_items = self.universe.n_items()
-        shards = self.shards(min_support)
-        if not n_items or (max_length is not None and max_length < 1):
-            return MinedColumns.empty()
-        self._count_step(n_items, len(shards))
-        self.obs.progress("mine", advance=0, expect=len(shards))
-        parts = []
-        for root, tail in shards:
-            parts.append(self.mine_subtree(root, tail, min_support, max_length))
-            self.obs.progress("mine", root=root)
-            self.obs.checkpoint("mine")
-        return MinedColumns.concat(parts)
-
-    def mine_subtree(
-        self,
-        root: int,
-        tail: Sequence[int],
-        min_support: float,
-        max_length: int | None = None,
-    ) -> MinedColumns:
-        """Mine the subtree of one root, level by level, root included.
-
-        ``tail`` is the root's level-2 candidates (see :meth:`shards`).
-        Level ``k`` holds the subtree's frequent ``k``-itemsets with
-        their covers. Its candidates pair each node with every later
-        sibling (same parent) of a different attribute, exactly the
-        extensions a depth-first search tries, and go through
-        :meth:`_fused_step` together. The rows are returned in
-        canonical order.
+        Level 1 holds every frequent item; level ``k`` the frequent
+        ``k``-itemsets with their covers. The next level's candidates
+        pair every node with every later sibling (same parent) of a
+        different attribute, exactly the extensions a depth-first
+        search tries; the frequent items form level 1's one sibling
+        run. All of a level's candidates go through :meth:`_fused_step`
+        together. Each level keeps its nodes' links to their parents,
+        from which :func:`_preorder` puts the rows in canonical order.
         """
         min_count = self._min_count(min_support)
-        covers = self.item_words[root : root + 1]
-        counts = popcount_rows(covers)
-        if counts[0] < min_count:
+        n_items = self.universe.n_items()
+        if not n_items or (max_length is not None and max_length < 1):
             return MinedColumns.empty()
-        ids = np.array([[root]], dtype=np.int64)
-        levels = [MinedColumns(ids, counts, *self._stat_components(covers, counts))]
-        parents = np.zeros(len(tail), dtype=np.int64)
-        items = np.asarray(tail, dtype=np.int64)
-        while items.size and (max_length is None or ids.shape[1] < max_length):
+        self.obs.progress("mine", advance=0, expect=n_items)
+        counts = self.item_counts()
+        items = np.flatnonzero(counts >= min_count)
+        self._count_step(1, n_items, len(items))
+        self.obs.progress("mine", advance=n_items)
+        if not items.size:
+            return MinedColumns.empty()
+        covers, counts = self.item_words[items], counts[items]
+        links = np.zeros(len(items), dtype=np.int64)
+        levels = [(links, items, counts, *self._stat_components(covers, counts))]
+        while max_length is None or len(levels) < max_length:
+            parents, items = self._next_candidates(links, items)
+            if not items.size:
+                break
+            self.obs.progress("mine", advance=0, expect=len(items))
             kept, covers, counts, stats = self._fused_step(
                 covers, parents, items, min_count
             )
+            self._count_step(len(levels) + 1, len(items), len(kept))
+            self.obs.progress("mine", advance=len(items))
             if not kept.size:
                 break
-            ids = np.column_stack((ids[parents[kept]], items[kept]))
-            levels.append(MinedColumns(ids, counts, *stats))
-            parents, items = self._next_candidates(parents[kept], items[kept])
-        return MinedColumns.concat(levels).canonical()
+            links, items = parents[kept], items[kept]
+            levels.append((links, items, counts, *stats))
+        return _preorder(levels)
 
     def _fused_step(
         self,
@@ -315,9 +298,9 @@ class BitsetEngine:
         previous level (cover ``covers[parents[c]]``) plus ``items[c]``.
 
         Intersection, popcount, support filter and statistics run on
-        at most :data:`STEP_BYTES` of candidate covers at a time.
-        Returns the surviving candidates' positions, covers, counts and
-        ``(n, Σo, Σo²)``.
+        at most :data:`STEP_BYTES` of candidate covers at a time, with a
+        deadline checkpoint after each slice. Returns the surviving
+        candidates' positions, covers, counts and ``(n, Σo, Σo²)``.
         """
         step = max(1, STEP_BYTES // (8 * max(1, self.n_words)))
         parts = []
@@ -331,8 +314,8 @@ class BitsetEngine:
                 (np.flatnonzero(keep) + start, cand, counts,
                  *self._stat_components(cand, counts))
             )
+            self.obs.checkpoint("mine")
         kept, covers, counts, *stats = (np.concatenate(col) for col in zip(*parts))
-        self._count_step(len(items), len(kept))
         return kept, covers, counts, tuple(stats)
 
     def _next_candidates(
@@ -356,11 +339,15 @@ class BitsetEngine:
         distinct = self._attr_codes[items[node]] != self._attr_codes[sibling]
         return node[distinct], sibling[distinct]
 
-    def _count_step(self, candidates: int, kept: int) -> None:
+    def _count_step(self, level: int, candidates: int, kept: int) -> None:
+        """Count one level's candidates, in total and for its length."""
         if self.obs.enabled:
+            pruned = candidates - kept
             self.obs.count("mining.candidates", candidates)
-            self.obs.count("mining.support_pruned", candidates - kept)
+            self.obs.count("mining.support_pruned", pruned)
             self.obs.count("mining.rows_scanned", candidates * self.n_rows)
+            self.obs.count(f"mining.candidates.level_{level}", candidates)
+            self.obs.count(f"mining.support_pruned.level_{level}", pruned)
 
     def __repr__(self) -> str:
         kind = "boolean" if self.boolean else "numeric"
@@ -369,3 +356,43 @@ class BitsetEngine:
             f"rows={self.n_rows}, words={self.n_words}, outcome={kind})"
         )
 
+
+def _preorder(levels: list[tuple]) -> MinedColumns:
+    """The mined levels' rows in canonical (depth-first) order.
+
+    ``levels[k]`` holds the frequent ``(k + 1)``-itemsets as
+    ``(links, items, count, n, total, total_sq)``: node ``j`` extends
+    node ``links[j]`` of the level above with ``items[j]``. Siblings
+    are adjacent and ascend by item, so a node's row follows its
+    parent's row and the whole subtrees of its earlier siblings. Each
+    level is scattered to those positions in one step: subtree sizes
+    come bottom-up from the links, positions top-down.
+    """
+    sizes = [np.ones(len(levels[-1][0]), dtype=np.int64)]
+    for k in range(len(levels) - 1, 0, -1):
+        below = np.bincount(
+            levels[k][0], weights=sizes[0], minlength=len(levels[k - 1][0])
+        )
+        sizes.insert(0, 1 + below.astype(np.int64))
+    n_itemsets = int(sizes[0].sum())
+    ids = np.full((n_itemsets, len(levels)), -1, dtype=np.int64)
+    columns = [
+        np.empty(n_itemsets, dtype=dtype)
+        for dtype in (np.int64, np.int64, np.float64, np.float64)
+    ]
+    for k, (links, items, *stats) in enumerate(levels):
+        # Rows taken by the subtrees of the earlier nodes of this level.
+        before = np.cumsum(sizes[k]) - sizes[k]
+        if k == 0:
+            rows = before
+        else:
+            # A sibling run starts after the children of earlier parents.
+            children = sizes[k - 1] - 1
+            run_start = np.cumsum(children) - children
+            rows = (parent_rows - run_start + 1)[links] + before
+            ids[rows, :k] = ids[parent_rows[links], :k]
+        ids[rows, k] = items
+        for column, values in zip(columns, stats):
+            column[rows] = values
+        parent_rows = rows
+    return MinedColumns(ids, *columns)

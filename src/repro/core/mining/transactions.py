@@ -93,7 +93,8 @@ class EncodedUniverse:
         )
 
     def item_stats(self) -> list[OutcomeStats]:
-        """Per-item statistics (used for polarity assignment)."""
+        """Per-item statistics, one mask at a time (the reference for
+        the batched :meth:`BitsetEngine.item_stats`)."""
         return [self.stats_of_mask(self.masks[i]) for i in range(self.n_items())]
 
     def restricted(self, item_ids: Iterable[int]) -> "EncodedUniverse":

@@ -49,6 +49,15 @@ def item_polarities(
         attributes represented by interval items — i.e. the
         discretization-tree output, as in the paper.
     """
+    return _polarities(BitsetEngine(universe), polarize_attributes)
+
+
+def _polarities(
+    engine: BitsetEngine, polarize_attributes: Iterable[str] | None
+) -> list[int]:
+    """:func:`item_polarities` of ``engine.universe``, with the item
+    statistics taken from the engine's packed covers in one pass."""
+    universe = engine.universe
     if polarize_attributes is None:
         polarize_attributes = {
             it.attribute for it in universe.items if isinstance(it, IntervalItem)
@@ -57,7 +66,7 @@ def item_polarities(
         polarize_attributes = set(polarize_attributes)
     global_mean = universe.global_stats().mean
     polarities: list[int] = []
-    for item, stats in zip(universe.items, universe.item_stats()):
+    for item, stats in zip(universe.items, engine.item_stats()):
         if item.attribute not in polarize_attributes:
             polarities.append(0)
             continue
@@ -84,10 +93,10 @@ def mine_with_polarity(
 
     Each run uses the polarized items of one sign plus all neutral
     items; results are deduplicated (itemsets of only neutral items
-    appear in both runs) and come back in canonical order. Both
-    subspace runs slice one engine's packed covers (``engine``, or one
-    built here) instead of re-packing. ``backend`` and ``n_jobs`` are
-    deprecated, as in ``mine``.
+    appear in both runs) and come back in canonical order. The item
+    polarities and both subspace runs read one engine's packed covers
+    (``engine``, or one built here) instead of re-packing.
+    ``backend`` and ``n_jobs`` are deprecated, as in ``mine``.
 
     With ``obs`` enabled, each subspace mines inside a
     ``polarity.positive`` / ``polarity.negative`` span and the registry
@@ -97,16 +106,15 @@ def mine_with_polarity(
     resolve_backend(backend)
     resolve_n_jobs(n_jobs)
     obs = resolve_obs(obs)
-    polarities = item_polarities(universe, polarize_attributes)
+    if engine is None:
+        engine = BitsetEngine(universe, obs=obs)
+    polarities = _polarities(engine, polarize_attributes)
     positive_ids = [i for i, p in enumerate(polarities) if p >= 0]
     negative_ids = [i for i, p in enumerate(polarities) if p <= 0]
     if obs.enabled:
         obs.count("polarity.positive_items", sum(1 for p in polarities if p > 0))
         obs.count("polarity.negative_items", sum(1 for p in polarities if p < 0))
         obs.count("polarity.neutral_items", sum(1 for p in polarities if p == 0))
-
-    if engine is None:
-        engine = BitsetEngine(universe, obs=obs)
 
     merged = MinedColumns.empty()
     for sign, ids in (("positive", positive_ids), ("negative", negative_ids)):

@@ -141,8 +141,8 @@ class ObsCollector:
         ``True`` for a fresh bounded stream.
     controller:
         Optional :class:`~repro.obs.events.RunController` consulted by
-        :meth:`checkpoint` at phase/root boundaries for cooperative
-        deadline/cancellation (usually installed via
+        :meth:`checkpoint` at phase boundaries and mining step slices
+        for cooperative deadline/cancellation (usually installed via
         :meth:`arm_deadline` from ``ExploreConfig(deadline_s=...)``).
     """
 
@@ -387,7 +387,8 @@ class ObsCollector:
         )
 
     def checkpoint(self, where: str = "") -> None:
-        """Cooperative cancellation point (phase/root boundaries).
+        """Cooperative cancellation point (phase boundaries, mining
+        step slices).
 
         Raises :class:`~repro.obs.events.RunCancelled` when an armed
         controller is past its deadline or explicitly cancelled; a

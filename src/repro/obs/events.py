@@ -10,7 +10,8 @@ progress renderer in ``repro.obs.runlog``).
 On top of the stream sit two more pieces:
 
 * :class:`RunController` — cooperative deadline/cancellation, checked
-  at phase and root boundaries via ``ObsCollector.checkpoint``. A
+  at phase boundaries and mining step slices via
+  ``ObsCollector.checkpoint``. A
   cancelled run raises :class:`RunCancelled` carrying the partial
   event log.
 * :func:`to_chrome_trace` — export a collector's span forest and/or an
@@ -293,11 +294,12 @@ class RunController:
     """Cooperative deadline/cancellation on the monotonic clock.
 
     The controller never interrupts anything: pipeline code calls
-    :meth:`check` (via ``ObsCollector.checkpoint``) at phase and root
-    boundaries, and the first check past the deadline — or after
-    :meth:`cancel` — raises :class:`RunCancelled`. Granularity is
-    therefore one phase/root, which keeps results of *completed* runs
-    bit-identical to uncontrolled ones.
+    :meth:`check` (via ``ObsCollector.checkpoint``) at phase
+    boundaries and after every mining step slice, and the first check
+    past the deadline — or after :meth:`cancel` — raises
+    :class:`RunCancelled`. Granularity is therefore one phase or one
+    slice, which keeps results of *completed* runs bit-identical to
+    uncontrolled ones.
     """
 
     def __init__(self, deadline_s: float | None = None) -> None:

@@ -8,8 +8,8 @@ a log with ``python -m repro.obs.tail <run.jsonl>``.
 
 The progress renderer turns ``progress`` events into throttled
 single-line updates with per-phase work accounting and a rate-based
-ETA — attributes discretized, prefix shards mined, sweep points
-completed.
+ETA — attributes discretized, mining candidates evaluated, sweep
+points completed.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Covers the packing/popcount kernels (both the ``np.bitwise_count`` and
 the LUT fallback paths), cover algebra, bit-identical statistic
-aggregation against :meth:`EncodedUniverse.stats_of_mask`, restricted
-sub-engines, and the level-batched miner (its agreement with brute
-force lives in ``test_property_mining.py``).
+aggregation against :meth:`EncodedUniverse.stats_of_mask` and
+:meth:`EncodedUniverse.item_stats`, restricted sub-engines, and the
+level-batched miner's step slicing (its agreement with brute force
+lives in ``test_property_mining.py``).
 """
 
 import pickle
@@ -23,6 +24,7 @@ from repro.core.mining.bitset import (
 )
 from repro.core.divergence import OutcomeStats
 from repro.core.mining import MinedColumns, MinedItemset
+from repro.obs import ObsCollector
 
 
 def mine_bitset(universe, min_support, max_length=None):
@@ -110,6 +112,21 @@ class TestEngineStats:
         for i in range(u.n_items()):
             assert engine.support((i,)) == int(u.masks[i].sum())
 
+    @pytest.mark.parametrize("kind", ["numeric", "boolean", "all_nan"])
+    def test_item_stats_bit_identical_to_universe(self, np_rng, kind):
+        u = random_universe(
+            np_rng, 523, [("a", 3), ("b", 4), ("c", 2)],
+            boolean=kind == "boolean", missing=1.0 if kind == "all_nan" else 0.1,
+        )
+        batched = BitsetEngine(u).item_stats()
+        reference = u.item_stats()
+        assert len(batched) == len(reference) == u.n_items()
+        for got, expected in zip(batched, reference):
+            assert (type(got.count), type(got.n)) == (int, int)
+            assert (got.count, got.n) == (expected.count, expected.n)
+            assert got.total.hex() == expected.total.hex()
+            assert got.total_sq.hex() == expected.total_sq.hex()
+
     def test_all_missing_outcomes(self, np_rng):
         u = random_universe(np_rng, 80, [("a", 2), ("b", 2)], missing=1.0)
         engine = BitsetEngine(u)
@@ -176,18 +193,33 @@ class TestBitsetMining:
         with pytest.raises(ValueError):
             mine_bitset(u, 0.0)
 
-    def test_subtrees_concatenate_to_full_mine(self, np_rng):
-        u = random_universe(np_rng, 350, [("a", 3), ("b", 3), ("c", 2)])
-        engine = BitsetEngine(u)
-        s = 0.05
-        full = engine.mine(s)
-        stitched = MinedColumns.concat(
-            [engine.mine_subtree(root, tail, s) for root, tail in engine.shards(s)]
+    @pytest.mark.parametrize("per_step", [1, 7, 10**9])
+    def test_step_slicing_leaves_output_unchanged(
+        self, np_rng, monkeypatch, per_step
+    ):
+        # One candidate per slice, an uneven slice, and one slice wider
+        # than any level: same bytes and work counters as the default.
+        u = random_universe(
+            np_rng, 350, [("a", 3), ("b", 3), ("c", 2), ("d", 2)]
         )
-        assert stitched == full
-        assert [(m.ids, m.stats) for m in stitched] == [
-            (m.ids, m.stats) for m in full
-        ]
+
+        def run():
+            obs = ObsCollector()
+            mined = mine(u, 0.02, obs=obs)
+            counters = {
+                k: v for k, v in obs.counters.items() if k.startswith("mining.")
+            }
+            return mined, counters
+
+        default, default_counters = run()
+        n_words = BitsetEngine(u).n_words
+        monkeypatch.setattr(bitset_mod, "STEP_BYTES", per_step * 8 * n_words)
+        sliced, counters = run()
+        assert counters == default_counters
+        assert counters["mining.candidates.level_3"] > 7
+        for name in ("ids", "count", "n", "total", "total_sq"):
+            assert getattr(sliced, name).tobytes() == getattr(default, name).tobytes()
+            assert getattr(sliced, name).shape == getattr(default, name).shape
 
 
 class TestMinedColumns:

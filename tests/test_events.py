@@ -27,6 +27,7 @@ from repro.core.mining.transactions import (
     EncodedUniverse,
     mine,
 )
+from repro.core.polarity import mine_with_polarity
 from repro.obs import (
     EVENTS_SCHEMA,
     Event,
@@ -643,6 +644,42 @@ class TestMiningParity:
         assert mined_signature(mined_on) == mined_signature(mined_off)
 
 
+class TestMiningProgress:
+    """Mining reports progress in candidates and checks deadlines per
+    step slice."""
+
+    @pytest.mark.parametrize("polarity", [False, True])
+    def test_progress_done_equals_candidates(self, universe, polarity):
+        obs = ObsCollector(events=EventStream())
+        if polarity:
+            mine_with_polarity(
+                universe, 0.05, polarize_attributes=["x", "y"], obs=obs
+            )
+        else:
+            mine(universe, 0.05, obs=obs)
+        last = [
+            e.attrs for e in obs.events
+            if e.kind == "progress" and e.name == "mine"
+        ][-1]
+        assert last["done"] == last["total"] == obs.counters["mining.candidates"]
+        assert (
+            event_counts(obs.events)["progress:mine"]
+            == obs.counters["mining.candidates"]
+        )
+
+    def test_deadline_trips_inside_mining(self, universe):
+        obs = ObsCollector(events=EventStream())
+        obs.arm_deadline(1e-9)
+        while not obs.controller.expired():
+            pass
+        with pytest.raises(RunCancelled) as exc_info:
+            mine(universe, 0.05, obs=obs)
+        assert exc_info.value.where == "mine"
+        seen = [(e.kind, e.name) for e in obs.events]
+        # Level 1 is counted; the first step slice's checkpoint trips.
+        assert seen.index(("progress", "mine")) < seen.index(("cancelled", "mine"))
+
+
 class TestExplorerDeadline:
     def test_config_validates_deadline(self):
         with pytest.raises(ValueError):
@@ -668,7 +705,7 @@ class TestExplorerDeadline:
             HDivExplorer(config).explore(table, errors)
         exc = exc_info.value
         assert exc.reason == "deadline"
-        assert exc.where  # a named checkpoint, not mid-root
+        assert exc.where  # a named checkpoint, not mid-slice
         assert exc.events[-1].kind == "cancelled"
 
     def test_completed_run_matches_undeadlined(self, pocket_data):

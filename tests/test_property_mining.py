@@ -11,6 +11,7 @@ statistics from plain Python row sets, so it can be trusted by reading.
 """
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.core.discretize import TreeDiscretizer
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem
-from repro.core.mining import EncodedUniverse, mine
+from repro.core.mining import EncodedUniverse, MinedColumns, mine
 from repro.core.polarity import item_polarities, mine_with_polarity
 from repro.obs import ObsCollector
 from repro.tabular import Table
@@ -103,15 +104,16 @@ def brute_force(universe, min_support, max_length=None):
 
 
 def expected_candidates(universe, frequent, max_length=None, item_ids=None):
-    """The candidates a complete search over ``item_ids`` (default: all
-    items) evaluates: every item, plus every attribute-distinct ``S``
-    with ``2 <= |S| <= max_length`` whose two subsets ``S`` minus its
-    largest id and ``S`` minus its second-largest id are both frequent.
+    """``{k: count}``: the length-``k`` candidates a complete search over
+    ``item_ids`` (default: all items) evaluates. These are every item
+    (``k = 1``), plus every attribute-distinct ``S`` with
+    ``2 <= |S| <= max_length`` whose two subsets ``S`` minus its largest
+    id and ``S`` minus its second-largest id are both frequent.
     ``frequent`` is the oracle's dict over the whole universe."""
     ids = sorted(range(universe.n_items()) if item_ids is None else item_ids)
     n_attributes = len({universe.attribute_of[i] for i in ids})
     longest = min(max_length or n_attributes, n_attributes)
-    candidates = len(ids)
+    candidates = Counter({1: len(ids)})
     for k in range(2, longest + 1):
         for combo in combinations(ids, k):
             if len({universe.attribute_of[i] for i in combo}) != k:
@@ -119,22 +121,61 @@ def expected_candidates(universe, frequent, max_length=None, item_ids=None):
             without_last = frozenset(combo[:-1])
             without_second = frozenset(combo[:-2] + combo[-1:])
             if without_last in frequent and without_second in frequent:
-                candidates += 1
+                candidates[k] += 1
     return candidates
 
 
-def assert_counters_reconcile(obs, candidates):
-    """The work counters match the oracle and add up:
-    candidates − support-pruned = frequent itemsets."""
+def frequent_by_length(frequent, item_ids=None):
+    """``{k: count}`` of the oracle's frequent ``k``-itemsets that use
+    only ``item_ids`` (default: all items)."""
+    allowed = None if item_ids is None else set(item_ids)
+    return Counter(
+        len(ids) for ids in frequent if allowed is None or ids <= allowed
+    )
+
+
+def assert_counters_reconcile(obs, candidates, frequent):
+    """The work counters match the oracle and add up, in total and for
+    every itemset length ``k``: candidates − support-pruned = frequent
+    itemsets. ``candidates`` and ``frequent`` are the oracle's
+    ``{k: count}`` dicts."""
     counters = obs.counters
-    assert counters["mining.candidates"] == candidates
+    assert counters["mining.candidates"] == sum(candidates.values())
     assert (
         counters["mining.candidates"] - counters["mining.support_pruned"]
         == counters.get("mining.frequent_itemsets", 0)
     )
+    levels = {
+        int(name.rsplit("_", 1)[1]) for name in counters
+        if name.startswith("mining.candidates.level_")
+    }
+    assert levels == set(candidates)
+    for k in levels:
+        tried = counters[f"mining.candidates.level_{k}"]
+        kept = tried - counters[f"mining.support_pruned.level_{k}"]
+        assert tried == candidates[k]
+        assert kept == counters.get(f"mining.frequent.level_{k}", 0)
+        assert kept == frequent[k]
 
 
 def assert_matches_oracle(mined, expected, exact):
+    """``mined`` holds exactly the oracle's itemsets and statistics in
+    canonical order: rows sorted as id tuples, ids padded with ``-1`` to
+    the longest itemset, and an empty result shaped like
+    :meth:`MinedColumns.empty`."""
+    keys = sorted(tuple(sorted(ids)) for ids in expected)
+    longest = max(map(len, keys), default=0)
+    assert mined.ids.shape == (len(keys), longest)
+    assert mined.ids.tolist() == [
+        [*key, *[-1] * (longest - len(key))] for key in keys
+    ]
+    if not keys:
+        empty = MinedColumns.empty()
+        for name in ("ids", "count", "n", "total", "total_sq"):
+            column, reference = getattr(mined, name), getattr(empty, name)
+            assert (column.shape, column.dtype) == (
+                reference.shape, reference.dtype
+            )
     got = {m.ids: m.stats for m in mined}
     assert len(got) == len(mined), "an itemset was emitted twice"
     assert set(got) == set(expected)
@@ -166,7 +207,7 @@ def test_backends_match_brute_force(data, support, max_length):
     obs = ObsCollector()
     mined = mine(universe, support, max_length=max_length, obs=obs)
     assert_matches_oracle(mined, expected, exact)
-    assert_counters_reconcile(obs, candidates)
+    assert_counters_reconcile(obs, candidates, frequent_by_length(expected))
 
 
 @st.composite
@@ -213,10 +254,11 @@ def test_support_monotone_under_threshold(data):
 @settings(max_examples=25, deadline=None)
 @given(data=random_universe())
 def test_polarity_results_subset(data):
-    """Invariant 6: polarity-pruned ⊆ complete results, and every
-    itemset it keeps carries the oracle's statistics. Each polarity
-    subspace is a complete search over its items, so the counters add
-    up to the oracle's candidates of both subspaces."""
+    """Invariant 6: polarity-pruned ⊆ complete results, in canonical
+    order, and every itemset it keeps carries the oracle's statistics.
+    Each polarity subspace is a complete search over its items, so the
+    counters add up to the oracle's counts of both subspaces, level by
+    level."""
     universe, exact = data
     expected = brute_force(universe, 0.1)
     attributes = set(universe.attribute_of)
@@ -233,10 +275,13 @@ def test_polarity_results_subset(data):
         [i for i, p in enumerate(polarities) if p * sign >= 0]
         for sign in (1, -1)
     ]
+    subspaces = [ids for ids in subspaces if ids]
     assert_counters_reconcile(
         obs,
         sum(
-            expected_candidates(universe, expected, item_ids=ids)
-            for ids in subspaces if ids
+            (expected_candidates(universe, expected, item_ids=ids)
+             for ids in subspaces),
+            Counter(),
         ),
+        sum((frequent_by_length(expected, ids) for ids in subspaces), Counter()),
     )
