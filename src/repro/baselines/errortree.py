@@ -86,10 +86,10 @@ class ErrorTree:
         collector on the config the fit runs inside an ``errortree``
         span.
         """
-        outcomes = coerce_outcome(outcome).values(table)
-        global_mean = float(np.nanmean(outcomes))
+        outcome = coerce_outcome(outcome)
+        global_mean = float(np.nanmean(outcome.values(table)))
         with self.obs.span("errortree", k=k) as span:
-            root = self._discretizer.fit(table, outcomes, attributes)
+            root = self._discretizer.fit(table, outcome, attributes)
             results = []
             for node in root.walk():
                 if not node.is_leaf:

@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.discretize.criteria import GainCriterion, get_criterion
+from repro.core.discretize.criteria import (
+    GainCriterion,
+    _best_cut,
+    _candidate_cuts,
+    _outcome_values,
+    _stable_order,
+    get_criterion,
+)
 from repro.core.divergence import OutcomeStats, min_support_count
 from repro.core.items import IntervalItem, Itemset
 from repro.core.outcomes import Outcome
@@ -65,7 +72,8 @@ class CombinedTreeDiscretizer:
 
     Parameters mirror :class:`TreeDiscretizer`; at each node every
     attribute's candidate thresholds compete and the jointly best split
-    is taken.
+    is taken. As there, ``max_candidates`` must be at least 1, and the
+    ``"entropy"`` criterion rejects an outcome that is not boolean.
     """
 
     def __init__(
@@ -77,6 +85,8 @@ class CombinedTreeDiscretizer:
     ):
         if not 0.0 < min_support <= 1.0:
             raise ValueError("min_support must be in (0, 1]")
+        if max_candidates < 1:
+            raise ValueError("max_candidates must be positive")
         self.min_support = min_support
         self.criterion_name = criterion
         self.criterion: GainCriterion = get_criterion(criterion)
@@ -94,10 +104,7 @@ class CombinedTreeDiscretizer:
             attributes = table.continuous_names
         if not attributes:
             raise ValueError("need at least one continuous attribute")
-        if isinstance(outcome, Outcome):
-            outcomes = outcome.values(table)
-        else:
-            outcomes = np.asarray(outcome, dtype=np.float64)
+        outcomes = _outcome_values(table, outcome, self.criterion_name)
         values = {a: table.continuous(a).values for a in attributes}
         n_total = table.n_rows
         min_count = min_support_count(self.min_support, n_total)
@@ -161,48 +168,24 @@ class CombinedTreeDiscretizer:
     ) -> tuple[float, float, np.ndarray] | None:
         """Best (gain, threshold, local-left-mask) on one attribute."""
         x = v[rows]
-        order = np.argsort(x, kind="stable")
+        order = _stable_order(x)
         xs = x[order]
-        lo = min_count
-        hi = rows.size - min_count
-        if lo > hi:
+        cuts = _candidate_cuts(
+            xs, min_count, rows.size - min_count, self.max_candidates
+        )
+        if cuts.size == 0:
             return None
-        segment = xs[lo - 1 : hi + 1]
-        boundaries = np.nonzero(segment[1:] != segment[:-1])[0] + lo
-        if boundaries.size == 0:
-            return None
-        if boundaries.size > self.max_candidates:
-            picks = np.linspace(
-                0, boundaries.size - 1, self.max_candidates
-            ).astype(int)
-            boundaries = boundaries[np.unique(picks)]
         o = outcomes[rows][order]
         defined = ~np.isnan(o)
-        o_filled = np.where(defined, o, 0.0)
         cum_n = np.concatenate([[0], np.cumsum(defined)])
-        cum_o = np.concatenate([[0.0], np.cumsum(o_filled)])
-        cum_o2 = np.concatenate([[0.0], np.cumsum(o_filled * o_filled)])
-        total = rows.size
-        best_gain = -math.inf
-        best_idx = None
-        for idx in boundaries:
-            left = OutcomeStats(
-                int(idx), int(cum_n[idx]), float(cum_o[idx]),
-                float(cum_o2[idx]),
-            )
-            right = OutcomeStats(
-                total - int(idx),
-                int(cum_n[total] - cum_n[idx]),
-                float(cum_o[total] - cum_o[idx]),
-                float(cum_o2[total] - cum_o2[idx]),
-            )
-            gain = self.criterion(parent_stats, left, right, n_total)
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = int(idx)
-        if best_idx is None:
+        cum_o = np.concatenate([[0.0], np.cumsum(np.where(defined, o, 0.0))])
+        best = _best_cut(
+            self.criterion, parent_stats, cuts, cum_n, cum_o, 0, rows.size,
+            n_total,
+        )
+        if best is None:
             return None
-        threshold = float(xs[best_idx - 1])
+        cut, gain = best
         left_local = np.zeros(rows.size, dtype=bool)
-        left_local[order[:best_idx]] = True
-        return best_gain, threshold, left_local
+        left_local[order[:cut]] = True
+        return gain, float(xs[cut - 1]), left_local

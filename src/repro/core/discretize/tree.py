@@ -11,18 +11,29 @@ methods.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.discretize.criteria import GainCriterion, get_criterion
+from repro.core.discretize.criteria import (
+    GainCriterion,
+    _best_cut,
+    _candidate_cuts,
+    _outcome_values,
+    _stable_order,
+    get_criterion,
+    mdl_accepts,
+)
 from repro.core.divergence import OutcomeStats, min_support_count
 from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.items import IntervalItem
 from repro.core.outcomes import Outcome
 from repro.obs.collector import AnyCollector, resolve_obs
 from repro.tabular import Table
+
+#: Prefix sums over an attribute's sorted rows: defined-outcome count,
+#: outcome total and squared total.
+_PrefixSums = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -133,11 +144,17 @@ class TreeDiscretizer:
         least this fraction of the *whole dataset*'s instances.
     criterion:
         ``"divergence"`` (default; applicable to any outcome) or
-        ``"entropy"`` (boolean outcomes only).
+        ``"entropy"`` (boolean outcomes only: fitting raises
+        ``ValueError`` for an :class:`~repro.core.outcomes.Outcome` not
+        flagged boolean, or an array with a defined value other than
+        0 or 1).
     max_candidates:
-        Cap on the number of candidate thresholds evaluated per node;
-        when a node has more distinct values, candidates are taken at
-        evenly spaced positions. Keeps fitting near-linear.
+        Cap (≥ 1) on the number of candidate thresholds evaluated per
+        node; when a node has more distinct values, candidates are
+        taken at evenly spaced positions. Keeps fitting near-linear.
+        All of a node's candidates are scored in one numpy pass, with
+        the same result, bit for bit, as scoring them one by one with
+        the scalar criterion.
     max_depth:
         Optional depth cap (None = grow until support stops splits,
         as in the paper).
@@ -198,34 +215,26 @@ class TreeDiscretizer:
             array with NaN = ⊥) driving the splits.
         """
         values = table.continuous(attribute).values
-        outcomes = self._outcome_array(table, outcome)
+        outcomes = _outcome_values(table, outcome, self.criterion_name)
         n_total = table.n_rows
         finite = ~np.isnan(values)
-        order = np.argsort(values[finite], kind="stable")
+        order = _stable_order(values[finite])
         v = values[finite][order]
         o = outcomes[finite][order]
 
         # Prefix sums over the sorted order for O(1) range statistics.
         defined = ~np.isnan(o)
         o_filled = np.where(defined, o, 0.0)
-        cum_n = np.concatenate([[0], np.cumsum(defined)])
-        cum_o = np.concatenate([[0.0], np.cumsum(o_filled)])
-        cum_o2 = np.concatenate([[0.0], np.cumsum(o_filled * o_filled)])
-
-        def range_stats(i0: int, i1: int) -> OutcomeStats:
-            return OutcomeStats(
-                count=i1 - i0,
-                n=int(cum_n[i1] - cum_n[i0]),
-                total=float(cum_o[i1] - cum_o[i0]),
-                total_sq=float(cum_o2[i1] - cum_o2[i0]),
-            )
-
+        prefix = (
+            np.concatenate([[0], np.cumsum(defined)]),
+            np.concatenate([[0.0], np.cumsum(o_filled)]),
+            np.concatenate([[0.0], np.cumsum(o_filled * o_filled)]),
+        )
         min_count = min_support_count(self.min_support, n_total)
         root_item = IntervalItem(attribute)
         with self.obs.span("fit", attribute=attribute) as span:
             root = self._grow(
-                v, range_stats, 0, v.size, root_item, min_count, n_total,
-                depth=0,
+                v, prefix, 0, v.size, root_item, min_count, n_total, depth=0
             )
             tree = AttributeTree(attribute, root, n_total)
             if self.obs.enabled:
@@ -249,7 +258,7 @@ class TreeDiscretizer:
         """
         if attributes is None:
             attributes = table.continuous_names
-        outcomes = self._outcome_array(table, outcome)
+        outcomes = _outcome_values(table, outcome, self.criterion_name)
         self.obs.progress("discretize", advance=0, expect=len(attributes))
         return {a: self.fit(table, a, outcomes) for a in attributes}
 
@@ -265,23 +274,10 @@ class TreeDiscretizer:
 
     # -- internals -----------------------------------------------------------
 
-    def _outcome_array(self, table: Table, outcome) -> np.ndarray:
-        if isinstance(outcome, Outcome):
-            if self.criterion_name == "entropy" and not outcome.boolean:
-                raise ValueError(
-                    "the entropy criterion requires a boolean outcome; "
-                    "use criterion='divergence' for numeric outcomes"
-                )
-            return outcome.values(table)
-        arr = np.asarray(outcome, dtype=np.float64)
-        if arr.shape != (table.n_rows,):
-            raise ValueError("outcome array length must match the table")
-        return arr
-
     def _grow(
         self,
         v: np.ndarray,
-        range_stats,
+        prefix: _PrefixSums,
         i0: int,
         i1: int,
         item: IntervalItem,
@@ -289,23 +285,22 @@ class TreeDiscretizer:
         n_total: int,
         depth: int,
     ) -> DiscretizationNode:
-        stats = range_stats(i0, i1)
+        stats = _range_stats(prefix, i0, i1)
         node = DiscretizationNode(item=item, stats=stats)
         if self.max_depth is not None and depth >= self.max_depth:
             return node
         split = self._best_split(
-            v, range_stats, i0, i1, min_count, n_total, item.attribute
+            v, prefix, i0, i1, stats, min_count, n_total, item.attribute
         )
         if split is None:
             return node
         split_idx, split_value = split
-        if self.mdl_stop:
-            from repro.core.discretize.criteria import mdl_accepts
-
-            if not mdl_accepts(
-                stats, range_stats(i0, split_idx), range_stats(split_idx, i1)
-            ):
-                return node
+        if self.mdl_stop and not mdl_accepts(
+            stats,
+            _range_stats(prefix, i0, split_idx),
+            _range_stats(prefix, split_idx, i1),
+        ):
+            return node
         left_item = IntervalItem(
             item.attribute, item.low, split_value, item.closed_low, True
         )
@@ -318,11 +313,11 @@ class TreeDiscretizer:
         node.split_value = split_value
         node.children = (
             self._grow(
-                v, range_stats, i0, split_idx, left_item, min_count, n_total,
+                v, prefix, i0, split_idx, left_item, min_count, n_total,
                 depth + 1,
             ),
             self._grow(
-                v, range_stats, split_idx, i1, right_item, min_count, n_total,
+                v, prefix, split_idx, i1, right_item, min_count, n_total,
                 depth + 1,
             ),
         )
@@ -331,49 +326,46 @@ class TreeDiscretizer:
     def _best_split(
         self,
         v: np.ndarray,
-        range_stats,
+        prefix: _PrefixSums,
         i0: int,
         i1: int,
+        stats: OutcomeStats,
         min_count: int,
         n_total: int,
-        attribute: str = "",
+        attribute: str,
     ) -> tuple[int, float] | None:
         """Find the gain-maximizing admissible threshold in [i0, i1).
 
         Returns ``(split_idx, split_value)`` where rows ``[i0, split_idx)``
         go left (value ≤ split_value) and ``[split_idx, i1)`` go right,
-        or None when no admissible split exists.
+        or None when no admissible split reaches ``min_gain``. ``stats``
+        are the node's own.
         """
-        lo = i0 + min_count
-        hi = i1 - min_count
-        if lo > hi:
+        cuts = _candidate_cuts(
+            v, i0 + min_count, i1 - min_count, self.max_candidates
+        )
+        if cuts.size == 0:
             return None
-        # Candidate positions: value-change boundaries within [lo, hi].
-        segment = v[lo - 1 : hi + 1]
-        boundaries = np.nonzero(segment[1:] != segment[:-1])[0] + lo
-        if boundaries.size == 0:
-            return None
-        if boundaries.size > self.max_candidates:
-            picks = np.linspace(
-                0, boundaries.size - 1, self.max_candidates
-            ).astype(int)
-            boundaries = boundaries[np.unique(picks)]
         if self.obs.enabled:
-            self.obs.count("discretize.splits_tried", int(boundaries.size))
-            if attribute:
-                self.obs.count(
-                    f"discretize.splits_tried.{attribute}", int(boundaries.size)
-                )
-        parent = range_stats(i0, i1)
-        best_gain = -math.inf
-        best: tuple[int, float] | None = None
-        for idx in boundaries:
-            left = range_stats(i0, int(idx))
-            right = range_stats(int(idx), i1)
-            gain = self.criterion(parent, left, right, n_total)
-            if gain > best_gain:
-                best_gain = gain
-                best = (int(idx), float(v[idx - 1]))
-        if best is None or best_gain < self.min_gain:
+            self.obs.count("discretize.splits_tried", int(cuts.size))
+            self.obs.count(
+                f"discretize.splits_tried.{attribute}", int(cuts.size)
+            )
+        cum_n, cum_o, _ = prefix
+        best = _best_cut(
+            self.criterion, stats, cuts, cum_n, cum_o, i0, i1, n_total
+        )
+        if best is None or best[1] < self.min_gain:
             return None
-        return best
+        return best[0], float(v[best[0] - 1])
+
+
+def _range_stats(prefix: _PrefixSums, i0: int, i1: int) -> OutcomeStats:
+    """Stats of rows ``[i0, i1)`` of the sorted order, from prefix sums."""
+    cum_n, cum_o, cum_o2 = prefix
+    return OutcomeStats(
+        count=i1 - i0,
+        n=int(cum_n[i1] - cum_n[i0]),
+        total=float(cum_o[i1] - cum_o[i0]),
+        total_sq=float(cum_o2[i1] - cum_o2[i0]),
+    )

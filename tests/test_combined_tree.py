@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.discretize import CombinedTreeDiscretizer
-from repro.core.outcomes import array_outcome
+from repro.core.outcomes import array_outcome, numeric_outcome
 from repro.tabular import Table
 
 
@@ -114,6 +114,29 @@ class TestFit:
     def test_invalid_support(self):
         with pytest.raises(ValueError):
             CombinedTreeDiscretizer(min_support=0.0)
+
+    @pytest.mark.parametrize("max_candidates", [0, -3])
+    def test_invalid_max_candidates(self, max_candidates):
+        with pytest.raises(ValueError, match="max_candidates must be positive"):
+            CombinedTreeDiscretizer(max_candidates=max_candidates)
+
+    @pytest.mark.parametrize("form", ["array", "outcome"])
+    def test_entropy_rejects_numeric_outcome(self, interaction_data, rng, form):
+        table, _ = interaction_data
+        income = rng.lognormal(3.0, 1.0, table.n_rows)
+        table = table.with_values("income", income.tolist())
+        outcome = income if form == "array" else numeric_outcome("income")
+        disc = CombinedTreeDiscretizer(criterion="entropy")
+        with pytest.raises(ValueError, match="entropy"):
+            disc.fit(table, outcome, attributes=["x", "y"])
+
+    def test_entropy_accepts_boolean_array_with_nan(self, interaction_data, rng):
+        table, o = interaction_data
+        o = o.copy()
+        o[rng.uniform(size=o.size) < 0.2] = np.nan
+        root = CombinedTreeDiscretizer(0.1, criterion="entropy").fit(table, o)
+        assert {root.split_attribute} <= {"x", "y"}
+        assert not root.is_leaf
 
     def test_itemset_rendering(self, interaction_data):
         table, o = interaction_data

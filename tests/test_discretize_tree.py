@@ -114,6 +114,22 @@ class TestFit:
         with pytest.raises(ValueError, match="entropy"):
             disc.fit(table, "x", numeric_outcome("income"))
 
+    @pytest.mark.parametrize("entry", ["fit", "fit_all", "hierarchy_set"])
+    def test_entropy_rejects_numeric_array(self, step_data, rng, entry):
+        table, _ = step_data
+        income = rng.lognormal(3.0, 1.0, table.n_rows)
+        disc = TreeDiscretizer(0.1, criterion="entropy")
+        args = (table, "x", income) if entry == "fit" else (table, income)
+        with pytest.raises(ValueError, match="entropy"):
+            getattr(disc, entry)(*args)
+
+    def test_entropy_accepts_boolean_array_with_nan(self, step_data, rng):
+        table, o = step_data
+        o = o.copy()
+        o[rng.uniform(size=o.size) < 0.2] = np.nan
+        tree = TreeDiscretizer(0.1, criterion="entropy").fit(table, "x", o)
+        assert tree.root.split_value == pytest.approx(7.0, abs=0.3)
+
     def test_divergence_accepts_numeric_outcome(self, rng):
         x = rng.uniform(0, 10, 500)
         income = np.where(x > 5, 100.0, 10.0) + rng.normal(0, 1, 500)

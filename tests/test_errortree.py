@@ -71,3 +71,15 @@ def test_compares_below_hierarchical(peak_like):
     tree_best = ErrorTree(min_support=0.05).find(table, o, k=1)[0]
     hier = HDivExplorer(min_support=0.05, tree_support=0.1).explore(table, o)
     assert hier.max_divergence() >= abs(tree_best.divergence) - 0.05
+
+
+@pytest.mark.parametrize("form", ["array", "column"])
+def test_entropy_rejects_numeric_outcome(peak_like, rng, form):
+    table, _ = peak_like
+    income = rng.lognormal(3.0, 1.0, table.n_rows)
+    table = table.with_values("income", income.tolist())
+    outcome = income if form == "array" else "income"
+    with pytest.raises(ValueError, match="entropy"):
+        ErrorTree(min_support=0.05, criterion="entropy").find(
+            table, outcome, attributes=["x", "y"]
+        )
