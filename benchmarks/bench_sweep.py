@@ -7,7 +7,7 @@ warm session. Asserts the per-point ResultSets are bit-identical
 (same subgroups, same floats, same order) and that the warm sweep is
 at least :data:`MIN_SPEEDUP` times faster — the first point pays the
 full pipeline, the later points reuse cached trees/universe and
-filter-derive from the cached mined counters.
+filter-derive from the cached mined result.
 """
 
 import time

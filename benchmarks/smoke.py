@@ -3,7 +3,7 @@
 Runs the hierarchical exploration of the synthetic-peak dataset twice:
 cold, through ``run_hierarchical``, and warm, through an
 ``ExploreSession`` filled at the lower ``FILL_SUPPORT`` whose query at
-``SUPPORT`` derives from the cached counters instead of mining. It
+``SUPPORT`` derives from the cached result instead of mining. It
 fails if
 
 * either run takes longer than ``TIME_BUDGET`` seconds, or
@@ -74,7 +74,7 @@ SUPPORT = 0.05
 TIME_BUDGET = 5.0
 
 #: The warm session mines once at this support; its query at SUPPORT
-#: then filters the cached counters.
+#: then filters the cached result.
 FILL_SUPPORT = 0.03
 
 #: Instrumented wall time may exceed disabled-mode by at most this

@@ -190,6 +190,12 @@ def _candidate_cuts(
     ``lo <= c <= hi`` and ``v[c - 1] != v[c]``. When there are more
     than ``max_candidates``, that many are taken at evenly spaced
     positions.
+
+    A cut with ``v[c - 1] == -inf`` is then dropped: it would split at
+    −inf, and ``(−inf, −inf]`` is an empty interval. The −inf rows stay
+    in the leftmost node, whose infinite low bound means no bound.
+    Only the first cut can be one, and dropping it after the picks
+    leaves every other candidate as it was.
     """
     if lo > hi:
         return np.empty(0, dtype=np.intp)
@@ -198,6 +204,8 @@ def _candidate_cuts(
     if cuts.size > max_candidates:
         picks = np.linspace(0, cuts.size - 1, max_candidates).astype(int)
         cuts = cuts[np.unique(picks)]
+    if cuts.size and v[cuts[0] - 1] == -math.inf:
+        cuts = cuts[1:]
     return cuts
 
 

@@ -160,11 +160,21 @@ class IntervalItem(Item):
         return low_ok and high_ok
 
     def contains_value(self, value: float) -> bool:
-        """True if the scalar ``value`` satisfies the constraint."""
+        """True if the scalar ``value`` satisfies the constraint.
+
+        Agrees with :meth:`mask`: an infinite bound is no bound, so
+        ``(-inf, 2]`` holds ``-inf`` and ``(2, inf)`` holds ``inf``.
+        """
         if math.isnan(value):
             return False
-        above = value >= self.low if self.closed_low else value > self.low
-        below = value <= self.high if self.closed_high else value < self.high
+        above = (
+            math.isinf(self.low)
+            or (value >= self.low if self.closed_low else value > self.low)
+        )
+        below = (
+            math.isinf(self.high)
+            or (value <= self.high if self.closed_high else value < self.high)
+        )
         return above and below
 
     def __eq__(self, other) -> bool:

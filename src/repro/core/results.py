@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import math
 import operator
@@ -196,24 +197,52 @@ class ResultSet:
         self.global_stats = global_stats
         self.elapsed_seconds = elapsed_seconds
         self.obs = resolve_obs(obs)
+        # The one-item sets rows are built from (see _rows): filled on
+        # the first read, and shared by every set derived from this one.
+        self._singles: list[frozenset] = []
 
     def _columns(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in _COLUMNS]
 
+    def _replace(self, **attributes: object) -> "ResultSet":
+        """A copy with some attributes replaced, sharing all the others."""
+        other = copy.copy(self)
+        other.__dict__.update(attributes)
+        return other
+
     def _select(self, rows: np.ndarray) -> "ResultSet":
-        """The rows picked by a boolean mask or an index array."""
-        return ResultSet._from_columns(
-            self.vocabulary, self.ids[rows],
-            [column[rows] for column in self._columns()],
-            self.global_stats, self.elapsed_seconds, self.obs,
+        """The rows picked by a boolean mask or an index array.
+
+        Rows are gathered with ``take``. The id matrix keeps only the
+        columns its widest picked itemset fills, so it is padded as a
+        fresh exploration of those rows would pad it.
+        """
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        ids = self.ids.take(rows, axis=0)
+        width = ids.shape[1]
+        while width and ids[:, width - 1].max(initial=-1) < 0:
+            width -= 1
+        return self._replace(
+            ids=_read_only(ids[:, :width], np.int64),
+            **{
+                name: _read_only(column.take(rows), column.dtype)
+                for name, column in zip(_COLUMNS, self._columns())
+            },
         )
 
     def _rows(self, rows: slice | np.ndarray) -> list[SubgroupResult]:
         """Build the :class:`SubgroupResult` of each picked row."""
         # Unions of one-item sets reuse the items' stored hashes; the -1
         # padding picks the trailing empty set.
-        singles = [frozenset((item,)) for item in self.vocabulary]
-        single = (singles + [frozenset()]).__getitem__
+        singles = self._singles
+        if not singles:
+            # One extend, so a concurrent reader sees all of it or none;
+            # a racing second fill appends an equal copy, which indexes
+            # the same way (-1 still picks the empty set).
+            built = [frozenset((item,)) for item in self.vocabulary]
+            singles += built + [frozenset()]
+        single = singles.__getitem__
         empty = frozenset()
         # The rows' objects form no cycles, so the cyclic collector's
         # scans of them are pure overhead (~40 % of a bulk build).
@@ -296,8 +325,11 @@ class ResultSet:
 
         Rows with a NaN divergence never rank. The rest pass the
         ``min_length`` and ``min_t`` filters and are ordered by
-        descending key; ties keep row order (one stable sort), and only
-        the returned rows are built.
+        descending key; ties keep row order, and only the returned rows
+        are built. When fewer than all of them are asked for, a
+        selection finds the ``k``-th key and only the rows at or above
+        it are sorted (one stable sort), which gives the same rows in
+        the same order as sorting them all.
 
         Parameters
         ----------
@@ -322,7 +354,17 @@ class ResultSet:
         if not min_t <= 0.0:  # a NaN min_t keeps no row
             keep &= self.t >= min_t
         rows = np.flatnonzero(keep)
-        order = np.argsort(-key[rows], kind="stable")
+        neg = -key[rows]
+        if k < len(rows):
+            if k == 0:
+                return []
+            kth = np.partition(neg, k - 1)[k - 1]
+            # A NaN key (only a support can be one) sorts last, so a
+            # NaN k-th key leaves every row in the running.
+            if not np.isnan(kth):
+                ahead = np.flatnonzero(neg <= kth)
+                rows, neg = rows[ahead], neg[ahead]
+        order = np.argsort(neg, kind="stable")
         return self._rows(rows[order[:k]])
 
     def _rank_key(self, by: str) -> np.ndarray:
@@ -368,8 +410,9 @@ class ResultSet:
     def merged(self, other: "ResultSet") -> "ResultSet":
         """Union of two result sets, deduplicated by itemset.
 
-        Used by polarity pruning to combine the positive- and
-        negative-polarity explorations. Elapsed times add up.
+        The rows of ``self``, then those of ``other`` whose itemset
+        ``self`` lacks; elapsed times add up. (Polarity pruning merges
+        its two subspace runs earlier, as mined columns.)
         """
         seen = {r.itemset: r for r in self}
         for r in other:

@@ -13,10 +13,10 @@ discretization trees   ``tree_support``, ``criterion`` (per attribute)
 hierarchy set Γ        ``tree_support``, ``criterion``
 encoded universe       ``tree_support``, ``criterion``
 bitset covers/engine   ``tree_support``, ``criterion``
-mined counters         + ``max_length``, ``polarity``; a
+result columns         + ``max_length``, ``polarity``; a
                        ``min_support`` *decrease* re-mines, an
-                       increase masks the cached ``count`` column
-ranking / top-k        nothing — re-ranked from cached counters
+                       increase selects rows of the cached columns
+ranking / top-k        nothing — ranked on the result's columns
 =====================  ==============================================
 
 :class:`ExploreSession` binds the pair once and serves repeated
@@ -27,12 +27,17 @@ result is **bit-identical** to the cold ``HDivExplorer(config)
 same order (both paths canonicalize through
 :func:`repro.core.explorer.results_from_mined`).
 
-*Support derivation* deserves a note. The engine keeps an itemset
-frequent iff ``count >= min_support_count(min_support, n_rows)``, so
-the columns mined at a lower support filter **exactly** to any higher
-support with one mask on ``count``. Statistics come from each
-itemset's full cover, independent of the threshold, so the filtered
-rows are bit-identical to a fresh mine.
+*Support derivation* deserves a note. The session caches the
+:class:`ResultSet` of each mined configuration. The engine keeps an
+itemset frequent iff ``count >= min_support_count(min_support,
+n_rows)``, so a result mined at a lower support filters **exactly**
+to any higher support by taking the rows that pass that test (the
+rows :meth:`ResultSet.at_support` keeps). Statistics come from each
+itemset's full cover, independent of the threshold, so the taken rows
+of every column (support, mean, Δ and t included) are bit-identical
+to a fresh mine, and none is recomputed. The same support again
+shares the cached arrays. Either way the returned result carries the
+current call's ``elapsed_seconds`` and collector.
 
 Cache traffic is observable: ``session.trees|universe|engine|mined
 .hits|misses`` counters land on the collector, and ``sweep`` emits one
@@ -180,11 +185,11 @@ class ExploreSession:
         #   universes  (tree_support, criterion) -> (gamma, universe)
         #   engines    (tree_support, criterion)
         #   mined      (ukey, max_length, polarity)
-        #              -> (mined_at_support, mined_list)
+        #              -> (mined_at_support, result)
         self._trees: dict[tuple, AttributeTree] = {}
         self._universes: dict[tuple, tuple[HierarchySet, EncodedUniverse]] = {}
         self._engines: dict[tuple, BitsetEngine] = {}
-        self._mined: dict[tuple, tuple[float, MinedColumns]] = {}
+        self._mined: dict[tuple, tuple[float, ResultSet]] = {}
 
     # -- artifact accessors ----------------------------------------------
 
@@ -254,8 +259,10 @@ class ExploreSession:
         cfg = resolve_config(config, kwargs, owner="ExploreSession.explore")
         obs = cfg.obs if cfg.obs.enabled else self.obs
         obs.arm_deadline(cfg.deadline_s)
+        # The fingerprint (JSON plus SHA-256) only labels the span.
+        label = {"fingerprint": cfg.fingerprint()} if obs.enabled else {}
         with bundle_scope(cfg, obs, dataset=self.table, name="session"):
-            with obs.span("explore", fingerprint=cfg.fingerprint()):
+            with obs.span("explore", **label):
                 return self._explore(cfg, obs)
 
     def sweep(
@@ -276,7 +283,7 @@ class ExploreSession:
 
         Tip: sweep ``min_support`` ascending from its lowest value —
         the first point mines once and every later point derives from
-        the cached counters.
+        the cached result.
         """
         base = resolve_config(config, kwargs, owner="ExploreSession.sweep")
         if param not in base.to_dict():
@@ -381,30 +388,31 @@ class ExploreSession:
         _gamma, universe = self._universe_entry(ukey, obs)
         start = time.perf_counter()
         with obs.span("mine", polarity=cfg.polarity):
-            mined = self._mined_for(cfg, ukey, universe, obs)
+            result = self._result_for(cfg, ukey, universe, obs)
         elapsed = time.perf_counter() - start
-        return results_from_mined(universe, mined, elapsed, obs=obs)
+        return result._replace(elapsed_seconds=elapsed, obs=obs)
 
-    def _mined_for(
+    def _result_for(
         self,
         cfg: ExploreConfig,
         ukey: tuple,
         universe: EncodedUniverse,
         obs: AnyCollector,
-    ) -> MinedColumns:
+    ) -> ResultSet:
         mkey = (ukey, cfg.max_length, cfg.polarity)
         cached = self._mined.get(mkey)
         if cached is not None and cached[0] <= cfg.min_support:
-            mined_at, mined = cached
+            mined_at, result = cached
             obs.count("session.mined.hits")
             if mined_at == cfg.min_support:
-                return mined
+                return result
             min_count = min_support_count(cfg.min_support, universe.n_rows)
-            return mined.select(mined.count >= min_count)
+            return result._select(np.flatnonzero(result.count >= min_count))
         obs.count("session.mined.misses")
         mined = self._mine(cfg, ukey, universe, obs)
-        self._mined[mkey] = (cfg.min_support, mined)
-        return mined
+        result = results_from_mined(universe, mined, 0.0)
+        self._mined[mkey] = (cfg.min_support, result)
+        return result
 
     def _mine(
         self,

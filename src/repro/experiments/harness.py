@@ -63,7 +63,7 @@ class ExperimentContext:
 
         One session per context, carrying the dataset's predefined
         hierarchies; sweep experiments run on it so discretization,
-        encoding and mined counters are shared across points.
+        encoding and mined results are shared across points.
         """
         if self._session is None:
             self._session = ExploreSession(

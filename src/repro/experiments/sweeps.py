@@ -40,7 +40,7 @@ def support_sweep(
 
     Points run in the given order; pass them ascending so the first
     (lowest) point mines once and every later point filter-derives
-    from its cached counters.
+    from its cached result.
     """
     if not supports:
         raise ValueError("support_sweep needs at least one support")

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.discretize import TreeDiscretizer
+from repro.core.discretize import CombinedTreeDiscretizer, TreeDiscretizer
+from repro.core.divergence import OutcomeStats
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem, Itemset
@@ -82,6 +83,90 @@ class TestDegenerateData:
         result = DivExplorer(min_support=1.0).explore(table, np.ones(100))
         assert len(result) == 1
         assert result[0].support == 1.0
+
+
+#: Five -inf rows then five finite ones; a split after the -inf rows
+#: once raised "empty interval: low=-inf high=-inf".
+NEG_INF_X = [-math.inf] * 5 + [1.0, 2.0, 3.0, 4.0, 5.0]
+NEG_INF_O = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 1], dtype=float)
+
+
+def infinite_column(rng, n, nan=True):
+    """Values with ±inf and ties, and NaN unless ``nan`` is False."""
+    pool = [-math.inf, -1.0, 0.0, 2.5, 7.0, math.inf] + [math.nan] * nan
+    return rng.choice(pool, n)
+
+
+def infinite_tables():
+    """The reported case, and a wider one with ±inf, ties and NaN."""
+    rng = np.random.default_rng(11)
+    o = (rng.uniform(size=120) < 0.4).astype(float)
+    return [(np.array(NEG_INF_X), NEG_INF_O), (infinite_column(rng, 120), o)]
+
+
+class TestInfiniteAttributeValues:
+    """A split never lands on -inf, and every node or subgroup holds
+    exactly the rows its items select (an infinite bound is no bound)."""
+
+    @pytest.mark.parametrize("support", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("max_candidates", [1, 2, 64])
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_tree_nodes_hold_their_items_rows(
+        self, case, max_candidates, support
+    ):
+        x, o = infinite_tables()[case]
+        table = Table({"x": x})
+        tree = TreeDiscretizer(
+            min_support=support, max_candidates=max_candidates
+        ).fit(table, "x", o)
+        for node in tree.nodes():
+            mask = node.item.mask(table)
+            assert node.stats == OutcomeStats.from_outcomes(o, mask)
+            assert node.split_value != -math.inf
+        leftmost = tree.root
+        while leftmost.children:
+            leftmost = leftmost.children[0]
+        assert leftmost.item.contains_value(-math.inf)
+
+    def test_reported_case_splits_after_the_inf_rows(self):
+        table = Table({"x": NEG_INF_X})
+        tree = TreeDiscretizer(min_support=0.2).fit(table, "x", NEG_INF_O)
+        assert tree.root.split_value > -math.inf
+        assert len(tree.leaf_items()) > 1
+
+    @pytest.mark.parametrize("support", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("case", ["reported", "random"])
+    def test_combined_tree_nodes_hold_their_itemsets_rows(self, case, support):
+        # No NaN: the combined tree drops such rows even from its root.
+        if case == "reported":
+            o = NEG_INF_O
+            table = Table({"x": NEG_INF_X, "z": NEG_INF_X[::-1]})
+        else:
+            rng = np.random.default_rng(5)
+            o = (rng.uniform(size=120) < 0.4).astype(float)
+            table = Table({
+                "x": infinite_column(rng, 120, nan=False),
+                "z": infinite_column(rng, 120, nan=False),
+                "w": np.tile(NEG_INF_X, 12),
+            })
+        root = CombinedTreeDiscretizer(min_support=support).fit(table, o)
+        assert not root.is_leaf
+        for node in root.walk():
+            mask = node.itemset().mask(table)
+            assert node.stats == OutcomeStats.from_outcomes(o, mask)
+            assert node.split_value != -math.inf
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_explore_subgroups_hold_their_itemsets_rows(self, case):
+        x, o = infinite_tables()[case]
+        table = Table({"x": x})
+        result = HDivExplorer(min_support=0.1, tree_support=0.2).explore(
+            table, o
+        )
+        assert len(result) > 1
+        for r in result:
+            stats = OutcomeStats.from_outcomes(o, r.itemset.mask(table))
+            assert (r.count, r.mean) == (stats.count, stats.mean)
 
 
 class TestAdversarialItems:

@@ -12,6 +12,8 @@ from repro.hierarchies import prefix_hierarchy, taxonomy_hierarchy
 from repro.tabular import Table
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
+#: Values a table cell can hold besides NaN: finite ones and ±inf.
+cell_values = st.one_of(finite_floats, st.sampled_from([-math.inf, math.inf]))
 
 
 @st.composite
@@ -28,13 +30,13 @@ def interval(draw, attribute="x"):
 
 class TestIntervalProperties:
     @settings(max_examples=100, deadline=None)
-    @given(item=interval(), value=finite_floats)
+    @given(item=interval(), value=cell_values)
     def test_mask_agrees_with_contains(self, item, value):
         table = Table({"x": [value]})
         assert bool(item.mask(table)[0]) == item.contains_value(value)
 
     @settings(max_examples=100, deadline=None)
-    @given(a=interval(), b=interval(), value=finite_floats)
+    @given(a=interval(), b=interval(), value=cell_values)
     def test_covers_implies_membership_implication(self, a, b, value):
         if a.covers(b) and b.contains_value(value):
             assert a.contains_value(value)

@@ -347,6 +347,75 @@ class TestColumnarRanking:
         assert_same_rows(got, reference_top_k(list(rs), k, by, min_t, min_length))
 
 
+@st.composite
+def large_result_sets(draw):
+    """A few hundred rows whose fields come from the tied value pools.
+
+    Hypothesis draws the size and a seed, and the seed draws each field
+    from its pool, so ranking keys tie heavily and k ≪ rows.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(100, 400))
+
+    def pool(values):
+        return rng.choice(np.array(values, dtype=float), n)
+
+    divergences = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, math.nan]
+    supports, divergence = pool([0.0, 0.1, 0.25, 0.5, 1.0]), pool(divergences)
+    t = pool([0.0, -0.0, 1.0, 2.0, 2.5, math.inf, math.nan])
+    lengths = rng.integers(0, 5, n)
+    rows = [
+        SubgroupResult(
+            Itemset(ITEMS[3 * a + int(rng.integers(3))]
+                    for a in rng.permutation(4)[:length]),
+            float(supports[r]), int(rng.integers(1000)), 0.5,
+            float(divergence[r]), float(t[r]),
+        )
+        for r, length in enumerate(lengths)
+    ]
+    return ResultSet(rows, GLOBAL)
+
+
+class TestSelectedRanking:
+    """``top_k`` on result sets much larger than ``k``, where it selects
+    the k-th key before sorting, against the sorted() reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rs=large_result_sets(),
+        min_t=st.sampled_from([0.0, -1.0, 1.0, 2.0, 2.5, math.inf]),
+        min_length=st.integers(0, 4),
+    )
+    @pytest.mark.parametrize(
+        "by", ["abs_divergence", "divergence", "neg_divergence", "support"]
+    )
+    def test_selection_matches_sorted_reference(
+        self, by, rs, min_t, min_length
+    ):
+        rows = list(rs)
+        ranked = reference_top_k(rows, len(rows), by, min_t, min_length)
+        # Around k = 0, and around the rows left after the filters and
+        # all rows, where top_k switches to one full sort.
+        ks = {0, 1, 2, 10, len(ranked) - 1, len(ranked), len(ranked) + 1,
+              len(rows) - 1, len(rows), len(rows) + 1}
+        for k in sorted(ks - {-1}):
+            got = rs.top_k(k, by=by, min_t=min_t, min_length=min_length)
+            assert_same_rows(got, ranked[:k])
+
+    def test_nan_supports_rank_last_in_row_order(self):
+        # sorted() has no order for NaN keys, so this case is spelled out:
+        # the k-th key is NaN here, and NaN keys rank last, in row order.
+        supports = [math.nan, 0.5, math.nan, 0.25, math.nan]
+        rows = [
+            SubgroupResult(Itemset([ITEMS[i]]), s, 1, 0.5, 0.1, 1.0)
+            for i, s in enumerate(supports)
+        ]
+        got = ResultSet(rows, GLOBAL).top_k(4, by="support")
+        assert [r.itemset for r in got] == [
+            rows[i].itemset for i in (1, 3, 0, 2)
+        ]
+
+
 class TestConstructorRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(rows=result_rows)

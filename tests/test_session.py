@@ -27,6 +27,7 @@ from repro.core.outcomes import (
     error_rate,
     numeric_outcome,
 )
+from repro.core.results import SubgroupResult
 from repro.core.session import ExploreSession
 from repro.obs import ObsCollector
 from repro.tabular import Table
@@ -115,6 +116,62 @@ class TestWarmColdIdentity:
         assert exact_rows(warm) == exact_rows(
             cold(table, numeric, min_support=0.12)
         )
+
+
+def assert_same_columns(warm, reference):
+    """Equal id matrices and result columns, byte for byte."""
+    assert warm.ids.shape == reference.ids.shape
+    assert warm.ids.tobytes() == reference.ids.tobytes()
+    for name in ("count", "support", "mean", "divergence", "t"):
+        got, ref = getattr(warm, name), getattr(reference, name)
+        assert got.dtype == ref.dtype, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a cached result's columns were recomputed")
+
+
+class TestDerivedColumns:
+    """A warm query selects rows of the cached result's columns and
+    recomputes no statistics."""
+
+    @pytest.mark.parametrize("polarity", [False, True])
+    @pytest.mark.parametrize("kind", ["boolean", "numeric"])
+    def test_support_increase_selects_cached_columns(
+        self, pocket_data, rng, monkeypatch, kind, polarity
+    ):
+        table, errors = pocket_data
+        values = errors if kind == "boolean" else rng.normal(size=table.n_rows)
+        references = {
+            s: cold(table, values, min_support=s, polarity=polarity)
+            for s in (0.05, 0.12, 0.3, 1.0)
+        }
+        with ExploreSession(table, values) as session:
+            session.explore(min_support=0.05, polarity=polarity)
+            monkeypatch.setattr(SubgroupResult, "columns_from_stats", forbidden)
+            for s, reference in references.items():
+                warm = session.explore(min_support=s, polarity=polarity)
+                assert_same_columns(warm, reference)
+                assert warm.global_stats == reference.global_stats
+        # s = 0.3 keeps fewer levels of the lattice than s = 0.05, and
+        # s = 1.0 keeps no subgroup at all.
+        assert references[0.3].ids.shape[1] < references[0.05].ids.shape[1]
+        assert len(references[1.0]) == 0
+
+    def test_identical_config_shares_the_cached_arrays(self, obs_session):
+        session, obs, _table, _errors = obs_session
+        first = session.explore(min_support=0.05)
+        own = ObsCollector()
+        again = session.explore(ExploreConfig(min_support=0.05, obs=own))
+        assert again is not first
+        for name in ("ids", "count", "support", "mean", "divergence", "t"):
+            assert getattr(again, name) is getattr(first, name), name
+        # The result belongs to the call that asked for it.
+        assert again.obs is own and first.obs is obs
+        derived = session.explore(min_support=0.2)
+        assert derived.obs is obs
+        assert derived.elapsed_seconds != first.elapsed_seconds
 
 
 class TestInvalidation:

@@ -1,9 +1,11 @@
 """The vectorised split search against a brute-force oracle.
 
 The oracle is a per-threshold loop: score every admissible threshold,
-under the same ``max_candidates`` cap, with the scalar criterion, keep
-the first strict maximum, then apply ``min_gain``. Trees grown with it must equal the discretizers'
-trees bit for bit (split values and node statistics, by ``.hex()``).
+under the same ``max_candidates`` cap (after which a cut at −inf is
+dropped), with the scalar criterion, keep the first strict maximum,
+then apply ``min_gain``. Trees grown with it must equal the
+discretizers' trees bit for bit (split values and node statistics, by
+``.hex()``).
 """
 
 import math
@@ -55,6 +57,7 @@ def reference_split(v, prefix, i0, i1, parent, min_count, n_total, criterion,
     if len(cuts) > max_candidates:
         picks = np.linspace(0, len(cuts) - 1, max_candidates).astype(int)
         cuts = [cuts[i] for i in sorted(set(picks.tolist()))]
+    cuts = [c for c in cuts if v[c - 1] != -math.inf]
     best_gain, best = -math.inf, None
     for c in cuts:
         gain = criterion(
@@ -139,6 +142,8 @@ def attribute(rng, n, kind):
     x = rng.uniform(-10, 10, n)
     if kind == "nan":
         x[rng.uniform(size=n) < 0.25] = np.nan
+    if kind == "neginf":
+        x[rng.uniform(size=n) < rng.uniform(0.05, 0.6)] = -np.inf
     return x
 
 
@@ -169,7 +174,9 @@ NUMERIC = ["numeric", "numeric-nan", "constant-numeric"]
 def cases(draw, max_rows=200):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, max_rows))
-    x_kind = draw(st.sampled_from(["continuous", "ties", "constant", "nan"]))
+    x_kind = draw(
+        st.sampled_from(["continuous", "ties", "constant", "nan", "neginf"])
+    )
     o_kind = draw(st.sampled_from(BOOLEAN + NUMERIC))
     names = ["divergence", "entropy"] if o_kind in BOOLEAN else ["divergence"]
     return {
