@@ -19,7 +19,7 @@ def test_figure4(benchmark, emit, sweep_contexts):
     # few cells, and never catastrophically (paper: "differs by a
     # slight amount in only four cases").
     mismatches = 0
-    for name, s, d_full, d_pruned, _tf, _tp, _speedup in rows:
+    for name, s, d_full, d_pruned, _tf, _tp, _speedup, _lost, _top in rows:
         assert d_pruned <= d_full + 1e-9, f"{name} s={s}"
         if d_pruned < d_full - 1e-9:
             mismatches += 1

@@ -17,7 +17,6 @@ from repro.core.items import Item
 from repro.core.mining.generalized import base_universe
 from repro.core.mining.transactions import EncodedUniverse, MinedColumns, mine
 from repro.core.outcomes import Outcome, coerce_outcome
-from repro.core.polarity import mine_with_polarity
 from repro.core.results import ResultSet, SubgroupResult
 from repro.obs.collector import AnyCollector
 from repro.tabular import Table
@@ -134,15 +133,9 @@ class DivExplorer:
         obs.arm_deadline(self.config.deadline_s)
         start = time.perf_counter()
         with obs.span("mine", polarity=self.polarity):
-            if self.polarity:
-                mined = mine_with_polarity(
-                    universe, self.min_support, max_length=self.max_length,
-                    obs=obs,
-                )
-            else:
-                mined = mine(
-                    universe, self.min_support, max_length=self.max_length,
-                    obs=obs,
-                )
+            mined = mine(
+                universe, self.min_support, max_length=self.max_length,
+                obs=obs, polarity=self.polarity,
+            )
         elapsed = time.perf_counter() - start
         return results_from_mined(universe, mined, elapsed, obs=obs)

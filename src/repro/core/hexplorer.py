@@ -24,7 +24,6 @@ from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.mining.generalized import generalized_universe
 from repro.core.mining.transactions import mine
 from repro.core.outcomes import Outcome, coerce_outcome
-from repro.core.polarity import mine_with_polarity
 from repro.core.explorer import results_from_mined
 from repro.core.results import ResultSet
 from repro.obs.bundle import bundle_scope
@@ -183,15 +182,9 @@ class HDivExplorer:
             obs.checkpoint("encode")
             start = time.perf_counter()
             with obs.span("mine", polarity=self.polarity):
-                if self.polarity:
-                    mined = mine_with_polarity(
-                        universe, self.min_support,
-                        max_length=self.max_length, obs=obs,
-                    )
-                else:
-                    mined = mine(
-                        universe, self.min_support,
-                        max_length=self.max_length, obs=obs,
-                    )
+                mined = mine(
+                    universe, self.min_support, max_length=self.max_length,
+                    obs=obs, polarity=self.polarity,
+                )
             elapsed = time.perf_counter() - start
             return results_from_mined(universe, mined, elapsed, obs=obs)

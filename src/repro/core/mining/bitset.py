@@ -29,11 +29,13 @@ universe's own ``_o @ mask`` dot product on the unpacked cover.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.divergence import OutcomeStats, min_support_count
+from repro.core.items import IntervalItem
 from repro.core.mining.transactions import EncodedUniverse, MinedColumns
 from repro.obs.collector import AnyCollector, resolve_obs
 
@@ -138,6 +140,7 @@ class BitsetEngine:
         defined = universe.outcomes[valid]
         self.boolean = bool(np.isin(defined, (0.0, 1.0)).all())
         self.outcome_words = (
+            # reprolint: disable-next-line=RPL006 (outcomes are exactly 0.0 or 1.0)
             pack_mask(universe._o != 0.0) if self.boolean else None
         )
         self._attr_codes = self._encode_attributes(universe.attribute_of)
@@ -215,27 +218,6 @@ class BitsetEngine:
             totals_sq[j] = u._o2 @ rows
         return ns, totals, totals_sq
 
-    def restricted(self, item_ids: Iterable[int]) -> "BitsetEngine":
-        """An engine over a sub-universe, sharing the packed rows.
-
-        Used by polarity pruning: the positive- and negative-polarity
-        explorations slice the already-packed item words instead of
-        re-packing their masks. The sub-universe is ``sub.universe``.
-        """
-        ids = sorted(set(item_ids))
-        sub = BitsetEngine.__new__(BitsetEngine)
-        sub.obs = self.obs
-        sub.universe = self.universe.restricted(ids)
-        sub.n_rows = self.n_rows
-        sub.item_words = self.item_words[ids]
-        sub.n_words = self.n_words
-        sub.all_valid = self.all_valid
-        sub.valid_words = self.valid_words
-        sub.boolean = self.boolean
-        sub.outcome_words = self.outcome_words
-        sub._attr_codes = self._attr_codes[ids]
-        return sub
-
     # -- mining -----------------------------------------------------------
 
     def _min_count(self, min_support: float) -> int:
@@ -244,7 +226,10 @@ class BitsetEngine:
         return min_support_count(min_support, self.n_rows)
 
     def mine(
-        self, min_support: float, max_length: int | None = None
+        self,
+        min_support: float,
+        max_length: int | None = None,
+        polarities: np.ndarray | None = None,
     ) -> MinedColumns:
         """Mine all frequent itemsets, one lattice level at a time.
 
@@ -256,6 +241,13 @@ class BitsetEngine:
         run. All of a level's candidates go through :meth:`_fused_step`
         together. Each level keeps its nodes' links to their parents,
         from which :func:`_preorder` puts the rows in canonical order.
+
+        ``polarities`` (one sign in {-1, 0, +1} per item) restricts the
+        search to sign-consistent itemsets, which never hold items of
+        both signs. Like the one-item-per-attribute rule, this needs
+        one check per pair: both itemsets a candidate joins are
+        sign-consistent, so only their two last items can disagree, and
+        a pair of opposite signs is dropped before its cover is built.
         """
         min_count = self._min_count(min_support)
         n_items = self.universe.n_items()
@@ -272,7 +264,12 @@ class BitsetEngine:
         links = np.zeros(len(items), dtype=np.int64)
         levels = [(links, items, counts, *self._stat_components(covers, counts))]
         while max_length is None or len(levels) < max_length:
-            parents, items = self._next_candidates(links, items)
+            parents, extensions = self._next_candidates(links, items)
+            if polarities is not None and extensions.size:
+                opposite = polarities[items[parents]] * polarities[extensions] < 0
+                self._count_polarity(len(levels) + 1, int(opposite.sum()))
+                parents, extensions = parents[~opposite], extensions[~opposite]
+            items = extensions
             if not items.size:
                 break
             self.obs.progress("mine", advance=0, expect=len(items))
@@ -349,12 +346,71 @@ class BitsetEngine:
             self.obs.count(f"mining.candidates.level_{level}", candidates)
             self.obs.count(f"mining.support_pruned.level_{level}", pruned)
 
+    def _count_polarity(self, level: int, pruned: int) -> None:
+        """Count one level's pairs that the sign filter drops."""
+        if self.obs.enabled:
+            self.obs.count("mining.polarity_pruned", pruned)
+            self.obs.count(f"mining.polarity_pruned.level_{level}", pruned)
+
     def __repr__(self) -> str:
         kind = "boolean" if self.boolean else "numeric"
         return (
             f"BitsetEngine(items={self.universe.n_items()}, "
             f"rows={self.n_rows}, words={self.n_words}, outcome={kind})"
         )
+
+
+def item_polarities(
+    universe: EncodedUniverse,
+    polarize_attributes: Iterable[str] | None = None,
+    engine: BitsetEngine | None = None,
+) -> list[int]:
+    """Assign each universe item a polarity in {-1, 0, +1}.
+
+    The polarity is the sign of the item's own divergence. Items whose
+    attribute is not polarized, and items with zero or undefined
+    divergence, are neutral (0). ``mine(..., polarity=True)`` passes
+    these signs to :meth:`BitsetEngine.mine` (polarity pruning, §V-C).
+
+    Parameters
+    ----------
+    universe:
+        Encoded dataset.
+    polarize_attributes:
+        Attributes whose items get a polarity. Defaults to the
+        attributes represented by interval items — i.e. the
+        discretization-tree output, as in the paper. A name that
+        matches no item of ``universe`` raises :class:`ValueError`.
+    engine:
+        Optional :class:`BitsetEngine` over ``universe``; the item
+        statistics come from its packed covers in one pass.
+    """
+    if polarize_attributes is None:
+        polarize_attributes = {
+            it.attribute for it in universe.items if isinstance(it, IntervalItem)
+        }
+    else:
+        polarize_attributes = set(polarize_attributes)
+        unknown = sorted(polarize_attributes - set(universe.attribute_of))
+        if unknown:
+            raise ValueError(
+                f"polarize_attributes {unknown} match no item of the universe"
+            )
+    if engine is None:
+        engine = BitsetEngine(universe)
+    global_mean = universe.global_stats().mean
+    polarities: list[int] = []
+    for item, stats in zip(universe.items, engine.item_stats()):
+        if item.attribute not in polarize_attributes:
+            polarities.append(0)
+            continue
+        delta = stats.mean - global_mean
+        # reprolint: disable-next-line=RPL006 (exact zero = unpolarized)
+        if math.isnan(delta) or delta == 0.0:
+            polarities.append(0)
+        else:
+            polarities.append(1 if delta > 0 else -1)
+    return polarities
 
 
 def _preorder(levels: list[tuple]) -> MinedColumns:

@@ -97,25 +97,6 @@ class EncodedUniverse:
         the batched :meth:`BitsetEngine.item_stats`)."""
         return [self.stats_of_mask(self.masks[i]) for i in range(self.n_items())]
 
-    def restricted(self, item_ids: Iterable[int]) -> "EncodedUniverse":
-        """A sub-universe containing only the given items.
-
-        Used by polarity pruning to mine the positive- and negative-
-        polarity item subsets separately.
-        """
-        ids = sorted(set(item_ids))
-        sub = EncodedUniverse.__new__(EncodedUniverse)
-        sub.items = [self.items[i] for i in ids]
-        sub.masks = self.masks[ids]
-        sub.outcomes = self.outcomes
-        sub.n_rows = self.n_rows
-        sub.attribute_of = [self.attribute_of[i] for i in ids]
-        sub.index = {it: i for i, it in enumerate(sub.items)}
-        sub._valid = self._valid
-        sub._o = self._o
-        sub._o2 = self._o2
-        return sub
-
     def __repr__(self) -> str:
         return f"EncodedUniverse(items={self.n_items()}, rows={self.n_rows})"
 
@@ -174,37 +155,6 @@ class MinedColumns:
     def empty(cls) -> "MinedColumns":
         return cls(np.empty((0, 0), dtype=np.int64), [], [], [], [])
 
-    @classmethod
-    def concat(cls, parts: Sequence["MinedColumns"]) -> "MinedColumns":
-        """The rows of ``parts`` one after another (ids padded to one width)."""
-        if not parts:
-            return cls.empty()
-        width = max(p.ids.shape[1] for p in parts)
-        return cls(
-            np.concatenate([_pad_ids(p.ids, width) for p in parts]),
-            *(
-                np.concatenate([getattr(p, name) for p in parts])
-                for name in ("count", "n", "total", "total_sq")
-            ),
-        )
-
-    def select(self, rows: np.ndarray) -> "MinedColumns":
-        """The rows picked by a boolean mask or an index array."""
-        return MinedColumns(
-            self.ids[rows], self.count[rows], self.n[rows],
-            self.total[rows], self.total_sq[rows],
-        )
-
-    def canonical(self) -> "MinedColumns":
-        """These rows in canonical order, repeated itemsets dropped."""
-        if not len(self):
-            return self
-        order = np.lexsort(self.ids.T[::-1])
-        ids = self.ids[order]
-        first = np.ones(len(ids), dtype=bool)
-        first[1:] = (ids[1:] != ids[:-1]).any(axis=1)
-        return self.select(order[first])
-
     def lengths(self) -> np.ndarray:
         """Number of items of each itemset."""
         return np.count_nonzero(self.ids >= 0, axis=1)
@@ -238,15 +188,6 @@ class MinedColumns:
 
     def __repr__(self) -> str:
         return f"MinedColumns(itemsets={len(self)}, width={self.ids.shape[1]})"
-
-
-def _pad_ids(ids: np.ndarray, width: int) -> np.ndarray:
-    """An id matrix widened to ``width`` columns with ``-1``."""
-    if ids.shape[1] == width:
-        return ids
-    padded = np.full((len(ids), width), -1, dtype=np.int64)
-    padded[:, : ids.shape[1]] = ids
-    return padded
 
 
 #: The mining engines :func:`mine` runs: the packed-bitset search only.
@@ -303,6 +244,9 @@ def mine(
     n_jobs: int = 1,
     engine=None,
     obs: AnyCollector | None = None,
+    *,
+    polarity: bool = False,
+    polarize_attributes: Iterable[str] | None = None,
 ) -> MinedColumns:
     """Mine all frequent itemsets with the packed-bitset engine.
 
@@ -329,21 +273,46 @@ def mine(
         ``mining.*`` counters, and the ``mining.frequent_itemsets`` /
         ``mining.frequent.level_N`` totals are counted here from the
         mined rows.
+    polarity:
+        Polarity pruning (§V-C): keep only the itemsets that do not
+        mix items of positive and negative polarity
+        (:func:`repro.core.mining.bitset.item_polarities`), pruned inside
+        the one search.
+    polarize_attributes:
+        With ``polarity``, the attributes whose items get a polarity
+        (default: those of interval items). A name that matches no item
+        of ``universe`` raises :class:`ValueError`, and so does passing
+        it without ``polarity``.
     """
-    from repro.core.mining.bitset import BitsetEngine
+    from repro.core.mining.bitset import BitsetEngine, item_polarities
 
     resolve_backend(backend)
     resolve_n_jobs(n_jobs)
+    if polarize_attributes is not None and not polarity:
+        raise ValueError("polarize_attributes needs polarity=True")
     obs = resolve_obs(obs)
     if engine is None:
         engine = BitsetEngine(universe)
+    polarities = None
+    if polarity:
+        polarities = np.array(
+            item_polarities(universe, polarize_attributes, engine),
+            dtype=np.int64,
+        )
+        if obs.enabled:
+            obs.count("polarity.positive_items", int((polarities > 0).sum()))
+            obs.count("polarity.negative_items", int((polarities < 0).sum()))
+            obs.count("polarity.neutral_items", int((polarities == 0).sum()))
+            # Always 0: the one search mines each itemset once. Kept
+            # while perfbench/run.py derives polarity.dup_ratio from it.
+            obs.count("polarity.duplicates_merged", 0)
     prev_engine_obs = engine.obs
     if obs.enabled:
         engine.obs = obs
     span = obs.span("bitset", min_support=min_support)
     try:
         with span:
-            mined = engine.mine(min_support, max_length)
+            mined = engine.mine(min_support, max_length, polarities)
     finally:
         engine.obs = prev_engine_obs
     if obs.enabled:

@@ -411,8 +411,8 @@ class ResultSet:
         """Union of two result sets, deduplicated by itemset.
 
         The rows of ``self``, then those of ``other`` whose itemset
-        ``self`` lacks; elapsed times add up. (Polarity pruning merges
-        its two subspace runs earlier, as mined columns.)
+        ``self`` lacks; elapsed times add up. (Polarity pruning needs
+        no merge: it runs inside the one search.)
         """
         seen = {r.itemset: r for r in self}
         for r in other:

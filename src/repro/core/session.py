@@ -61,7 +61,6 @@ from repro.core.mining.bitset import BitsetEngine
 from repro.core.mining.generalized import generalized_universe
 from repro.core.mining.transactions import EncodedUniverse, MinedColumns, mine
 from repro.core.outcomes import Outcome, array_outcome, coerce_outcome
-from repro.core.polarity import mine_with_polarity
 from repro.core.results import ResultSet
 from repro.obs.bundle import bundle_scope
 from repro.obs.collector import AnyCollector, resolve_obs
@@ -421,13 +420,12 @@ class ExploreSession:
         universe: EncodedUniverse,
         obs: AnyCollector,
     ) -> MinedColumns:
-        # Every path mines with the cached engine; the polarity
-        # pipeline slices it per subspace.
-        engine = self._engine(ukey, universe, obs)
-        miner = mine_with_polarity if cfg.polarity else mine
-        return miner(
+        # Every path mines with the cached engine, polarity pruning
+        # included: it reads the same packed covers.
+        return mine(
             universe, cfg.min_support, max_length=cfg.max_length,
-            engine=engine, obs=obs,
+            engine=self._engine(ukey, universe, obs), obs=obs,
+            polarity=cfg.polarity,
         )
 
 

@@ -78,7 +78,9 @@ WALLCLOCK_DATETIME_CALLS = {
     "datetime.date.today",
 }
 
-_FLOAT_SENSITIVE = re.compile(r"(divergence|criteria|significance|polarity)")
+_FLOAT_SENSITIVE = re.compile(
+    r"(divergence|criteria|significance|polarity|bitset)"
+)
 
 #: Pipeline internals that must be reached through the front doors
 #: (RPL015): the explorers, :class:`repro.core.session.ExploreSession`,

@@ -369,8 +369,8 @@ class ObsCollector:
         A no-op without an event stream. ``done`` accumulates per
         phase across calls; ``expect`` *adds* that many units to the
         phase's expected total (additive, so repeated sub-runs — e.g.
-        the two polarity subspaces — each announce their share), and
-        renderers show ETA once a total is known. The final ``done``
+        the lattice levels of one search — each announce their share),
+        and renderers show ETA once a total is known. The final ``done``
         value per phase is the deterministic quantity (see
         :func:`repro.obs.events.event_counts`).
         """
@@ -426,7 +426,7 @@ class ObsCollector:
     def phase_seconds(self) -> dict[str, float]:
         """Elapsed time per span, flattened to dotted phase paths.
 
-        Repeated phases (e.g. one ``mine`` span per polarity subspace)
+        Repeated phases (e.g. one ``fit`` span per attribute)
         accumulate. Only completed spans are included.
         """
         out: dict[str, float] = {}

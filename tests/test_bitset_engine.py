@@ -3,9 +3,9 @@
 Covers the packing/popcount kernels (both the ``np.bitwise_count`` and
 the LUT fallback paths), cover algebra, bit-identical statistic
 aggregation against :meth:`EncodedUniverse.stats_of_mask` and
-:meth:`EncodedUniverse.item_stats`, restricted sub-engines, and the
-level-batched miner's step slicing (its agreement with brute force
-lives in ``test_property_mining.py``).
+:meth:`EncodedUniverse.item_stats`, and the level-batched miner's
+step slicing (its agreement with brute force lives in
+``test_property_mining.py``).
 """
 
 import pickle
@@ -22,8 +22,7 @@ from repro.core.mining.bitset import (
     popcount_rows,
     unpack_cover,
 )
-from repro.core.divergence import OutcomeStats
-from repro.core.mining import MinedColumns, MinedItemset
+from repro.core.mining import MinedItemset
 from repro.obs import ObsCollector
 
 
@@ -133,18 +132,6 @@ class TestEngineStats:
         stats = engine.stats((0,))
         assert stats.n == 0 and stats.total == 0.0
 
-    def test_restricted_engine_matches_restricted_universe(self, np_rng):
-        u = random_universe(np_rng, 211, [("a", 3), ("b", 3), ("c", 2)])
-        keep = [0, 2, 4, 6]
-        sub_u = u.restricted(keep)
-        sub_e = BitsetEngine(u).restricted(keep)
-        assert np.array_equal(
-            unpack_cover(sub_e.item_words, u.n_rows), sub_u.masks
-        )
-        got = sub_e.stats((0, 3))
-        expected = sub_u.stats_of_mask(sub_u.masks[0] & sub_u.masks[3])
-        assert got == expected
-
 
 class TestCoverCache:
     """``cover()`` is plain cover algebra; the class name predates the
@@ -241,19 +228,6 @@ class TestMinedColumns:
         assert keys == sorted(keys)
         with pytest.raises(ValueError):
             mined.count[0] = 0
-
-    def test_select_concat_canonical(self):
-        mined = MinedColumns(
-            np.array([[0, -1], [0, 2], [1, -1]]), [5, 3, 4], [5, 3, 4],
-            [1.0, 2.0, 3.0], [1.0, 4.0, 9.0],
-        )
-        tail, head = mined.select(np.array([False, False, True])), mined.select([0, 1])
-        shuffled = MinedColumns.concat([tail, head, head.select([1])])
-        assert shuffled.canonical() == mined
-        assert MinedColumns.concat([]) == MinedColumns.empty() == []
-        assert list(mined.select([2])) == [
-            MinedItemset(frozenset({1}), OutcomeStats(4, 4, 3.0, 9.0))
-        ]
 
     def test_pickle_round_trip(self, np_rng):
         u = random_universe(np_rng, 130, [("a", 2), ("b", 3)])

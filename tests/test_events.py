@@ -488,7 +488,7 @@ class TestCollectorEvents:
         obs = ObsCollector(events=EventStream())
         obs.progress("mine", advance=0, expect=3)
         obs.progress("mine", advance=3)
-        obs.progress("mine", advance=0, expect=2)  # second subspace
+        obs.progress("mine", advance=0, expect=2)  # the next level
         obs.progress("mine", advance=2)
         last = obs.events.events[-1]
         assert last.attrs["done"] == 5

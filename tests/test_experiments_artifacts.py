@@ -71,7 +71,7 @@ def test_figure4_polarity_never_exceeds_full(tiny_contexts):
         datasets=("compas", "german"), supports=(0.1,),
         contexts=tiny_contexts,
     )
-    for _name, _s, d_full, d_pruned, _tf, _tp, _speedup in rows:
+    for _name, _s, d_full, d_pruned, _tf, _tp, _speedup, _lost, _top in rows:
         assert d_pruned <= d_full + 1e-9
 
 

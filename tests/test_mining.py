@@ -227,11 +227,6 @@ class TestEncodedUniverse:
         direct = OutcomeStats.from_outcomes(flat_universe.outcomes, mask)
         assert stats_equal(got, direct)
 
-    def test_restricted_preserves_masks(self, flat_universe):
-        sub = flat_universe.restricted([0, 2, 4])
-        assert sub.n_items() == 3
-        np.testing.assert_array_equal(sub.masks[1], flat_universe.masks[2])
-
     def test_item_stats_match_masks(self, flat_universe):
         stats = flat_universe.item_stats()
         for i, s in enumerate(stats):

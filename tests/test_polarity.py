@@ -1,12 +1,15 @@
 """Unit tests for polarity pruning."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.discretize import TreeDiscretizer
 from repro.core.items import CategoricalItem, IntervalItem
 from repro.core.mining import EncodedUniverse, generalized_universe, mine
-from repro.core.polarity import item_polarities, mine_with_polarity
+from repro.core.mining.bitset import item_polarities
+from repro.core.polarity import mine_with_polarity
 from repro.tabular import Table
 
 
@@ -38,6 +41,36 @@ class TestPolarities:
         p = item_polarities(signed_universe, polarize_attributes=["cat"])
         assert p[0] == 0 and p[1] == 0  # interval items now neutral
         assert p[2] in (-1, 0, 1)
+
+    @pytest.mark.parametrize(
+        "names, unknown",
+        [
+            (["cta"], ["cta"]),
+            (["x", "y", "cat", "z"], ["y", "z"]),
+            ("cat", ["a", "c", "t"]),  # a bare string is its characters
+        ],
+        ids=["misspelt", "two-unknown", "bare-string"],
+    )
+    def test_unknown_polarize_attributes_raise(
+        self, signed_universe, names, unknown
+    ):
+        # A name matching no item would polarize nothing, and the
+        # "pruned" run would quietly be the complete search.
+        for call in (
+            lambda: item_polarities(signed_universe, names),
+            lambda: mine_with_polarity(
+                signed_universe, 0.05, polarize_attributes=names
+            ),
+            lambda: mine(
+                signed_universe, 0.05, polarity=True, polarize_attributes=names
+            ),
+        ):
+            with pytest.raises(ValueError, match=re.escape(str(unknown))):
+                call()
+
+    def test_polarize_attributes_need_polarity(self, signed_universe):
+        with pytest.raises(ValueError, match="polarity=True"):
+            mine(signed_universe, 0.05, polarize_attributes=["x"])
 
     def test_zero_divergence_is_neutral(self):
         table = Table({"x": [1.0, 2.0, 3.0, 4.0]})
@@ -99,3 +132,14 @@ class TestMineWithPolarity:
         assert {m.ids for m in fp} == {m.ids for m in ap} == {
             m.ids for m in default
         }
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"backend": "fpgrowth"}, {"n_jobs": 2}],
+        ids=["backend", "n_jobs"],
+    )
+    def test_deprecations_point_at_the_caller(self, signed_universe, kwargs):
+        # Python shows a DeprecationWarning by default only when it is
+        # attributed to __main__, so it must name the caller's file.
+        with pytest.warns(DeprecationWarning) as record:
+            mine_with_polarity(signed_universe, 0.05, **kwargs)
+        assert [w.filename for w in record] == [__file__]

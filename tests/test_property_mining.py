@@ -4,7 +4,8 @@ The central invariants of DESIGN.md:
 (4) engine ≡ brute force, including accumulated stats and the work
     counters;
 (3) generalized results ⊇ base results at equal support;
-(6) polarity-pruned ⊆ complete results, with the same statistics.
+(6) polarity-pruned = the sign-consistent subset of the complete
+    results, with the same statistics.
 
 The oracle enumerates every attribute-distinct itemset and computes its
 statistics from plain Python row sets, so it can be trusted by reading.
@@ -23,7 +24,7 @@ from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem
 from repro.core.mining import EncodedUniverse, MinedColumns, mine
-from repro.core.polarity import item_polarities, mine_with_polarity
+from repro.core.mining.bitset import item_polarities
 from repro.obs import ObsCollector
 from repro.tabular import Table
 
@@ -103,43 +104,63 @@ def brute_force(universe, min_support, max_length=None):
     return out
 
 
-def expected_candidates(universe, frequent, max_length=None, item_ids=None):
-    """``{k: count}``: the length-``k`` candidates a complete search over
-    ``item_ids`` (default: all items) evaluates. These are every item
-    (``k = 1``), plus every attribute-distinct ``S`` with
-    ``2 <= |S| <= max_length`` whose two subsets ``S`` minus its largest
-    id and ``S`` minus its second-largest id are both frequent.
-    ``frequent`` is the oracle's dict over the whole universe."""
-    ids = sorted(range(universe.n_items()) if item_ids is None else item_ids)
-    n_attributes = len({universe.attribute_of[i] for i in ids})
+def sign_consistent(ids, polarities):
+    """No two items of ``ids`` have opposite polarities."""
+    return not {1, -1} <= {polarities[i] for i in ids}
+
+
+def expected_candidates(universe, frequent, max_length=None, polarities=None):
+    """``({k: candidates}, {k: polarity-pruned})``: the length-``k``
+    pairs a search evaluates, and the pairs its sign filter drops
+    before that. Every item is a candidate (``k = 1``). A pair is every
+    attribute-distinct ``S`` with ``2 <= |S| <= max_length`` whose two
+    subsets ``S`` minus its largest id and ``S`` minus its
+    second-largest id are both in ``frequent``, the oracle's result.
+    With ``polarities``, a pair that is not sign-consistent is
+    polarity-pruned; every other pair is a candidate."""
+    n_attributes = len(set(universe.attribute_of))
     longest = min(max_length or n_attributes, n_attributes)
-    candidates = Counter({1: len(ids)})
+    candidates = Counter({1: universe.n_items()})
+    polarity_pruned = Counter()
     for k in range(2, longest + 1):
-        for combo in combinations(ids, k):
+        for combo in combinations(range(universe.n_items()), k):
             if len({universe.attribute_of[i] for i in combo}) != k:
                 continue
             without_last = frozenset(combo[:-1])
             without_second = frozenset(combo[:-2] + combo[-1:])
-            if without_last in frequent and without_second in frequent:
+            if without_last not in frequent or without_second not in frequent:
+                continue
+            if polarities is None or sign_consistent(combo, polarities):
                 candidates[k] += 1
-    return candidates
+            else:
+                polarity_pruned[k] += 1
+    return candidates, polarity_pruned
 
 
-def frequent_by_length(frequent, item_ids=None):
-    """``{k: count}`` of the oracle's frequent ``k``-itemsets that use
-    only ``item_ids`` (default: all items)."""
-    allowed = None if item_ids is None else set(item_ids)
-    return Counter(
-        len(ids) for ids in frequent if allowed is None or ids <= allowed
-    )
+def frequent_by_length(frequent):
+    """``{k: count}`` of the oracle's frequent ``k``-itemsets."""
+    return Counter(len(ids) for ids in frequent)
 
 
-def assert_counters_reconcile(obs, candidates, frequent):
+def assert_counters_reconcile(obs, candidates, frequent, polarity_pruned=None):
     """The work counters match the oracle and add up, in total and for
-    every itemset length ``k``: candidates − support-pruned = frequent
-    itemsets. ``candidates`` and ``frequent`` are the oracle's
-    ``{k: count}`` dicts."""
+    every itemset length ``k``: pairs = polarity-pruned + candidates,
+    and candidates − support-pruned = frequent itemsets.
+    ``candidates``, ``frequent`` and ``polarity_pruned`` are the
+    oracle's ``{k: count}`` dicts; without ``polarity_pruned`` (a
+    complete search) no polarity counter may exist."""
     counters = obs.counters
+    if polarity_pruned is None:
+        assert not [n for n in counters if n.startswith("mining.polarity")]
+    else:
+        assert counters.get("mining.polarity_pruned", 0) == sum(
+            polarity_pruned.values()
+        )
+        pruned_levels = {
+            int(name.rsplit("_", 1)[1]): value for name, value in counters.items()
+            if name.startswith("mining.polarity_pruned.level_")
+        }
+        assert +Counter(pruned_levels) == +polarity_pruned
     assert counters["mining.candidates"] == sum(candidates.values())
     assert (
         counters["mining.candidates"] - counters["mining.support_pruned"]
@@ -203,7 +224,7 @@ def test_backends_match_brute_force(data, support, max_length):
     in canonical order, and evaluates exactly the oracle's candidates."""
     universe, exact = data
     expected = brute_force(universe, support, max_length)
-    candidates = expected_candidates(universe, expected, max_length)
+    candidates, _ = expected_candidates(universe, expected, max_length)
     obs = ObsCollector()
     mined = mine(universe, support, max_length=max_length, obs=obs)
     assert_matches_oracle(mined, expected, exact)
@@ -251,37 +272,37 @@ def test_support_monotone_under_threshold(data):
         assert loose[ids] / universe.n_rows >= 0.4
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=random_universe())
-def test_polarity_results_subset(data):
-    """Invariant 6: polarity-pruned ⊆ complete results, in canonical
-    order, and every itemset it keeps carries the oracle's statistics.
-    Each polarity subspace is a complete search over its items, so the
-    counters add up to the oracle's counts of both subspaces, level by
-    level."""
+@settings(max_examples=60, deadline=None)
+@given(
+    data=random_universe(), support=SUPPORTS, max_length=MAX_LENGTHS,
+    every_attribute=st.booleans(),
+)
+def test_polarity_results_subset(data, support, max_length, every_attribute):
+    """Invariant 6: the polarity-pruned search returns exactly the
+    oracle's frequent itemsets that hold no two items of opposite
+    polarity, each once, in canonical order and with the oracle's
+    statistics. Its counters reconcile level by level with the
+    one-pass rule: pairs = polarity-pruned + candidates, and
+    candidates − support-pruned = frequent. ``every_attribute``
+    polarizes the categorical attributes too; otherwise their items
+    stay neutral."""
     universe, exact = data
-    expected = brute_force(universe, 0.1)
-    attributes = set(universe.attribute_of)
-    obs = ObsCollector()
-    pruned = mine_with_polarity(
-        universe, 0.1, polarize_attributes=attributes, obs=obs,
-    )
-    assert {m.ids for m in pruned} <= set(expected)
-    assert_matches_oracle(
-        pruned, {m.ids: expected[m.ids] for m in pruned}, exact
-    )
+    attributes = set(universe.attribute_of) if every_attribute else None
     polarities = item_polarities(universe, attributes)
-    subspaces = [
-        [i for i, p in enumerate(polarities) if p * sign >= 0]
-        for sign in (1, -1)
-    ]
-    subspaces = [ids for ids in subspaces if ids]
+    expected = {
+        ids: stats
+        for ids, stats in brute_force(universe, support, max_length).items()
+        if sign_consistent(ids, polarities)
+    }
+    obs = ObsCollector()
+    pruned = mine(
+        universe, support, max_length=max_length, obs=obs,
+        polarity=True, polarize_attributes=attributes,
+    )
+    assert_matches_oracle(pruned, expected, exact)
+    candidates, polarity_pruned = expected_candidates(
+        universe, expected, max_length, polarities
+    )
     assert_counters_reconcile(
-        obs,
-        sum(
-            (expected_candidates(universe, expected, item_ids=ids)
-             for ids in subspaces),
-            Counter(),
-        ),
-        sum((frequent_by_length(expected, ids) for ids in subspaces), Counter()),
+        obs, candidates, frequent_by_length(expected), polarity_pruned
     )

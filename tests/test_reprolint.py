@@ -147,6 +147,8 @@ class TestFloatEquality:
 
     def test_scoped_to_divergence_sensitive_modules(self):
         assert codes("ok = x == 0.5\n", path="src/repro/tabular/table.py") == []
+        bitset = "src/repro/core/mining/bitset.py"
+        assert codes("ok = x == 0.5\n", path=bitset) == ["RPL006"]
 
 
 class TestFrozenMutation:
