@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke perf-gate perf-report sweep-bench bundle-gate cpuprof-gate perfbench-test
+.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke perf-gate perf-report sweep-bench bundle-gate cpuprof-gate perfbench-test mine-digests
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,6 +48,11 @@ cpuprof-gate:
 
 perf-report:
 	$(PYTHON) -m repro.obs.perfdb --history benchmark_results/history report
+
+# Byte digests of mine() over a fixed dataset sweep (not part of verify):
+# run on two trees and diff the outputs to show a change is bit-identical.
+mine-digests:
+	$(PYTHON) benchmarks/mine_digests.py
 
 sweep-bench:
 	$(PYTHON) -m pytest benchmarks/bench_sweep.py -q

@@ -13,6 +13,8 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.config import ExploreConfig
+from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem
 from repro.core.mining import EncodedUniverse, mine
 from repro.core.mining import bitset as bitset_mod
@@ -23,6 +25,7 @@ from repro.core.mining.bitset import (
     unpack_cover,
 )
 from repro.core.mining import MinedItemset
+from repro.core.session import ExploreSession
 from repro.obs import ObsCollector
 
 
@@ -63,13 +66,25 @@ class TestPackedKernels:
         # 1-D convenience form.
         assert np.array_equal(unpack_cover(pack_mask(masks[0]), n_rows), masks[0])
 
-    @pytest.mark.parametrize("n_rows", [1, 64, 65, 517])
-    def test_popcount_matches_mask_sum(self, np_rng, n_rows):
+    # 1, 1, 2, 9, 16, 94 and 3058 words: the one-word int64 row sum and
+    # the float32 one, with np.bitwise_count and with the lookup table.
+    @pytest.mark.parametrize("n_rows", [1, 64, 65, 517, 1024, 6011, 195_712])
+    def test_popcount_matches_mask_sum(self, np_rng, monkeypatch, n_rows):
         masks = np_rng.uniform(size=(7, n_rows)) < 0.3
         words = pack_mask(masks)
+        full = np.full((3, words.shape[1]), ~np.uint64(0), dtype=np.uint64)
         expected = masks.sum(axis=1)
-        assert np.array_equal(popcount_rows(words), expected)
-        assert popcount_rows(words[0]) == expected[0]
+        for have_bitwise_count in (True, False):
+            monkeypatch.setattr(
+                bitset_mod, "_HAVE_BITWISE_COUNT", have_bitwise_count
+            )
+            got = popcount_rows(words)
+            assert got.dtype == np.int64 and got.shape == (7,)
+            assert np.array_equal(got, expected)
+            one = popcount_rows(words[0])
+            assert one.dtype == np.int64 and one.shape == ()
+            assert one == expected[0]
+            assert popcount_rows(full).tolist() == [64 * words.shape[1]] * 3
 
     def test_popcount_lut_fallback(self, np_rng, monkeypatch):
         masks = np_rng.uniform(size=(4, 333)) < 0.5
@@ -77,6 +92,22 @@ class TestPackedKernels:
         fast = popcount_rows(words)
         monkeypatch.setattr(bitset_mod, "_HAVE_BITWISE_COUNT", False)
         assert np.array_equal(popcount_rows(words), fast)
+
+    @pytest.mark.parametrize("lut", [False, True], ids=["bitwise_count", "lut"])
+    def test_popcount_float32_bound(self, monkeypatch, lut):
+        # A row of 2**18 words counts at most 2**24, which float32 holds
+        # exactly: the widest row summed in float32. One more word takes
+        # the int64 sum; with one bit set in it the count, 2**24 + 1,
+        # has no float32 value.
+        if lut:
+            monkeypatch.setattr(bitset_mod, "_HAVE_BITWISE_COUNT", False)
+        widest = bitset_mod._FLOAT32_MAX_WORDS
+        assert widest == 1 << 18
+        words = np.full(widest + 1, ~np.uint64(0), dtype=np.uint64)
+        words[-1] = 1
+        assert popcount_rows(words[:widest]) == 1 << 24
+        assert popcount_rows(words) == (1 << 24) + 1
+        assert popcount_rows(words[None, :]).tolist() == [(1 << 24) + 1]
 
     def test_padding_bits_are_zero(self, np_rng):
         # Rows beyond n_rows must never contribute to popcounts.
@@ -125,6 +156,45 @@ class TestEngineStats:
             assert (got.count, got.n) == (expected.count, expected.n)
             assert got.total.hex() == expected.total.hex()
             assert got.total_sq.hex() == expected.total_sq.hex()
+
+    @pytest.mark.parametrize("kind", ["numeric", "boolean"])
+    def test_item_statistics_aggregated_once_per_engine(
+        self, pocket_data, rng, monkeypatch, kind
+    ):
+        # A polarity mine needs every item's statistics for the signs,
+        # and level 1 needs the frequent items' again; a session mines
+        # with one engine per universe. Each item's covers reach
+        # _stat_components once over two polarity mines; the results
+        # keep their bytes.
+        table, errors = pocket_data
+        values = errors if kind == "boolean" else rng.normal(size=table.n_rows)
+        supports = (0.1, 0.05)
+        references = [
+            HDivExplorer(ExploreConfig(min_support=s, polarity=True)).explore(
+                table, values
+            )
+            for s in supports
+        ]
+        received, engines = [], set()
+        aggregate = BitsetEngine._stat_components
+
+        def counting(engine, covers, counts):
+            received.append(len(covers))
+            engines.add(engine)
+            return aggregate(engine, covers, counts)
+
+        monkeypatch.setattr(BitsetEngine, "_stat_components", counting)
+        with ExploreSession(table, values) as session:
+            results = [
+                session.explore(min_support=s, polarity=True) for s in supports
+            ]
+        (engine,) = engines
+        longer = sum(int(((r.ids >= 0).sum(axis=1) > 1).sum()) for r in results)
+        assert sum(received) == engine.universe.n_items() + longer
+        for result, reference in zip(results, references):
+            for column in ("ids", "count", "support", "mean", "divergence", "t"):
+                got, want = getattr(result, column), getattr(reference, column)
+                assert got.tobytes() == want.tobytes(), column
 
     def test_all_missing_outcomes(self, np_rng):
         u = random_universe(np_rng, 80, [("a", 2), ("b", 2)], missing=1.0)
@@ -186,27 +256,46 @@ class TestBitsetMining:
     ):
         # One candidate per slice, an uneven slice, and one slice wider
         # than any level: same bytes and work counters as the default.
-        u = random_universe(
-            np_rng, 350, [("a", 3), ("b", 3), ("c", 2), ("d", 2)]
-        )
+        # The survivors of each slice are kept by index, so check every
+        # branch of _stat_components (numeric or boolean outcomes, all
+        # or only some of them defined) and the sign filter.
+        attrs = [("a", 3), ("b", 3), ("c", 2), ("d", 2)]
+        polarity = {"polarity": True, "polarize_attributes": ["a", "b", "c", "d"]}
+        cases = {
+            # name: (outcome shape, mine() options, (boolean, all_valid))
+            "numeric-nan": ({}, {}, (False, False)),
+            "boolean": ({"boolean": True, "missing": 0.0}, {}, (True, True)),
+            "boolean-nan": ({"boolean": True}, {}, (True, False)),
+            "polarity": ({}, polarity, (False, False)),
+        }
+        for name, (outcome, options, branch) in cases.items():
+            u = random_universe(np_rng, 350, attrs, **outcome)
+            engine = BitsetEngine(u)
+            assert (engine.boolean, engine.all_valid) == branch, name
 
-        def run():
-            obs = ObsCollector()
-            mined = mine(u, 0.02, obs=obs)
-            counters = {
-                k: v for k, v in obs.counters.items() if k.startswith("mining.")
-            }
-            return mined, counters
+            def run():
+                obs = ObsCollector()
+                mined = mine(u, 0.02, obs=obs, **options)
+                counters = {
+                    k: v for k, v in obs.counters.items()
+                    if k.startswith(("mining.", "polarity."))
+                }
+                return mined, counters
 
-        default, default_counters = run()
-        n_words = BitsetEngine(u).n_words
-        monkeypatch.setattr(bitset_mod, "STEP_BYTES", per_step * 8 * n_words)
-        sliced, counters = run()
-        assert counters == default_counters
-        assert counters["mining.candidates.level_3"] > 7
-        for name in ("ids", "count", "n", "total", "total_sq"):
-            assert getattr(sliced, name).tobytes() == getattr(default, name).tobytes()
-            assert getattr(sliced, name).shape == getattr(default, name).shape
+            default, default_counters = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    bitset_mod, "STEP_BYTES", per_step * 8 * engine.n_words
+                )
+                sliced, counters = run()
+            assert counters == default_counters, name
+            assert counters["mining.candidates.level_3"] > 7, name
+            if options:
+                assert counters["mining.polarity_pruned"] > 0
+            for column in ("ids", "count", "n", "total", "total_sq"):
+                got, want = getattr(sliced, column), getattr(default, column)
+                assert got.tobytes() == want.tobytes(), (name, column)
+                assert got.shape == want.shape, (name, column)
 
 
 class TestMinedColumns:

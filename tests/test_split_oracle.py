@@ -3,16 +3,16 @@
 The oracle is a per-threshold loop: score every admissible threshold,
 under the same ``max_candidates`` cap (after which a cut at −inf is
 dropped), with the scalar criterion, keep the first strict maximum,
-then apply ``min_gain``. Trees grown with it must equal the
-discretizers' trees bit for bit (split values and node statistics, by
-``.hex()``).
+then apply ``min_gain`` and, with ``mdl_stop``, the MDLP test. Trees
+grown with it must equal the discretizers' trees bit for bit (split
+values and node statistics, by ``.hex()``).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.discretize import (
     CombinedTreeDiscretizer,
@@ -20,6 +20,7 @@ from repro.core.discretize import (
     get_criterion,
 )
 from repro.core.discretize import criteria
+from repro.core.discretize.criteria import mdl_accepts
 from repro.core.divergence import OutcomeStats, min_support_count
 from repro.tabular import Table
 
@@ -70,8 +71,12 @@ def reference_split(v, prefix, i0, i1, parent, min_count, n_total, criterion,
 
 
 def reference_tree(x, o, n_total, support, criterion, max_candidates,
-                   min_gain):
-    """Preorder ``(split value, stats)`` of the per-attribute tree."""
+                   min_gain, mdl_stop=False):
+    """Preorder ``(split value, stats)`` of the per-attribute tree.
+
+    With ``mdl_stop``, a node whose best split fails the MDLP test
+    (``mdl_accepts``) is a leaf.
+    """
     keep = ~np.isnan(x)
     order = np.argsort(x[keep], kind="stable")
     v, prefix = x[keep][order], prefix_sums(o[keep][order])
@@ -86,6 +91,10 @@ def reference_tree(x, o, n_total, support, criterion, max_candidates,
         if split is None or split[1] < min_gain:
             return [(None, stats)]
         cut = split[0]
+        if mdl_stop and not mdl_accepts(
+            stats, range_stats(prefix, i0, cut), range_stats(prefix, cut, i1)
+        ):
+            return [(None, stats)]
         return [(float(v[cut - 1]), stats)] + grow(i0, cut) + grow(cut, i1)
 
     return grow(0, v.size)
@@ -250,13 +259,31 @@ def test_node_split_matches_oracle(case, data):
 # -- whole trees ---------------------------------------------------------------
 
 
+def neginf_mdl_case():
+    """An entropy tree whose root's best cut is the dropped one at −inf
+    (the −inf rows all have outcome 1, nine in ten of the others 0).
+    With ``mdl_stop`` the root splits at its next-best cut, which
+    passes the MDLP test."""
+    rng = np.random.default_rng(7)
+    x = np.concatenate([np.full(40, -np.inf), rng.uniform(0, 10, 160)])
+    o = np.concatenate([np.ones(40), (x[40:] > 9).astype(float)])
+    return {
+        "x": x, "o": o, "criterion": "entropy", "max_candidates": 64,
+        "min_gain": 0.0, "support": 0.05,
+    }
+
+
 @settings(max_examples=100, deadline=None)
-@given(case=cases())
-def test_tree_matches_oracle(case):
+@given(case=cases(), mdl_stop=st.booleans())
+@example(case=neginf_mdl_case(), mdl_stop=True)
+def test_tree_matches_oracle(case, mdl_stop):
+    # The MDLP stop needs the entropy criterion.
+    mdl_stop = mdl_stop and case["criterion"] == "entropy"
     x, o = case["x"], case["o"]
     disc = TreeDiscretizer(
         case["support"], criterion=case["criterion"],
         max_candidates=case["max_candidates"], min_gain=case["min_gain"],
+        mdl_stop=mdl_stop,
     )
     tree = disc.fit(Table({"x": x}), "x", o)
     got = [
@@ -267,7 +294,7 @@ def test_tree_matches_oracle(case):
         (hex_or_none(value), hexed(stats))
         for value, stats in reference_tree(
             x, o, x.size, case["support"], get_criterion(case["criterion"]),
-            case["max_candidates"], case["min_gain"],
+            case["max_candidates"], case["min_gain"], mdl_stop,
         )
     ]
     assert got == want
