@@ -1,21 +1,28 @@
-"""Byte digests of ``mine()`` over a fixed sweep of dataset settings.
+"""Byte digests of ``mine()`` and of cold explorer runs over a fixed sweep.
 
-A change to the mining engine that must not change its output is
-checked by running this script on the old and the new tree and
-comparing the two outputs line by line. It prints one line per
-setting: the itemset count, then a sha256 over
+A change that must not change the pipeline's output is checked by
+running this script on the old and the new tree and comparing the two
+outputs line by line. Each setting prints two lines:
 
-* the shape, dtype and bytes of the ``ids``, ``count``, ``n``,
-  ``total`` and ``total_sq`` columns, and
-* the sorted ``mining.*`` and ``polarity.*`` counters, the per-level
-  ones included.
+* ``mine``: the itemset count, then a sha256 over the shape, dtype and
+  bytes of the ``ids``, ``count``, ``n``, ``total`` and ``total_sq``
+  columns, and the sorted ``mining.*`` and ``polarity.*`` counters,
+  the per-level ones included;
+* ``explore``: the subgroup count of a cold
+  ``HDivExplorer(config).explore(...)``, then a sha256 over the shape,
+  dtype and bytes of the result's ``ids``, ``count``, ``support``,
+  ``mean``, ``divergence`` and ``t`` columns, the items of its Γ
+  (every hierarchy, roots included, thresholds by their exact repr),
+  and the sorted ``mining.*``, ``polarity.*`` and ``discretize.*``
+  counters.
 
 The settings are perfbench's four query shapes, the Fig-2 cells at
 s=0.05 (bench sizes), folktables at 40,000 rows with and without
-polarity pruning, and adult and compas. Each universe is built like a
-cold H-DivExplorer query: tree discretization at ``tree_support=0.1``
-of the continuous attributes without a predefined hierarchy, then the
-generalized universe.
+polarity pruning, and adult and compas. ``mine`` runs over the
+universe of ``ExploreSession(...).universe(0.1, "divergence")``: tree
+discretization at ``tree_support=0.1`` of the continuous attributes
+without a predefined hierarchy, then the generalized universe, as a
+cold H-DivExplorer query builds it.
 
 BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already
 set: with two, folktables' numeric ``total`` bytes differ from a
@@ -37,8 +44,8 @@ import hashlib  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from repro import ExploreConfig, HDivExplorer, HierarchySet  # noqa: E402
-from repro.core.mining import generalized_universe, mine  # noqa: E402
+from repro import ExploreConfig, ExploreSession, HDivExplorer  # noqa: E402
+from repro.core.mining import mine  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.obs import ObsCollector  # noqa: E402
 
@@ -54,46 +61,68 @@ SETTINGS = (
     ("compas", 6_172, ((0.05, False),)),
 )
 
-COLUMNS = ("ids", "count", "n", "total", "total_sq")
-COUNTER_PREFIXES = ("mining.", "polarity.")
+MINED_COLUMNS = ("ids", "count", "n", "total", "total_sq")
+RESULT_COLUMNS = ("ids", "count", "support", "mean", "divergence", "t")
+MINE_COUNTERS = ("mining.", "polarity.")
+EXPLORE_COUNTERS = ("mining.", "polarity.", "discretize.")
 
 
-def build_universe(dataset: str, rows: int):
-    """The generalized universe of a cold query over ``dataset``."""
-    ds = load_dataset(dataset, n_rows=rows)
-    table = ds.features()
-    outcome = ds.outcome().values(ds.table)
-    gamma = HierarchySet(ds.hierarchies)
-    continuous = [a for a in table.continuous_names if a not in gamma]
-    explorer = HDivExplorer(ExploreConfig(tree_support=0.1))
-    for hierarchy in explorer.discretize(table, outcome, continuous):
-        gamma.add(hierarchy)
-    return generalized_universe(table, outcome, gamma)
-
-
-def digest(mined, counters: dict) -> str:
-    """sha256 over the mined columns and the mining counters."""
+def digest(
+    columnar, columns: tuple[str, ...], counters: dict,
+    prefixes: tuple[str, ...], lines: tuple[str, ...] = (),
+) -> str:
+    """sha256 over named columns, extra lines and prefixed counters."""
     h = hashlib.sha256()
-    for name in COLUMNS:
-        column = np.ascontiguousarray(getattr(mined, name))
+    for name in columns:
+        column = np.ascontiguousarray(getattr(columnar, name))
         h.update(f"{name} {column.shape} {column.dtype}\n".encode())
         h.update(column.tobytes())
+    for line in lines:
+        h.update(f"{line}\n".encode())
     for name, value in sorted(counters.items()):
-        if name.startswith(COUNTER_PREFIXES):
+        if name.startswith(prefixes):
             h.update(f"{name}={value!r}\n".encode())
     return h.hexdigest()
 
 
+def gamma_lines(gamma) -> tuple[str, ...]:
+    """Every item of Γ, thresholds by their exact float repr."""
+    return tuple(
+        f"{item!r} {getattr(item, 'low', '')!r} {getattr(item, 'high', '')!r}"
+        for item in gamma.all_items(include_roots=True)
+    )
+
+
 def main() -> int:
     for dataset, rows, queries in SETTINGS:
-        universe = build_universe(dataset, rows)
+        ds = load_dataset(dataset, n_rows=rows)
+        table = ds.features()
+        outcome = ds.outcome().values(ds.table)
+        universe = ExploreSession(
+            table, outcome, hierarchies=ds.hierarchies
+        ).universe(0.1, "divergence")
         for min_support, polarity in queries:
+            label = (
+                f"{dataset} rows={rows} s={min_support} "
+                f"polarity={'on' if polarity else 'off'}"
+            )
             obs = ObsCollector()
             mined = mine(universe, min_support, obs=obs, polarity=polarity)
+            sha = digest(mined, MINED_COLUMNS, obs.counters, MINE_COUNTERS)
+            print(f"{label} itemsets={len(mined)} sha256={sha}", flush=True)
+
+            obs = ObsCollector()
+            config = ExploreConfig(
+                min_support=min_support, polarity=polarity, obs=obs
+            )
+            explorer = HDivExplorer(config)
+            result = explorer.explore(table, outcome, ds.hierarchies)
+            sha = digest(
+                result, RESULT_COLUMNS, obs.counters, EXPLORE_COUNTERS,
+                gamma_lines(explorer.last_hierarchies_),
+            )
             print(
-                f"{dataset} rows={rows} s={min_support} "
-                f"polarity={'on' if polarity else 'off'} "
-                f"itemsets={len(mined)} sha256={digest(mined, obs.counters)}",
+                f"{label} explore subgroups={len(result)} sha256={sha}",
                 flush=True,
             )
     return 0

@@ -436,7 +436,7 @@ def cpuprof_main() -> int:
     """CPU-profiler gate: bit-identity, overhead, exports, attribution."""
     import shutil
 
-    import repro.core.hexplorer as hexplorer
+    import repro.core.session as session
     from repro.obs.cpuprof import (
         load_cpuprof,
         to_folded,
@@ -491,12 +491,12 @@ def cpuprof_main() -> int:
         if directory.exists():
             shutil.rmtree(directory)
     timed(profile_cpu=True, bundle_dir=str(base_dir))
-    original = hexplorer.mine
-    hexplorer.mine = _smoke_regression(original)
+    original = session.mine
+    session.mine = _smoke_regression(original)
     try:
         timed(profile_cpu=True, bundle_dir=str(slow_dir))
     finally:
-        hexplorer.mine = original
+        session.mine = original
 
     # -- artifact: schema-valid capture, byte-stable exports ------------
     # Both captures must be valid; stacks are required of the injected

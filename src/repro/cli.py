@@ -338,20 +338,6 @@ def cmd_explore(args) -> int:
     return 0
 
 
-def cmd_hexplore(args) -> int:
-    """Hierarchical exploration (explicit spelling of `explore`)."""
-    table = read_csv(args.csv)
-    outcome = _build_outcome(args)
-    values = outcome.values(table)
-    features = _feature_table(table, args)
-    obs = _build_obs(args)
-    explorer = HDivExplorer(_explore_config(args, obs=obs))
-    result = explorer.explore(features, values)
-    _print_result(result, args, "hierarchical")
-    _write_obs(args, obs)
-    return 0
-
-
 def cmd_report(args) -> int:
     from repro.core.report import exploration_report
 
@@ -533,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hierarchical exploration (explicit spelling of `explore`)",
     )
     add_explore_flags(p)
-    p.set_defaults(fn=cmd_hexplore)
+    p.set_defaults(fn=cmd_explore, base=False)
 
     p = sub.add_parser(
         "sweep",

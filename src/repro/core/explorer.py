@@ -119,13 +119,14 @@ class DivExplorer:
         return self.explore_universe(universe)
 
     def explore_universe(self, universe: EncodedUniverse) -> ResultSet:
-        """Explore a pre-encoded universe (shared with H-DivExplorer).
+        """Explore a pre-encoded universe.
 
-        The wall time lands on ``ResultSet.elapsed_seconds`` whether or
-        not observability is on; with an enabled collector the mining
-        additionally runs inside a ``mine`` span (with the engine's
-        ``bitset`` span nested under it) and the collector travels on the
-        returned :class:`ResultSet`.
+        The wall time of mining and of building the result columns
+        lands on ``ResultSet.elapsed_seconds`` whether or not
+        observability is on; with an enabled collector both run inside
+        a ``mine`` span (with the engine's ``bitset`` span nested under
+        it) and the collector travels on the returned
+        :class:`ResultSet`.
         """
         obs = self.obs
         # Deadline coverage starts at mining; encoding (in explore())
@@ -137,5 +138,6 @@ class DivExplorer:
                 universe, self.min_support, max_length=self.max_length,
                 obs=obs, polarity=self.polarity,
             )
-        elapsed = time.perf_counter() - start
-        return results_from_mined(universe, mined, elapsed, obs=obs)
+            result = results_from_mined(universe, mined, 0.0, obs=obs)
+        result.elapsed_seconds = time.perf_counter() - start
+        return result

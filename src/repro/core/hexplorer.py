@@ -9,11 +9,14 @@ The two-step pipeline of the paper:
    mining over all hierarchies (tree-derived and predefined categorical
    ones), with divergence accumulated in-pass and, optionally, polarity
    pruning.
+
+:meth:`HDivExplorer.explore` runs both steps as the first query of a
+one-shot :class:`~repro.core.session.ExploreSession`, the one pipeline
+every front door shares.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 import numpy as np
@@ -21,11 +24,9 @@ import numpy as np
 from repro.core.config import ExploreConfig, resolve_config
 from repro.core.discretize.tree import TreeDiscretizer
 from repro.core.hierarchy import HierarchySet, ItemHierarchy
-from repro.core.mining.generalized import generalized_universe
-from repro.core.mining.transactions import mine
-from repro.core.outcomes import Outcome, coerce_outcome
-from repro.core.explorer import results_from_mined
+from repro.core.outcomes import Outcome
 from repro.core.results import ResultSet
+from repro.core.session import ExploreSession
 from repro.obs.bundle import bundle_scope
 from repro.tabular import Table
 
@@ -91,7 +92,6 @@ class HDivExplorer:
         attributes: Iterable[str] | None = None,
     ) -> HierarchySet:
         """Step 1: fit discretization trees for continuous attributes."""
-        outcome = coerce_outcome(outcome)
         discretizer = TreeDiscretizer(
             min_support=self.tree_support,
             criterion=self.criterion,
@@ -111,6 +111,10 @@ class HDivExplorer:
         categorical_attributes: Iterable[str] | None = None,
     ) -> ResultSet:
         """Run the full pipeline and return ranked divergent subgroups.
+
+        The call is the first query of a one-shot
+        :class:`~repro.core.session.ExploreSession` built from these
+        arguments, so its result is the session's by construction.
 
         Parameters
         ----------
@@ -132,59 +136,30 @@ class HDivExplorer:
             Categorical attributes included as flat value items when
             they have no hierarchy; defaults to all of them.
         """
-        outcome = coerce_outcome(outcome)
-        gamma = HierarchySet()
-        provided = (
-            hierarchies if isinstance(hierarchies, HierarchySet)
-            else HierarchySet(hierarchies)
-        )
-        for h in provided:
-            gamma.add(h)
-
-        if continuous_attributes is None:
-            continuous_attributes = [
-                a for a in table.continuous_names if a not in gamma
-            ]
-        else:
-            continuous_attributes = [
-                a for a in continuous_attributes if a not in gamma
-            ]
+        cfg = self.config
         obs = self.obs
         # A configured deadline_s starts counting here; the collector
         # checkpoints (per attribute fitted, per mining step slice) raise
         # RunCancelled once it expires. The bundle scope is inert
         # unless config.bundle_dir is set, in which case the whole run
         # — including a crash or cancellation inside it — is captured
-        # into a forensics bundle.
-        obs.arm_deadline(self.config.deadline_s)
-        with bundle_scope(self.config, obs, dataset=table, name="hexplore"):
-            # The explicit perf_counter pairs stay (the NullCollector's
-            # spans record nothing): last_discretization_seconds_ and
-            # ResultSet.elapsed_seconds must be populated either way.
-            start = time.perf_counter()
-            with obs.span(
-                "discretize", attributes=len(continuous_attributes)
-            ):
-                if continuous_attributes:
-                    trees = self.discretize(
-                        table, outcome, continuous_attributes
-                    )
-                    for h in trees:
-                        gamma.add(h)
-            self.last_discretization_seconds_ = time.perf_counter() - start
-            self.last_hierarchies_ = gamma
-
-            universe = generalized_universe(
-                table, outcome, gamma, categorical_attributes,
+        # into a forensics bundle, outcome evaluation included.
+        obs.arm_deadline(cfg.deadline_s)
+        with bundle_scope(cfg, obs, dataset=table, name="hexplore"):
+            session = ExploreSession(
+                table,
+                outcome,
+                hierarchies=hierarchies,
+                continuous_attributes=continuous_attributes,
+                categorical_attributes=categorical_attributes,
+                max_candidates=self.max_candidates,
+                max_depth=self.max_depth,
                 include_missing_items=self.include_missing_items,
-                obs=obs,
             )
-            obs.checkpoint("encode")
-            start = time.perf_counter()
-            with obs.span("mine", polarity=self.polarity):
-                mined = mine(
-                    universe, self.min_support, max_length=self.max_length,
-                    obs=obs, polarity=self.polarity,
-                )
-            elapsed = time.perf_counter() - start
-            return results_from_mined(universe, mined, elapsed, obs=obs)
+            result = session._explore(cfg, obs)
+        gamma, _universe, seconds = session._universes[
+            cfg.tree_support, cfg.criterion
+        ]
+        self.last_hierarchies_ = gamma
+        self.last_discretization_seconds_ = seconds
+        return result

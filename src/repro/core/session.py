@@ -2,8 +2,8 @@
 
 The paper's experiments (Fig. 2–4) re-run H-DivExplorer many times over
 the *same* ``(table, outcome)`` pair while varying one knob. A cold
-:meth:`HDivExplorer.explore` call rebuilds every artifact from scratch;
-most of them do not depend on the parameter being varied:
+query builds every artifact from scratch; most of them do not depend
+on the parameter being varied:
 
 =====================  ==============================================
 artifact               invalidated by
@@ -21,11 +21,11 @@ ranking / top-k        nothing — ranked on the result's columns
 
 :class:`ExploreSession` binds the pair once and serves repeated
 ``explore(config)`` / ``sweep(param, values)`` calls, recomputing only
-what the changed parameters invalidate. The hard invariant: a warm
-result is **bit-identical** to the cold ``HDivExplorer(config)
-.explore(table, outcome)`` result — same subgroups, same statistics,
-same order (both paths canonicalize through
-:func:`repro.core.explorer.results_from_mined`).
+what the changed parameters invalidate. This is the one pipeline:
+``HDivExplorer(config).explore(table, outcome)`` is the first query of
+a one-shot session, so a session's first query equals the cold result
+by construction. The hard invariant: a warm result is **bit-identical**
+to that cold result — same subgroups, same statistics, same order.
 
 *Support derivation* deserves a note. The session caches the
 :class:`ResultSet` of each mined configuration. The engine keeps an
@@ -40,8 +40,9 @@ shares the cached arrays. Either way the returned result carries the
 current call's ``elapsed_seconds`` and collector.
 
 Cache traffic is observable: ``session.trees|universe|engine|mined
-.hits|misses`` counters land on the collector, and ``sweep`` emits one
-span tree with per-point hit/miss deltas.
+.hits|misses`` counters land on the call's collector, and ``sweep``
+emits one span tree with per-point hit/miss deltas. A cold explorer
+run records one miss for each cache it fills.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from repro.core.explorer import results_from_mined
 from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.mining.bitset import BitsetEngine
 from repro.core.mining.generalized import generalized_universe
-from repro.core.mining.transactions import EncodedUniverse, MinedColumns, mine
+from repro.core.mining.transactions import EncodedUniverse, mine
 from repro.core.outcomes import Outcome, array_outcome, coerce_outcome
 from repro.core.results import ResultSet
 from repro.obs.bundle import bundle_scope
@@ -125,9 +126,11 @@ class ExploreSession:
     max_candidates / max_depth / include_missing_items:
         As on :class:`~repro.core.hexplorer.HDivExplorer`.
     obs:
-        Session-level collector receiving the cache hit/miss counters
-        and pipeline spans. An enabled collector on an individual
-        ``explore(config)`` call takes precedence for that call.
+        Session-level collector: it sees the work of :meth:`tree`,
+        :meth:`hierarchies` and :meth:`universe`, and of every
+        ``explore``/``sweep`` call without an enabled collector of its
+        own. A call's enabled collector takes precedence for the whole
+        call — tree fitting, encoding, mining and cache counters.
 
     Usable as a context manager (:meth:`close` releases nothing).
     """
@@ -165,7 +168,8 @@ class ExploreSession:
             continuous = [
                 a for a in continuous_attributes if a not in provided
             ]
-        self._continuous = continuous
+        # An attribute named twice gets one tree.
+        self._continuous = list(dict.fromkeys(continuous))
         self._categorical = (
             list(categorical_attributes)
             if categorical_attributes is not None else None
@@ -181,12 +185,15 @@ class ExploreSession:
 
         # The caches. Keys:
         #   trees      (attribute, tree_support, criterion)
-        #   universes  (tree_support, criterion) -> (gamma, universe)
+        #   universes  (tree_support, criterion)
+        #              -> (gamma, universe, discretize seconds)
         #   engines    (tree_support, criterion)
         #   mined      (ukey, max_length, polarity)
         #              -> (mined_at_support, result)
         self._trees: dict[tuple, AttributeTree] = {}
-        self._universes: dict[tuple, tuple[HierarchySet, EncodedUniverse]] = {}
+        self._universes: dict[
+            tuple, tuple[HierarchySet, EncodedUniverse, float]
+        ] = {}
         self._engines: dict[tuple, BitsetEngine] = {}
         self._mined: dict[tuple, tuple[float, ResultSet]] = {}
 
@@ -203,40 +210,22 @@ class ExploreSession:
         Keyed by ``(attribute, tree_support, criterion)`` — exactly the
         parameters that shape the tree.
         """
-        obs = self.obs
-        key = (attribute, float(tree_support), criterion)
-        cached = self._trees.get(key)
-        if cached is not None:
-            obs.count("session.trees.hits")
-            return cached
-        obs.count("session.trees.misses")
-        discretizer = TreeDiscretizer(
-            min_support=tree_support,
-            criterion=criterion,
-            max_candidates=self.max_candidates,
-            max_depth=self.max_depth,
-            obs=obs,
+        (tree,) = self._trees_of(
+            [attribute], (float(tree_support), criterion), self.obs
         )
-        tree = discretizer.fit(self.table, attribute, self._outcome)
-        self._trees[key] = tree
         return tree
 
     def hierarchies(
         self, tree_support: float = 0.1, criterion: str = "divergence"
     ) -> HierarchySet:
         """The hierarchy set Γ (predefined + per-attribute trees)."""
-        gamma = HierarchySet()
-        for h in self._provided:
-            gamma.add(h)
-        for attribute in self._continuous:
-            gamma.add(self.tree(attribute, tree_support, criterion).to_hierarchy())
-        return gamma
+        return self._hierarchies((float(tree_support), criterion), self.obs)
 
     def universe(
         self, tree_support: float = 0.1, criterion: str = "divergence"
     ) -> EncodedUniverse:
         """The encoded generalized universe for one discretization (cached)."""
-        _gamma, universe = self._universe_entry(
+        _gamma, universe, _seconds = self._universe_entry(
             (float(tree_support), criterion), self.obs
         )
         return universe
@@ -349,23 +338,61 @@ class ExploreSession:
 
     # -- internals -------------------------------------------------------
 
+    def _trees_of(
+        self, attributes: list[str], ukey: tuple, obs: AnyCollector
+    ) -> list[AttributeTree]:
+        """The trees of ``attributes`` at ``ukey``.
+
+        One ``fit_all`` on ``obs`` fits the missing ones: it evaluates
+        the outcome once and announces the ``discretize`` progress total.
+        """
+        missing = [a for a in attributes if (a, *ukey) not in self._trees]
+        hits = len(attributes) - len(missing)
+        if hits:
+            obs.count("session.trees.hits", hits)
+        if missing:
+            obs.count("session.trees.misses", len(missing))
+            tree_support, criterion = ukey
+            discretizer = TreeDiscretizer(
+                min_support=tree_support,
+                criterion=criterion,
+                max_candidates=self.max_candidates,
+                max_depth=self.max_depth,
+                obs=obs,
+            )
+            fitted = discretizer.fit_all(self.table, self._outcome, missing)
+            for attribute, tree in fitted.items():
+                self._trees[(attribute, *ukey)] = tree
+        return [self._trees[(a, *ukey)] for a in attributes]
+
+    def _hierarchies(self, ukey: tuple, obs: AnyCollector) -> HierarchySet:
+        trees = self._trees_of(self._continuous, ukey, obs)
+        return HierarchySet(
+            [*self._provided, *(tree.to_hierarchy() for tree in trees)]
+        )
+
     def _universe_entry(
         self, ukey: tuple, obs: AnyCollector
-    ) -> tuple[HierarchySet, EncodedUniverse]:
+    ) -> tuple[HierarchySet, EncodedUniverse, float]:
+        """Γ, the encoded universe and the discretize step's wall time."""
         cached = self._universes.get(ukey)
         if cached is not None:
             obs.count("session.universe.hits")
             return cached
         obs.count("session.universe.misses")
-        tree_support, criterion = ukey
+        # perf_counter, not the span: the null collector's spans record
+        # nothing, and HDivExplorer reports this time either way.
+        start = time.perf_counter()
         with obs.span("discretize", attributes=len(self._continuous)):
-            gamma = self.hierarchies(tree_support, criterion)
+            gamma = self._hierarchies(ukey, obs)
+        seconds = time.perf_counter() - start
         universe = generalized_universe(
             self.table, self._outcome, gamma, self._categorical,
             include_missing_items=self.include_missing_items,
             obs=obs,
         )
-        entry = (gamma, universe)
+        obs.checkpoint("encode")
+        entry = (gamma, universe, seconds)
         self._universes[ukey] = entry
         return entry
 
@@ -384,7 +411,7 @@ class ExploreSession:
 
     def _explore(self, cfg: ExploreConfig, obs: AnyCollector) -> ResultSet:
         ukey = (cfg.tree_support, cfg.criterion)
-        _gamma, universe = self._universe_entry(ukey, obs)
+        _gamma, universe, _seconds = self._universe_entry(ukey, obs)
         start = time.perf_counter()
         with obs.span("mine", polarity=cfg.polarity):
             result = self._result_for(cfg, ukey, universe, obs)
@@ -408,25 +435,16 @@ class ExploreSession:
             min_count = min_support_count(cfg.min_support, universe.n_rows)
             return result._select(np.flatnonzero(result.count >= min_count))
         obs.count("session.mined.misses")
-        mined = self._mine(cfg, ukey, universe, obs)
-        result = results_from_mined(universe, mined, 0.0)
-        self._mined[mkey] = (cfg.min_support, result)
-        return result
-
-    def _mine(
-        self,
-        cfg: ExploreConfig,
-        ukey: tuple,
-        universe: EncodedUniverse,
-        obs: AnyCollector,
-    ) -> MinedColumns:
-        # Every path mines with the cached engine, polarity pruning
-        # included: it reads the same packed covers.
-        return mine(
+        # Every mine, polarity pruning included, reads the cached
+        # engine's packed covers.
+        mined = mine(
             universe, cfg.min_support, max_length=cfg.max_length,
             engine=self._engine(ukey, universe, obs), obs=obs,
             polarity=cfg.polarity,
         )
+        result = results_from_mined(universe, mined, 0.0)
+        self._mined[mkey] = (cfg.min_support, result)
+        return result
 
 
 def _cache_delta(obs: AnyCollector, before: dict) -> tuple[int, int]:

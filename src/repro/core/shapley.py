@@ -175,28 +175,3 @@ def corrective_items(results, itemset: Itemset) -> list[tuple[Item, float]]:
     out.sort(key=lambda kv: -kv[1])
     return out
 
-
-def global_item_divergence(
-    table: Table,
-    outcome: Outcome | np.ndarray,
-    items: list[Item],
-) -> dict[Item, float]:
-    """Each item's individual divergence (its 1-item subgroup's Δ).
-
-    A cheap screening complement to the per-itemset Shapley values,
-    matching the item "polarity" notion of Section V-C.
-    """
-    if isinstance(outcome, Outcome):
-        outcomes = outcome.values(table)
-    else:
-        outcomes = np.asarray(outcome, dtype=np.float64)
-    global_mean = float(np.nanmean(outcomes))
-    out: dict[Item, float] = {}
-    for item in items:
-        selected = outcomes[item.mask(table)]
-        defined = selected[~np.isnan(selected)]
-        if defined.size == 0:
-            out[item] = float("nan")
-        else:
-            out[item] = float(defined.mean()) - global_mean
-    return out

@@ -62,6 +62,22 @@ def test_explore_n_jobs_warns_and_prints_serial_output(german_csv, capsys):
     assert deprecated[1:] == serial[1:]
 
 
+def test_hexplore_prints_what_explore_prints(german_csv, capsys):
+    args = [
+        german_csv, "--kind", "error",
+        "--y-true", "label", "--y-pred", "pred",
+        "--support", "0.2", "--top", "5",
+    ]
+    assert main(["explore", *args]) == 0
+    explore = capsys.readouterr().out.splitlines()
+    assert main(["hexplore", *args]) == 0
+    hexplore = capsys.readouterr().out.splitlines()
+    # The headline's elapsed seconds may differ, nothing else.
+    assert hexplore[0].rsplit(",", 1)[0] == explore[0].rsplit(",", 1)[0]
+    assert hexplore[1:] == explore[1:]
+    assert len(explore) == 6  # the headline and the top 5
+
+
 def test_explore_rejects_negative_top(german_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(

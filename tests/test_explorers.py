@@ -7,6 +7,7 @@ from repro.core.discretize import TreeDiscretizer
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem, Itemset
+from repro.core.outcomes import Outcome
 from repro.tabular import Table
 
 
@@ -230,6 +231,18 @@ class TestHDivExplorer:
             table, errors
         )
         assert result.max_divergence() > 0.1
+
+    def test_outcome_evaluated_once_per_cold_query(self, pocket_data):
+        table, errors = pocket_data
+        calls = []
+
+        def fn(t):
+            calls.append(t.n_rows)
+            return errors
+
+        outcome = Outcome("counted", fn, boolean=True)
+        HDivExplorer(min_support=0.1).explore(table, outcome)
+        assert calls == [table.n_rows]
 
     def test_invalid_support(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from repro.core.outcomes import (
 )
 from repro.core.results import SubgroupResult
 from repro.core.session import ExploreSession
-from repro.obs import ObsCollector
+from repro.obs import ObsCollector, RunCancelled
 from repro.tabular import Table
 
 
@@ -309,6 +309,59 @@ class TestInvalidation:
         assert "session.mined.hits" not in deltas
 
 
+class TestCallCollector:
+    """A call's own collector sees the whole call, tree fitting included."""
+
+    @staticmethod
+    def discretize_counters(obs):
+        return {
+            name: value for name, value in obs.counters.items()
+            if name.startswith("discretize.")
+        }
+
+    def test_call_collector_counts_tree_fitting(self, obs_session):
+        session, session_obs, table, errors = obs_session
+        cold_obs = ObsCollector()
+        HDivExplorer(ExploreConfig(min_support=0.1, obs=cold_obs)).explore(
+            table, errors
+        )
+        own = ObsCollector()
+        session.explore(ExploreConfig(min_support=0.1, obs=own))
+        assert self.discretize_counters(own) == self.discretize_counters(
+            cold_obs
+        )
+        assert own.counter("discretize.splits_tried") > 0
+        assert own.counter("session.trees.misses") == 2  # x and y
+        assert session_obs.counter("session.trees.misses") == 0
+        assert session_obs.counters == {}
+
+    def test_call_collector_gets_the_fit_spans(self, obs_session):
+        session, _obs, _table, _errors = obs_session
+        own = ObsCollector()
+        session.explore(ExploreConfig(min_support=0.1, obs=own))
+        (explore,) = own.roots
+        discretize = explore.children[0]
+        assert discretize.name == "discretize"
+        assert [c.name for c in discretize.children] == ["fit", "fit"]
+
+    def test_sweep_first_point_counts_tree_misses(self, obs_session):
+        session, session_obs, _table, _errors = obs_session
+        own = ObsCollector()
+        sweep = session.sweep(
+            "min_support", [0.05, 0.1], ExploreConfig(obs=own)
+        )
+        # Two trees, then the universe, engine and mined caches.
+        assert [p.cache_misses for p in sweep] == [5, 0]
+        assert session_obs.counters == {}
+
+    def test_deadline_cancels_in_discretize(self, pocket_data):
+        table, errors = pocket_data
+        session = ExploreSession(table, errors)
+        with pytest.raises(RunCancelled) as exc_info:
+            session.explore(ExploreConfig(min_support=0.05, deadline_s=1e-6))
+        assert exc_info.value.where == "discretize"
+
+
 class TestSweep:
     def test_sweep_points_match_cold(self, obs_session):
         session, _obs, table, errors = obs_session
@@ -373,6 +426,17 @@ class TestSessionLifecycle:
         session.explore(min_support=0.1)
         session.close()
         session.close()
+
+    def test_attribute_named_twice_gets_one_tree(self, pocket_data):
+        table, errors = pocket_data
+        with ExploreSession(
+            table, errors, continuous_attributes=["x", "x"]
+        ) as session:
+            twice = session.explore(min_support=0.1)
+        once = HDivExplorer(min_support=0.1).explore(
+            table, errors, continuous_attributes=["x"]
+        )
+        assert exact_rows(twice) == exact_rows(once)
 
     def test_explore_rejects_unknown_kwargs(self, obs_session):
         session, _obs, _table, _errors = obs_session

@@ -6,7 +6,6 @@ import pytest
 from repro.core.items import CategoricalItem, IntervalItem, Itemset
 from repro.core.outcomes import array_outcome
 from repro.core.shapley import (
-    global_item_divergence,
     itemset_divergences,
     rank_items_by_contribution,
     shapley_values,
@@ -122,9 +121,3 @@ class TestHelpers:
         )
         assert ranked[0][0] == cat_item
         assert abs(ranked[0][1]) >= abs(ranked[1][1])
-
-    def test_global_item_divergence(self, driver_data):
-        table, o = driver_data
-        items = [CategoricalItem("cat", "a"), CategoricalItem("cat", "b")]
-        divs = global_item_divergence(table, o, items)
-        assert divs[items[1]] > 0 > divs[items[0]]
