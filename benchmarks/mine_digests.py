@@ -2,7 +2,7 @@
 
 A change that must not change the pipeline's output is checked by
 running this script on the old and the new tree and comparing the two
-outputs line by line. Each setting prints two lines:
+outputs line by line. Each setting prints three lines:
 
 * ``mine``: the itemset count, then a sha256 over the shape, dtype and
   bytes of the ``ids``, ``count``, ``n``, ``total`` and ``total_sq``
@@ -14,7 +14,12 @@ outputs line by line. Each setting prints two lines:
   ``mean``, ``divergence`` and ``t`` columns, the items of its Γ
   (every hierarchy, roots included, thresholds by their exact repr),
   and the sorted ``mining.*``, ``polarity.*`` and ``discretize.*``
-  counters.
+  counters;
+* ``derive``: an ``ExploreSession`` explores at the setting's support
+  ``s``, then at ``min(1.0, 2·s)``, which it derives from the first
+  result without mining; the subgroup count of that second result,
+  then a sha256 over the same six columns and the second call's sorted
+  ``mining.*``, ``polarity.*`` and ``session.*`` counters.
 
 The settings are perfbench's four query shapes, the Fig-2 cells at
 s=0.05 (bench sizes), folktables at 40,000 rows with and without
@@ -65,6 +70,7 @@ MINED_COLUMNS = ("ids", "count", "n", "total", "total_sq")
 RESULT_COLUMNS = ("ids", "count", "support", "mean", "divergence", "t")
 MINE_COUNTERS = ("mining.", "polarity.")
 EXPLORE_COUNTERS = ("mining.", "polarity.", "discretize.")
+DERIVE_COUNTERS = ("mining.", "polarity.", "session.")
 
 
 def digest(
@@ -123,6 +129,19 @@ def main() -> int:
             )
             print(
                 f"{label} explore subgroups={len(result)} sha256={sha}",
+                flush=True,
+            )
+
+            session = ExploreSession(table, outcome, hierarchies=ds.hierarchies)
+            session.explore(min_support=min_support, polarity=polarity)
+            obs = ObsCollector()
+            derived = session.explore(ExploreConfig(
+                min_support=min(1.0, 2 * min_support), polarity=polarity,
+                obs=obs,
+            ))
+            sha = digest(derived, RESULT_COLUMNS, obs.counters, DERIVE_COUNTERS)
+            print(
+                f"{label} derive subgroups={len(derived)} sha256={sha}",
                 flush=True,
             )
     return 0

@@ -15,7 +15,12 @@ import numpy as np
 from repro.core.config import ExploreConfig, resolve_config
 from repro.core.items import Item
 from repro.core.mining.generalized import base_universe
-from repro.core.mining.transactions import EncodedUniverse, MinedColumns, mine
+from repro.core.mining.transactions import (
+    EncodedUniverse,
+    MinedColumns,
+    PrefixTree,
+    mine,
+)
 from repro.core.outcomes import Outcome, coerce_outcome
 from repro.core.results import ResultSet, SubgroupResult
 from repro.obs.collector import AnyCollector
@@ -36,7 +41,8 @@ def results_from_mined(
     a cold run produce bit-identical sets, in the same order. Support,
     mean, divergence and Welch t are computed as columns
     (:meth:`SubgroupResult.columns_from_stats`); the result set shares
-    them and the mined id matrix, and builds no subgroup object here.
+    them and the mined prefix tree (row ``r`` is its node ``r``), and
+    builds no subgroup object here.
     """
     global_stats = universe.global_stats()
     columns = SubgroupResult.columns_from_stats(
@@ -44,8 +50,9 @@ def results_from_mined(
         global_stats, universe.n_rows,
     )
     return ResultSet._from_columns(
-        universe.items, mined.ids, (mined.count, *columns),
-        global_stats, elapsed_seconds, obs,
+        universe.items, PrefixTree(mined.parent, mined.item),
+        np.arange(len(mined)), (mined.count, *columns), global_stats,
+        elapsed_seconds, obs,
     )
 
 

@@ -5,8 +5,8 @@ One engine, the level-batched packed-bitset search
 item universe while accumulating the outcome sufficient statistics of
 every itemset, so divergence and significance come out of the mining
 pass for free (Algorithm 1 of the paper). :func:`mine` returns them as
-one :class:`MinedColumns` (an id matrix plus statistic columns, in
-canonical order).
+one :class:`MinedColumns` (a prefix tree of the itemsets plus
+statistic columns, in canonical order).
 
 The *generalized* universe (:func:`generalized_universe`) augments the
 item set with every hierarchy-internal item; transactions are extended

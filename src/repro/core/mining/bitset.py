@@ -22,8 +22,8 @@ kept by index), and the next level's candidates come from array
 arithmetic. Each level keeps its nodes' links to their
 parents; from them the rows are scattered once into canonical
 (depth-first) order. The output is one
-:class:`~repro.core.mining.transactions.MinedColumns` (an id matrix
-plus statistic columns).
+:class:`~repro.core.mining.transactions.MinedColumns`: a prefix tree
+(each row's parent row and last item) plus statistic columns.
 
 Statistics are bit-identical to :meth:`EncodedUniverse.stats_of_mask`:
 counts are exact integers from popcounts, and numeric totals reuse the
@@ -471,8 +471,9 @@ def _preorder(levels: list[tuple]) -> MinedColumns:
     node ``links[j]`` of the level above with ``items[j]``. Siblings
     are adjacent and ascend by item, so a node's row follows its
     parent's row and the whole subtrees of its earlier siblings. Each
-    level is scattered to those positions in one step: subtree sizes
-    come bottom-up from the links, positions top-down.
+    level is scattered to those positions in one step, with its
+    parents' rows as the prefix tree's links: subtree sizes come
+    bottom-up from the links, positions top-down.
     """
     sizes = [np.ones(len(levels[-1][0]), dtype=np.int64)]
     for k in range(len(levels) - 1, 0, -1):
@@ -481,24 +482,25 @@ def _preorder(levels: list[tuple]) -> MinedColumns:
         )
         sizes.insert(0, 1 + below.astype(np.int64))
     n_itemsets = int(sizes[0].sum())
-    ids = np.full((n_itemsets, len(levels)), -1, dtype=np.int64)
     columns = [
         np.empty(n_itemsets, dtype=dtype)
-        for dtype in (np.int64, np.int64, np.float64, np.float64)
+        for dtype in (
+            np.int64, np.int64, np.int64, np.int64, np.float64, np.float64
+        )
     ]
-    for k, (links, items, *stats) in enumerate(levels):
+    for k, (links, *values) in enumerate(levels):
         # Rows taken by the subtrees of the earlier nodes of this level.
         before = np.cumsum(sizes[k]) - sizes[k]
         if k == 0:
-            rows = before
+            rows, parents = before, -1
         else:
             # A sibling run starts after the children of earlier parents.
             children = sizes[k - 1] - 1
             run_start = np.cumsum(children) - children
             rows = (parent_rows - run_start + 1)[links] + before
-            ids[rows, :k] = ids[parent_rows[links], :k]
-        ids[rows, k] = items
-        for column, values in zip(columns, stats):
-            column[rows] = values
+            parents = parent_rows[links]
+        columns[0][rows] = parents
+        for column, value in zip(columns[1:], values):
+            column[rows] = value
         parent_rows = rows
-    return MinedColumns(ids, *columns)
+    return MinedColumns(*columns)

@@ -122,42 +122,65 @@ class MinedItemset:
 class MinedColumns:
     """The frequent itemsets of one mining run, as read-only columns.
 
-    Row ``r`` is one itemset: ``ids[r]`` holds its item ids in ascending
-    order, padded with ``-1`` to the widest itemset, and ``count[r]``,
-    ``n[r]``, ``total[r]``, ``total_sq[r]`` are its
-    :class:`OutcomeStats` fields. Rows are in canonical order:
-    lexicographic on the id tuples, a prefix before its extensions,
-    which is the depth-first order of the search. Iterating yields
+    The rows form a prefix tree: row ``r`` is the itemset of row
+    ``parent[r]`` (``-1`` for a one-item row) plus the item
+    ``item[r]``, and ``count[r]``, ``n[r]``, ``total[r]``,
+    ``total_sq[r]`` are its :class:`OutcomeStats` fields. Rows are in
+    canonical order: lexicographic on the id tuples, a prefix before
+    its extensions, which is the depth-first order of the search, so
+    ``parent[r] < r``. The id matrix ``ids`` (each row's item ids in
+    ascending order, padded with ``-1`` to the widest itemset) is built
+    from the tree on its first read and kept. Iterating yields
     :class:`MinedItemset` objects.
     """
 
-    __slots__ = ("ids", "count", "n", "total", "total_sq")
+    __slots__ = ("parent", "item", "count", "n", "total", "total_sq", "_ids")
 
     def __init__(
         self,
-        ids: np.ndarray,
+        parent: np.ndarray,
+        item: np.ndarray,
         count: np.ndarray,
         n: np.ndarray,
         total: np.ndarray,
         total_sq: np.ndarray,
     ):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        if self.ids.ndim != 2 or len(self.ids) != len(count):
-            raise ValueError("ids must be a matrix with one row per itemset")
+        parent = np.asarray(parent, dtype=np.int64)
+        if not parent.shape == np.shape(item) == np.shape(count):
+            raise ValueError("parent and item need one entry per itemset")
+        # Checked before the object holds the tree (a rejected object's
+        # repr must not walk it): every walk up the tree ends because
+        # each parent row comes earlier.
+        if not ((parent >= -1) & (parent < np.arange(len(parent)))).all():
+            raise ValueError("each row's parent must be an earlier row or -1")
+        self.parent = parent
+        self.item = np.asarray(item, dtype=np.int64)
         self.count = np.asarray(count, dtype=np.int64)
         self.n = np.asarray(n, dtype=np.int64)
         self.total = np.asarray(total, dtype=np.float64)
         self.total_sq = np.asarray(total_sq, dtype=np.float64)
-        for column in (self.ids, self.count, self.n, self.total, self.total_sq):
+        for column in (
+            self.parent, self.item, self.count, self.n, self.total, self.total_sq
+        ):
             column.flags.writeable = False
+        self._ids: np.ndarray | None = None
 
     @classmethod
     def empty(cls) -> "MinedColumns":
-        return cls(np.empty((0, 0), dtype=np.int64), [], [], [], [])
+        return cls([], [], [], [], [], [])
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The ``-1``-padded id matrix, built on first read."""
+        if self._ids is None:
+            ids = PrefixTree(self.parent, self.item).ids(np.arange(len(self)))
+            ids.flags.writeable = False
+            self._ids = ids
+        return self._ids
 
     def lengths(self) -> np.ndarray:
         """Number of items of each itemset."""
-        return np.count_nonzero(self.ids >= 0, axis=1)
+        return PrefixTree(self.parent, self.item).lengths(np.arange(len(self)))
 
     def __len__(self) -> int:
         return len(self.count)
@@ -183,11 +206,69 @@ class MinedColumns:
     def __reduce__(self):
         return (
             MinedColumns,
-            (self.ids, self.count, self.n, self.total, self.total_sq),
+            (
+                self.parent, self.item, self.count, self.n, self.total,
+                self.total_sq,
+            ),
         )
 
     def __repr__(self) -> str:
-        return f"MinedColumns(itemsets={len(self)}, width={self.ids.shape[1]})"
+        width = int(self.lengths().max(initial=0))
+        return f"MinedColumns(itemsets={len(self)}, width={width})"
+
+
+class PrefixTree:
+    """Itemsets as a read-only prefix tree.
+
+    Node ``j`` is the itemset of node ``parent[j]`` plus the item
+    ``item[j]``, where ``-1 <= parent[j] < j``; node ``-1`` is the
+    empty itemset. The stored arrays
+    end in a root slot that node ``-1`` indexes: its item is ``-1``
+    and its parent is itself, so a walk up the tree needs no test for
+    the root. Every query reads only the given nodes' paths to the
+    root, one gather per level.
+    """
+
+    __slots__ = ("parent", "item")
+
+    def __init__(self, parent: Sequence[int], item: Sequence[int]):
+        self.parent = np.append(np.asarray(parent, dtype=np.int64), -1)
+        self.item = np.append(np.asarray(item, dtype=np.int64), -1)
+        self.parent.flags.writeable = self.item.flags.writeable = False
+
+    def paths(self, nodes: np.ndarray) -> np.ndarray:
+        """The nodes' itemsets, right-aligned: row ``r`` holds the items
+        on the path from the root to ``nodes[r]`` in path order
+        (ascending, for a mined tree), after as many ``-1`` as make it
+        as long as the longest."""
+        columns = []
+        up = nodes
+        while up.max(initial=-1) >= 0:
+            columns.append(self.item[up])
+            up = self.parent[up]
+        if not columns:
+            return np.full((len(nodes), 0), -1, dtype=np.int64)
+        return np.stack(columns[::-1], axis=1)
+
+    def ids(self, nodes: np.ndarray) -> np.ndarray:
+        """:meth:`paths` left-aligned: each row's items first, then
+        ``-1`` padding, as wide as the longest itemset."""
+        paths = self.paths(nodes)
+        filled = paths >= 0
+        lengths = np.count_nonzero(filled, axis=1)
+        ids = np.full(paths.shape, -1, dtype=np.int64)
+        # Row by row, the items keep their order in both layouts.
+        ids[np.arange(paths.shape[1]) < lengths[:, None]] = paths[filled]
+        return ids
+
+    def lengths(self, nodes: np.ndarray) -> np.ndarray:
+        """The number of items of each node's itemset."""
+        lengths = np.zeros(len(nodes), dtype=np.int64)
+        up = nodes
+        while up.max(initial=-1) >= 0:
+            lengths += up >= 0
+            up = self.parent[up]
+        return lengths
 
 
 #: The mining engines :func:`mine` runs: the packed-bitset search only.

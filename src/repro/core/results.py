@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.divergence import OutcomeStats, welch_t
 from repro.core.items import Item, Itemset
+from repro.core.mining.transactions import PrefixTree
 from repro.obs.collector import AnyCollector, resolve_obs
 
 
@@ -107,14 +108,18 @@ class SubgroupResult:
 class ResultSet:
     """Explored subgroups, stored as columns, with ranking helpers.
 
-    Row ``r`` is one subgroup: ``ids[r]`` holds its item ids into
-    ``vocabulary`` in ascending order, padded with ``-1`` to the widest
-    itemset, and ``count[r]``, ``support[r]``, ``mean[r]``,
-    ``divergence[r]`` and ``t[r]`` are its :class:`SubgroupResult`
-    fields. All columns are read-only arrays. Iterating, indexing and
-    :meth:`top_k` build the :class:`SubgroupResult` of a row each time
-    it is read and keep none of them, so two reads of one row give
-    equal but distinct objects (unequal if a field is NaN).
+    Row ``r`` is one subgroup: ``count[r]``, ``support[r]``,
+    ``mean[r]``, ``divergence[r]`` and ``t[r]`` are its
+    :class:`SubgroupResult` fields, and its itemset is one node of a
+    read-only prefix tree over ``vocabulary`` (a mined result's tree is
+    the mined one, shared with every set derived from it). ``ids[r]``
+    holds the row's item ids into ``vocabulary`` in ascending order,
+    padded with ``-1`` to the widest itemset; that matrix is built from
+    the tree on its first read. All columns are read-only arrays.
+    Iterating, indexing and :meth:`top_k` build the
+    :class:`SubgroupResult` of a row each time it is read and keep none
+    of them, so two reads of one row give equal but distinct objects
+    (unequal if a field is NaN).
 
     Parameters
     ----------
@@ -143,13 +148,16 @@ class ResultSet:
             sorted(index.setdefault(item, len(index)) for item in r.itemset)
             for r in rows
         ]
-        ids = np.full(
-            (len(rows), max(map(len, id_rows), default=0)), -1, dtype=np.int64
-        )
-        for padded, row in zip(ids, id_rows):
-            padded[: len(row)] = row
+        # Each row is its own chain of tree nodes, one per item; the
+        # empty itemset is node -1.
+        lengths = np.array([len(row) for row in id_rows], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        parent = np.arange(lengths.sum()) - 1
+        parent[(ends - lengths)[lengths > 0]] = -1
         self._store(
-            tuple(index), ids,
+            tuple(index),
+            PrefixTree(parent, [i for row in id_rows for i in row]),
+            np.where(lengths > 0, ends - 1, -1),
             [[getattr(r, name) for r in rows] for name in _COLUMNS],
             global_stats, elapsed_seconds, obs,
         )
@@ -158,7 +166,8 @@ class ResultSet:
     def _from_columns(
         cls,
         vocabulary: Sequence[Item],
-        ids: np.ndarray,
+        tree: PrefixTree,
+        nodes: np.ndarray,
         columns: Sequence[np.ndarray],
         global_stats: OutcomeStats,
         elapsed_seconds: float,
@@ -166,21 +175,24 @@ class ResultSet:
     ) -> "ResultSet":
         """Construct over ready columns, sharing the arrays.
 
-        Internal fast path for the explorers: ``ids`` must index
-        ``vocabulary`` with ascending ids, one item per attribute, and
-        ``columns`` holds ``count``, ``support``, ``mean``,
-        ``divergence`` and ``t`` in that order.
+        Internal fast path for the explorers: ``tree`` is over
+        ``vocabulary``, its paths ascend by item id with one item per
+        attribute, row ``r`` is its node ``nodes[r]``, and ``columns``
+        holds ``count``, ``support``, ``mean``, ``divergence`` and
+        ``t`` in that order.
         """
         self = object.__new__(cls)
         self._store(
-            tuple(vocabulary), ids, columns, global_stats, elapsed_seconds, obs
+            tuple(vocabulary), tree, nodes, columns, global_stats,
+            elapsed_seconds, obs,
         )
         return self
 
     def _store(
         self,
         vocabulary: tuple[Item, ...],
-        ids: np.ndarray,
+        tree: PrefixTree,
+        nodes: Sequence[int],
         columns: Sequence[Sequence[float]],
         global_stats: OutcomeStats,
         elapsed_seconds: float,
@@ -188,7 +200,8 @@ class ResultSet:
     ) -> None:
         count, support, mean, divergence, t = columns
         self.vocabulary = vocabulary
-        self.ids = _read_only(ids, np.int64)
+        self._tree = tree
+        self._nodes = _read_only(nodes, np.int64)
         self.count = _read_only(count, np.int64)
         self.support = _read_only(support, np.float64)
         self.mean = _read_only(mean, np.float64)
@@ -197,6 +210,9 @@ class ResultSet:
         self.global_stats = global_stats
         self.elapsed_seconds = elapsed_seconds
         self.obs = resolve_obs(obs)
+        # The id matrix (see ids): built on the first read, and shared
+        # by the copies _replace makes, not by a selection.
+        self._ids: list[np.ndarray] = []
         # The one-item sets rows are built from (see _rows): filled on
         # the first read, and shared by every set derived from this one.
         self._singles: list[frozenset] = []
@@ -213,28 +229,38 @@ class ResultSet:
     def _select(self, rows: np.ndarray) -> "ResultSet":
         """The rows picked by a boolean mask or an index array.
 
-        Rows are gathered with ``take``. The id matrix keeps only the
-        columns its widest picked itemset fills, so it is padded as a
-        fresh exploration of those rows would pad it.
+        Takes the picked rows' tree nodes and columns; the tree itself
+        is shared, so a row whose prefix is not picked keeps its
+        itemset.
         """
         if rows.dtype == bool:
             rows = np.flatnonzero(rows)
-        ids = self.ids.take(rows, axis=0)
-        width = ids.shape[1]
-        while width and ids[:, width - 1].max(initial=-1) < 0:
-            width -= 1
         return self._replace(
-            ids=_read_only(ids[:, :width], np.int64),
+            _nodes=_read_only(self._nodes.take(rows), np.int64),
+            _ids=[],
             **{
                 name: _read_only(column.take(rows), column.dtype)
                 for name, column in zip(_COLUMNS, self._columns())
             },
         )
 
+    @property
+    def ids(self) -> np.ndarray:
+        """The rows' item ids into ``vocabulary``, ascending and padded
+        with ``-1`` to the widest itemset; built on the first read."""
+        built = self._ids
+        if not built:
+            # As with _singles, a racing second build appends an equal
+            # matrix and every reader takes the first.
+            ids = self._tree.ids(self._nodes)
+            built.append(_read_only(ids, np.int64))
+        return built[0]
+
     def _rows(self, rows: slice | np.ndarray) -> list[SubgroupResult]:
         """Build the :class:`SubgroupResult` of each picked row."""
-        # Unions of one-item sets reuse the items' stored hashes; the -1
-        # padding picks the trailing empty set.
+        # Unions of one-item sets reuse the items' stored hashes, in
+        # ascending id order; the -1 padding picks the trailing empty
+        # set.
         singles = self._singles
         if not singles:
             # One extend, so a concurrent reader sees all of it or none;
@@ -244,6 +270,7 @@ class ResultSet:
             singles += built + [frozenset()]
         single = singles.__getitem__
         empty = frozenset()
+        paths = self._tree.paths(self._nodes[rows])
         # The rows' objects form no cycles, so the cyclic collector's
         # scans of them are pure overhead (~40 % of a bulk build).
         collecting = gc.isenabled()
@@ -256,7 +283,7 @@ class ResultSet:
                     support, count, mean, divergence, t,
                 )
                 for row, count, support, mean, divergence, t in zip(
-                    self.ids[rows].tolist(),
+                    paths.tolist(),
                     *(column[rows].tolist() for column in self._columns()),
                 )
             ]
@@ -265,7 +292,7 @@ class ResultSet:
                 gc.enable()
 
     def _lengths(self) -> np.ndarray:
-        return np.count_nonzero(self.ids >= 0, axis=1)
+        return self._tree.lengths(self._nodes)
 
     def __len__(self) -> int:
         return len(self.count)
@@ -482,7 +509,7 @@ class ResultSet:
         )
 
 
-#: The per-row columns of a :class:`ResultSet`, besides its id matrix.
+#: The per-row columns of a :class:`ResultSet`, besides its tree nodes.
 _COLUMNS = ("count", "support", "mean", "divergence", "t")
 
 #: Rows built per GC pause while iterating a :class:`ResultSet`: the

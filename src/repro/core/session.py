@@ -61,7 +61,7 @@ from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.mining.bitset import BitsetEngine
 from repro.core.mining.generalized import generalized_universe
 from repro.core.mining.transactions import EncodedUniverse, mine
-from repro.core.outcomes import Outcome, array_outcome, coerce_outcome
+from repro.core.outcomes import Outcome, coerce_outcome
 from repro.core.results import ResultSet
 from repro.obs.bundle import bundle_scope
 from repro.obs.collector import AnyCollector, resolve_obs
@@ -175,13 +175,11 @@ class ExploreSession:
             if categorical_attributes is not None else None
         )
 
-        # Outcome values are parameter-independent: evaluate once and
-        # freeze them behind an equivalent Outcome so every downstream
-        # consumer (discretizer, universe encoder) sees the same array.
-        values = self.outcome.values(table)
-        self._outcome = array_outcome(
-            values, name=self.outcome.name, boolean=self.outcome.boolean
-        )
+        # Outcome values are parameter-independent: evaluate and check
+        # them once and freeze them behind an equivalent Outcome so
+        # every downstream consumer (discretizer, universe encoder)
+        # sees the same array.
+        self._outcome = _FrozenOutcome(self.outcome, table)
 
         # The caches. Keys:
         #   trees      (attribute, tree_support, criterion)
@@ -445,6 +443,26 @@ class ExploreSession:
         result = results_from_mined(universe, mined, 0.0)
         self._mined[mkey] = (cfg.min_support, result)
         return result
+
+
+class _FrozenOutcome(Outcome):
+    """An outcome evaluated and checked on a table once.
+
+    :meth:`values` returns that array after checking its length only:
+    a boolean outcome's 0/1 check already ran when it was evaluated.
+    """
+
+    def __init__(self, outcome: Outcome, table: Table):
+        super().__init__(outcome.name, None, outcome.boolean)
+        self._values = outcome.values(table)
+
+    def values(self, table: Table) -> np.ndarray:
+        if self._values.shape != (table.n_rows,):
+            raise ValueError(
+                f"precomputed outcome has length {self._values.shape[0]}, "
+                f"table has {table.n_rows} rows"
+            )
+        return self._values
 
 
 def _cache_delta(obs: AnyCollector, before: dict) -> tuple[int, int]:

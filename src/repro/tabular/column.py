@@ -126,11 +126,15 @@ class CategoricalColumn(Column):
         return self.codes == code
 
     def mask_in(self, categories: Iterable[str]) -> np.ndarray:
-        """Boolean mask of rows whose value is in ``categories``."""
-        wanted = {self._code_of[c] for c in categories if c in self._code_of}
-        if not wanted:
-            return np.zeros(len(self), dtype=bool)
-        return np.isin(self.codes, np.fromiter(wanted, dtype=np.int32))
+        """Boolean mask of rows whose value is in ``categories``.
+
+        One lookup per row in a table with a slot per category and a
+        last, always False, slot that the missing code ``-1`` indexes.
+        """
+        code_of = self._code_of
+        wanted = np.zeros(len(self.categories) + 1, dtype=bool)
+        wanted[[code_of[c] for c in categories if c in code_of]] = True
+        return np.take(wanted, self.codes)
 
     def missing_mask(self) -> np.ndarray:
         return self.codes == MISSING_CODE

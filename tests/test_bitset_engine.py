@@ -24,7 +24,7 @@ from repro.core.mining.bitset import (
     popcount_rows,
     unpack_cover,
 )
-from repro.core.mining import MinedItemset
+from repro.core.mining import MinedColumns, MinedItemset
 from repro.core.session import ExploreSession
 from repro.obs import ObsCollector
 
@@ -324,3 +324,40 @@ class TestMinedColumns:
         back = pickle.loads(pickle.dumps(mined))
         assert back == mined
         assert not back.total.flags.writeable
+
+    def test_tree_serves_lengths_repr_and_pickle_unbuilt(self, np_rng):
+        u = random_universe(np_rng, 200, [("a", 3), ("b", 2), ("c", 2)])
+        mined = mine_bitset(u, 0.05)
+        width = int(mined.lengths().max())
+        assert repr(mined) == f"MinedColumns(itemsets={len(mined)}, width={width})"
+        back = pickle.loads(pickle.dumps(mined))
+        assert mined._ids is None and back._ids is None
+        for name in ("parent", "item", "count", "n", "total", "total_sq"):
+            got, want = getattr(back, name), getattr(mined, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert back.ids.shape == (len(mined), width) == mined.ids.shape
+        assert back.ids.tobytes() == mined.ids.tobytes()
+        assert mined.ids is mined.ids and not mined.ids.flags.writeable
+
+    def test_zero_rows(self):
+        empty = MinedColumns.empty()
+        assert len(empty) == 0 and list(empty) == []
+        assert empty.ids.shape == (0, 0) and empty.ids.dtype == np.int64
+        assert empty.lengths().shape == (0,)
+        assert repr(empty) == "MinedColumns(itemsets=0, width=0)"
+        back = pickle.loads(pickle.dumps(empty))
+        assert back.ids.shape == (0, 0) and back == empty
+
+    def test_tree_columns_must_align(self):
+        stats = ([5, 4], [5, 4], [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="one entry per itemset"):
+            MinedColumns([-1, 0], [0], *stats)
+        # A parent at or after its row, or below -1, would make a cycle
+        # or point nowhere.
+        for parent in ([-1, 1], [0, -1], [-1, -2]):
+            with pytest.raises(ValueError, match="earlier row"):
+                MinedColumns(parent, [0, 1], *stats)
+        assert MinedColumns([-1, 0], [0, 1], *stats).ids.tolist() == [
+            [0, -1], [0, 1],
+        ]

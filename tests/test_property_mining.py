@@ -14,6 +14,7 @@ statistics from plain Python row sets, so it can be trusted by reading.
 import math
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem
 from repro.core.mining import EncodedUniverse, MinedColumns, mine
+from repro.core.mining import bitset
 from repro.core.mining.bitset import item_polarities
 from repro.obs import ObsCollector
 from repro.tabular import Table
@@ -305,4 +307,89 @@ def test_polarity_results_subset(data, support, max_length, every_attribute):
     )
     assert_counters_reconcile(
         obs, candidates, frequent_by_length(expected), polarity_pruned
+    )
+
+
+def reference_scatter(levels):
+    """The mined levels as a ``-1``-padded id matrix and statistic
+    columns, scattered into canonical order the way the engine did
+    before it wrote parent links: each row's id prefix is copied from
+    its parent's row."""
+    sizes = [np.ones(len(levels[-1][0]), dtype=np.int64)]
+    for k in range(len(levels) - 1, 0, -1):
+        below = np.bincount(
+            levels[k][0], weights=sizes[0], minlength=len(levels[k - 1][0])
+        )
+        sizes.insert(0, 1 + below.astype(np.int64))
+    n_itemsets = int(sizes[0].sum())
+    ids = np.full((n_itemsets, len(levels)), -1, dtype=np.int64)
+    columns = [
+        np.empty(n_itemsets, dtype=dtype)
+        for dtype in (np.int64, np.int64, np.float64, np.float64)
+    ]
+    for k, (links, items, *stats) in enumerate(levels):
+        before = np.cumsum(sizes[k]) - sizes[k]
+        if k == 0:
+            rows = before
+        else:
+            children = sizes[k - 1] - 1
+            run_start = np.cumsum(children) - children
+            rows = (parent_rows - run_start + 1)[links] + before
+            ids[rows, :k] = ids[parent_rows[links], :k]
+        ids[rows, k] = items
+        for column, values in zip(columns, stats):
+            column[rows] = values
+        parent_rows = rows
+    return ids, columns
+
+
+def assert_same_array(got, want):
+    """Equal shape, dtype and bytes."""
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=random_universe(), support=SUPPORTS, max_length=MAX_LENGTHS,
+    polarity=st.booleans(),
+)
+def test_tree_matches_reference_scatter(data, support, max_length, polarity):
+    """The mined prefix tree's lazy id matrix and lengths equal the
+    matrix of the old 2-D scatter bit for bit, and its statistic
+    columns are the scatter's columns."""
+    universe, _exact = data
+    scattered = []
+
+    def preorder(levels):
+        scattered.append(reference_scatter(levels))
+        return real_preorder(levels)
+
+    real_preorder = bitset._preorder
+    with mock.patch.object(bitset, "_preorder", preorder):
+        mined = mine(
+            universe, support, max_length=max_length, polarity=polarity
+        )
+    if scattered:
+        [(ids, columns)] = scattered
+    else:  # nothing frequent: the engine returns the empty container
+        empty = MinedColumns.empty()
+        ids = np.empty((0, 0), dtype=np.int64)
+        columns = [empty.count, empty.n, empty.total, empty.total_sq]
+    lengths = mined.lengths()
+    assert mined._ids is None, "lengths() built the id matrix"
+    assert_same_array(mined.ids, ids)
+    assert_same_array(lengths, np.count_nonzero(ids >= 0, axis=1))
+    for name, column in zip(("count", "n", "total", "total_sq"), columns):
+        assert_same_array(getattr(mined, name), column)
+    # Each row extends its parent row by its own, larger, last item.
+    rows = np.arange(len(mined))
+    assert (mined.parent < rows).all()
+    assert_same_array(mined.item, ids[rows, lengths - 1])
+    linked = mined.parent >= 0
+    assert_same_array(
+        ids[mined.parent[linked]], np.where(
+            np.arange(ids.shape[1]) < lengths[linked, None] - 1,
+            ids[linked], -1,
+        ),
     )

@@ -479,3 +479,116 @@ class TestConstructorRoundTrip:
             assert_same_rows(rebuilt.top_k(20, by=by), result.top_k(20, by=by))
         target = rows[len(rows) // 2]
         assert_bitwise_equal(result.find(target.itemset), target)
+
+
+def rebuilt_ids(result):
+    """The id matrix of ``result`` rebuilt from its subgroups: each
+    row's item ids into the set's vocabulary, ascending, padded with
+    ``-1`` to the widest itemset."""
+    index = {item: i for i, item in enumerate(result.vocabulary)}
+    rows = [sorted(index[item] for item in r.itemset) for r in result]
+    width = max(map(len, rows), default=0)
+    return np.array(
+        [row + [-1] * (width - len(row)) for row in rows], dtype=np.int64
+    ).reshape(len(rows), width)
+
+
+def assert_ids_rebuilt(result):
+    """``ids`` (built once and kept) and the row lengths match the
+    matrix rebuilt from the subgroups: same shape, dtype and bytes."""
+    want = rebuilt_ids(result)
+    got = result.ids
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    assert result.ids is got and not got.flags.writeable
+    lengths = np.count_nonzero(want >= 0, axis=1)
+    assert result._lengths().tolist() == lengths.tolist()
+
+
+class TestPrefixTree:
+    """Result sets select rows by node of a shared prefix tree and
+    build the id matrix from it on the first read."""
+
+    @pytest.fixture
+    def explored(self, pocket_data):
+        from repro.core.hexplorer import HDivExplorer
+
+        table, errors = pocket_data
+        return HDivExplorer(min_support=0.02, tree_support=0.05).explore(
+            table, errors
+        )
+
+    def test_top_k_leaves_the_matrix_unbuilt(self, explored):
+        assert explored._ids == []
+        top = explored.top_k(10)
+        assert len(top) == 10
+        explored[3], explored[:5], explored.at_support(0.2).top_k(5)
+        assert explored._ids == []
+        # find reads the matrix, and builds it.
+        for r in top:
+            assert explored.find(r.itemset).itemset == r.itemset
+        assert explored._ids != []
+
+    def test_selections_rebuild_their_ids(self, explored):
+        lengths = explored._lengths()
+        assert lengths.max() >= 3
+        # Build the matrix first: no selection may keep it.
+        assert_ids_rebuilt(explored)
+        derived = {
+            "at_support": explored.at_support(0.1),
+            "no prefixes": explored.filtered(lambda r: r.length >= 2),
+            "odd lengths": explored.filtered(lambda r: r.length % 2 == 1),
+            "deepest": explored.filtered(lambda r: r.length == lengths.max()),
+            "none": explored.filtered(lambda r: False),
+        }
+        derived["merged"] = derived["odd lengths"].merged(derived["at_support"])
+        for name, result in derived.items():
+            assert_ids_rebuilt(result)
+            if name != "merged":
+                assert result._tree is explored._tree, name
+        assert derived["no prefixes"].ids.shape[1] == explored.ids.shape[1]
+        assert derived["none"].ids.shape == (0, 0)
+        # A kept row keeps its itemset when its prefix is dropped.
+        kept = derived["deepest"]
+        assert {r.itemset for r in kept} == {
+            r.itemset for r in explored if r.length == lengths.max()
+        }
+
+    def test_empty_itemset_row(self):
+        a, b = ITEMS[0], ITEMS[3]
+        rows = [
+            make_row(Itemset(), 0.0),
+            make_row(Itemset([a]), 0.2),
+            make_row(Itemset([a, b]), 0.1),
+        ]
+        rs = ResultSet(rows, GLOBAL)
+        assert rs.ids.tolist() == [[-1, -1], [0, -1], [0, 1]]
+        assert rs._lengths().tolist() == [0, 1, 2]
+        assert [r.itemset for r in rs] == [row.itemset for row in rows]
+        assert rs.find(Itemset()).itemset == Itemset()
+        alone = rs.filtered(lambda r: r.length == 0)
+        assert alone.ids.shape == (1, 0) and len(alone) == 1
+        assert alone[0].itemset == Itemset()
+        assert rs.top_k(3, by="support")[-1].itemset == Itemset()
+
+    def test_zero_rows(self):
+        rs = ResultSet([], GLOBAL)
+        assert rs.ids.shape == (0, 0) and rs.ids.dtype == np.int64
+        assert rs._lengths().shape == (0,)
+        assert list(rs) == [] and rs.top_k(5) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=result_rows, others=result_rows)
+    def test_built_sets_match_their_rows(self, rows, others):
+        rs = ResultSet(rows, GLOBAL)
+        assert_ids_rebuilt(rs)
+        for result in (
+            rs.at_support(0.25),
+            rs.filtered(lambda r: r.length != 1),
+            rs.merged(ResultSet(others, GLOBAL)),
+        ):
+            assert_ids_rebuilt(result)
+
+
+def make_row(itemset, support):
+    return SubgroupResult(itemset, support, int(support * 100), 0.5, 0.1, 2.0)

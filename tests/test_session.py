@@ -173,6 +173,18 @@ class TestDerivedColumns:
         assert derived.obs is obs
         assert derived.elapsed_seconds != first.elapsed_seconds
 
+    def test_derived_rows_share_the_mined_tree(self, pocket_data):
+        # The fill's id matrix is built before the derive, which selects
+        # tree nodes and builds its own, as narrow as a cold one's.
+        table, errors = pocket_data
+        reference = cold(table, errors, min_support=0.3)
+        with ExploreSession(table, errors) as session:
+            filled = session.explore(min_support=0.05)
+            assert filled.ids.shape[1] > reference.ids.shape[1]
+            derived = session.explore(min_support=0.3)
+        assert derived._tree is filled._tree
+        assert_same_columns(derived, reference)
+
 
 class TestInvalidation:
     def explore_deltas(self, session, obs, **kwargs):
@@ -448,6 +460,41 @@ class TestSessionLifecycle:
         session.explore(min_support=0.1)
         text = repr(session)
         assert "trees=2" in text and "universes=1" in text and "mined=1" in text
+
+
+class TestFrozenOutcome:
+    def test_outcome_is_evaluated_and_checked_once(
+        self, pocket_data, monkeypatch
+    ):
+        # Discretizing and encoding read the frozen array; neither
+        # evaluates the outcome or repeats its 0/1 check.
+        table, errors = pocket_data
+        evaluate = Outcome.values
+        calls = []
+
+        def counting(outcome, on):
+            calls.append(outcome.name)
+            return evaluate(outcome, on)
+
+        monkeypatch.setattr(Outcome, "values", counting)
+        with ExploreSession(table, errors) as session:
+            session.explore(min_support=0.1)
+            session.explore(min_support=0.1, tree_support=0.2)
+        cold(table, errors, min_support=0.1, criterion="entropy")
+        assert len(calls) == 2
+
+    def test_frozen_values_keep_the_length_check(self, pocket_data):
+        table, errors = pocket_data
+        with ExploreSession(table, errors) as session:
+            assert session._outcome.values(table) is session._outcome.values(
+                table
+            )
+            with pytest.raises(ValueError, match="length"):
+                session._outcome.values(Table({"x": [1.0, 2.0]}))
+        with pytest.raises(ValueError, match="non-0/1"):
+            ExploreSession(
+                table, array_outcome(np.full(table.n_rows, 2.0), boolean=True)
+            )
 
 
 class TestCoerceOutcome:

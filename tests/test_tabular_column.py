@@ -55,6 +55,19 @@ class TestCategoricalColumn:
         assert list(col.mask_eq("a")) == [True, False, True]
         assert list(col.mask_in({"a"})) == [True, False, True]
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 97])
+    def test_mask_in_matches_isin(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        categories = [f"v{i}" for i in range(5)]
+        codes = rng.integers(MISSING_CODE, len(categories), n_rows)
+        col = CategoricalColumn("c", codes, categories)
+        for wanted in ([], ["zz"], ["v4"], ["v0", "v4", "v4", "zz"], categories):
+            known = [categories.index(c) for c in wanted if c in categories]
+            got = col.mask_in(iter(wanted))  # any one-pass iterable
+            assert got.dtype == bool and got.shape == (n_rows,)
+            assert got.tolist() == np.isin(codes, known).tolist()
+            assert not got[codes == MISSING_CODE].any()
+
     def test_value_counts(self):
         col = CategoricalColumn.from_values("c", ["a", "b", "a", None])
         assert col.value_counts() == {"a": 2, "b": 1}
