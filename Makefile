@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke perf-gate perf-report sweep-bench bundle-gate cpuprof-gate perfbench-test mine-digests
+.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke counter-gate sweep-bench bundle-gate cpuprof-gate perfbench-test mine-digests
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,7 +22,7 @@ lint-json:
 lint-baseline:
 	$(PYTHON) -m repro.devtools.lint src benchmarks --write-baseline
 
-verify: lint arch-gate test perfbench-test bench-smoke obs-smoke bundle-gate cpuprof-gate perf-gate
+verify: lint arch-gate test perfbench-test bench-smoke obs-smoke bundle-gate cpuprof-gate counter-gate
 
 # perfbench's self-test: every workload's outputs against golden.json.
 perfbench-test:
@@ -34,8 +34,14 @@ bench-smoke:
 obs-smoke:
 	$(PYTHON) benchmarks/smoke.py --obs
 
-perf-gate:
-	$(PYTHON) benchmarks/smoke.py --perf-gate
+# The exact work the pipeline does (subgroup counts and every
+# mining/polarity/discretize/session counter) against the committed
+# file: any difference is a behaviour change. A change that means it
+# regenerates the file with
+#   $(PYTHON) benchmarks/work_counters.py > benchmark_results/work_counters.txt
+counter-gate:
+	{ $(PYTHON) benchmarks/work_counters.py || echo "work_counters.py failed"; } \
+		| diff -u benchmark_results/work_counters.txt -
 
 arch-gate:
 	$(PYTHON) benchmarks/smoke.py --arch
@@ -45,9 +51,6 @@ bundle-gate:
 
 cpuprof-gate:
 	$(PYTHON) benchmarks/smoke.py --cpuprof
-
-perf-report:
-	$(PYTHON) -m repro.obs.perfdb --history benchmark_results/history report
 
 # Byte digests of mine() over a fixed dataset sweep (not part of verify):
 # run on two trees and diff the outputs to show a change is bit-identical.

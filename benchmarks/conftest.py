@@ -9,11 +9,6 @@ also gets a machine-readable ``BENCH_<name>.json`` (schema
 span trace (trimmed to :data:`MAX_SPAN_DEPTH` so deep mining recursions
 do not bloat checked-in fixtures), and a fingerprint of the
 configuration that produced it.
-
-Each emitted payload is also appended to the perfdb history
-(``benchmark_results/history/<name>.jsonl``) so successive bench runs
-build the trajectory ``python -m repro.obs.perfdb report`` summarizes;
-the session prints that report when it ends.
 """
 
 from __future__ import annotations
@@ -24,17 +19,13 @@ import pytest
 
 from repro.experiments import load_context
 from repro.obs import NULL_OBS, write_bench_json, write_chrome_trace
-from repro.obs.perfdb import record_payload, render_report_text, report_payload
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmark_results"
-HISTORY_DIR = RESULTS_DIR / "history"
 
 #: Span depth kept in BENCH_*.json fixtures. Depth 4 retains the
 #: explore phases plus one level of mining internals; deeper recursion
 #: collapses into ``children_dropped``/``children_seconds`` totals.
 MAX_SPAN_DEPTH = 4
-
-_emitted_any = False
 
 
 @pytest.fixture(scope="session")
@@ -42,10 +33,10 @@ def emit():
     """Write a rendered artifact to stdout and benchmark_results/.
 
     ``_emit(name, text, obs=..., config=..., extra=...)`` writes
-    ``<name>.txt`` plus the telemetry sidecar ``BENCH_<name>.json``
-    and appends the payload to the perfdb history. Benches that never
-    built a collector still get a (schema-valid, empty-metrics)
-    sidecar, so downstream tooling can rely on the file's existence.
+    ``<name>.txt`` plus the telemetry sidecar ``BENCH_<name>.json``.
+    Benches that never built a collector still get a (schema-valid,
+    empty-metrics) sidecar, so downstream tooling can rely on the
+    file's existence.
     Collectors that carry spans or an event stream additionally get a
     ``BENCH_<name>.trace.json`` sibling — a Chrome trace-event file
     loadable in Perfetto / ``chrome://tracing``.
@@ -54,31 +45,21 @@ def emit():
 
     def _emit(name, text, obs=NULL_OBS, config=None, extra=None,
               max_span_depth=MAX_SPAN_DEPTH):
-        global _emitted_any
         print(f"\n{text}\n")
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-        payload = write_bench_json(
+        write_bench_json(
             RESULTS_DIR / f"BENCH_{name}.json",
             name, obs=obs, config=config, extra=extra,
             max_span_depth=max_span_depth,
         )
-        record_payload(HISTORY_DIR, payload)
         if getattr(obs, "events", None) is not None or getattr(
             obs, "roots", None
         ):
             write_chrome_trace(
                 RESULTS_DIR / f"BENCH_{name}.trace.json", obs=obs, name=name
             )
-        _emitted_any = True
 
     return _emit
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Print the perfdb trajectory after a bench session that emitted."""
-    if _emitted_any:
-        print()
-        print(render_report_text(report_payload(HISTORY_DIR)))
 
 
 @pytest.fixture(scope="session")

@@ -29,6 +29,10 @@ discretization at ``tree_support=0.1`` of the continuous attributes
 without a predefined hierarchy, then the generalized universe, as a
 cold H-DivExplorer query builds it.
 
+``benchmarks/work_counters.py`` (``make counter-gate``) runs the same
+settings through :func:`cold_explore` and :func:`session_derive` and
+prints their counters in the clear instead of hashing them.
+
 BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already
 set: with two, folktables' numeric ``total`` bytes differ from a
 one-thread run, so the digests of two trees are comparable only at one
@@ -99,30 +103,59 @@ def gamma_lines(gamma) -> tuple[str, ...]:
     )
 
 
+def setting_label(
+    dataset: str, rows: int, min_support: float, polarity: bool
+) -> str:
+    return (
+        f"{dataset} rows={rows} s={min_support} "
+        f"polarity={'on' if polarity else 'off'}"
+    )
+
+
+def load(dataset: str, rows: int) -> tuple:
+    """``(features, outcome values, hierarchies)`` of one setting."""
+    ds = load_dataset(dataset, n_rows=rows)
+    return ds.features(), ds.outcome().values(ds.table), ds.hierarchies
+
+
+def cold_explore(data: tuple, min_support: float, polarity: bool):
+    """A cold ``HDivExplorer`` query: ``(result, explorer, collector)``."""
+    table, outcome, hierarchies = data
+    obs = ObsCollector()
+    explorer = HDivExplorer(
+        ExploreConfig(min_support=min_support, polarity=polarity, obs=obs)
+    )
+    return explorer.explore(table, outcome, hierarchies), explorer, obs
+
+
+def session_derive(data: tuple, min_support: float, polarity: bool):
+    """A session query at ``min(1.0, 2·s)``, derived from the one mined
+    at ``s``: ``(result, collector of the second query)``."""
+    table, outcome, hierarchies = data
+    session = ExploreSession(table, outcome, hierarchies=hierarchies)
+    session.explore(min_support=min_support, polarity=polarity)
+    obs = ObsCollector()
+    derived = session.explore(ExploreConfig(
+        min_support=min(1.0, 2 * min_support), polarity=polarity, obs=obs,
+    ))
+    return derived, obs
+
+
 def main() -> int:
     for dataset, rows, queries in SETTINGS:
-        ds = load_dataset(dataset, n_rows=rows)
-        table = ds.features()
-        outcome = ds.outcome().values(ds.table)
+        data = load(dataset, rows)
+        table, outcome, hierarchies = data
         universe = ExploreSession(
-            table, outcome, hierarchies=ds.hierarchies
+            table, outcome, hierarchies=hierarchies
         ).universe(0.1, "divergence")
         for min_support, polarity in queries:
-            label = (
-                f"{dataset} rows={rows} s={min_support} "
-                f"polarity={'on' if polarity else 'off'}"
-            )
+            label = setting_label(dataset, rows, min_support, polarity)
             obs = ObsCollector()
             mined = mine(universe, min_support, obs=obs, polarity=polarity)
             sha = digest(mined, MINED_COLUMNS, obs.counters, MINE_COUNTERS)
             print(f"{label} itemsets={len(mined)} sha256={sha}", flush=True)
 
-            obs = ObsCollector()
-            config = ExploreConfig(
-                min_support=min_support, polarity=polarity, obs=obs
-            )
-            explorer = HDivExplorer(config)
-            result = explorer.explore(table, outcome, ds.hierarchies)
+            result, explorer, obs = cold_explore(data, min_support, polarity)
             sha = digest(
                 result, RESULT_COLUMNS, obs.counters, EXPLORE_COUNTERS,
                 gamma_lines(explorer.last_hierarchies_),
@@ -132,13 +165,7 @@ def main() -> int:
                 flush=True,
             )
 
-            session = ExploreSession(table, outcome, hierarchies=ds.hierarchies)
-            session.explore(min_support=min_support, polarity=polarity)
-            obs = ObsCollector()
-            derived = session.explore(ExploreConfig(
-                min_support=min(1.0, 2 * min_support), polarity=polarity,
-                obs=obs,
-            ))
+            derived, obs = session_derive(data, min_support, polarity)
             sha = digest(derived, RESULT_COLUMNS, obs.counters, DERIVE_COUNTERS)
             print(
                 f"{label} derive subgroups={len(derived)} sha256={sha}",

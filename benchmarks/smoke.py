@@ -14,17 +14,12 @@ fails if
   ``benchmarks`` (the determinism/purity static gate).
 
 With ``--obs`` it instead runs the observability gate on the same
-Figure-2 workload: telemetry JSON must be emitted and schema-valid,
-enabling a collector must not change the ResultSet, and instrumented
-runs must stay within ``MAX_OBS_OVERHEAD`` of the disabled-mode wall
-time (best-of-3, with an absolute epsilon for timer noise).
-
-With ``--perf-gate`` it times the same workload once (plus a reprolint
-pass as its own ``lint`` phase), compares the phase wall times against
-the perfdb history baseline (``benchmark_results/history/``, median of
-recent matching records — see ``repro.obs.perfdb``), appends the fresh
-run to the history, and exits non-zero on any regression. With no or
-too-little history the gate records and passes.
+Figure-2 workload: the bench payload and the run log must be
+schema-valid, enabling a collector must not change the ResultSet, and
+instrumented runs must stay within ``MAX_OBS_OVERHEAD`` of the
+disabled-mode wall time (best-of-3, with an absolute epsilon for timer
+noise). The payload is checked in memory and the run log goes to a
+temporary directory, so the gate writes nothing into the checkout.
 
 With ``--arch`` it runs the reproarch whole-program gate
 (``python -m repro.devtools.arch check``): layering, cycles, exports,
@@ -50,7 +45,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/smoke.py              # or: make bench-smoke
     PYTHONPATH=src python benchmarks/smoke.py --obs        # or: make obs-smoke
-    PYTHONPATH=src python benchmarks/smoke.py --perf-gate  # or: make perf-gate
     PYTHONPATH=src python benchmarks/smoke.py --arch       # or: make arch-gate
     PYTHONPATH=src python benchmarks/smoke.py --bundle     # or: make bundle-gate
     PYTHONPATH=src python benchmarks/smoke.py --cpuprof    # or: make cpuprof-gate
@@ -91,8 +85,8 @@ MAX_EVENTS_OVERHEAD = 0.10
 MAX_CPUPROF_OVERHEAD = 0.10
 
 #: Wall seconds of synthetic busy-wait injected into the mining phase
-#: for the end-to-end attribution demo — big enough to trip the
-#: GatePolicy phase gate and collect tens of samples at 97 Hz.
+#: for the end-to-end attribution demo — big enough to trip the diff's
+#: phase thresholds and collect tens of samples at 97 Hz.
 INJECTED_REGRESSION_SECONDS = 0.4
 
 
@@ -174,7 +168,10 @@ def main() -> int:
 
 def obs_main() -> int:
     """Observability gate: telemetry validity + disabled-mode overhead."""
-    from repro.obs import ObsCollector, validate_bench_payload, write_bench_json
+    import shutil
+    import tempfile
+
+    from repro.obs import ObsCollector, bench_payload, validate_bench_payload
 
     ctx = load_context("synthetic-peak")
     ctx.leaf_items(0.1, "divergence")  # warm the discretization cache
@@ -208,10 +205,8 @@ def obs_main() -> int:
         print(f"{'determinism':20s} identical with and without obs  ok")
 
     obs = collectors[0]
-    out = REPO_ROOT / "benchmark_results" / "BENCH_smoke_fig2.json"
-    out.parent.mkdir(exist_ok=True)
-    payload = write_bench_json(
-        out, "smoke_fig2", obs=obs,
+    payload = bench_payload(
+        "smoke_fig2", obs=obs,
         config={"dataset": "synthetic-peak", "support": SUPPORT},
     )
     errors = validate_bench_payload(payload)
@@ -226,7 +221,7 @@ def obs_main() -> int:
         for error in errors:
             print(f"  telemetry: {error}", file=sys.stderr)
     print(
-        f"{'telemetry':20s} {out.name}  "
+        f"{'telemetry':20s} bench payload  "
         f"{'ok' if not errors else 'INVALID'}"
     )
 
@@ -234,9 +229,8 @@ def obs_main() -> int:
     from repro.obs import EventStream, JsonlRunLog
     from repro.obs.runlog import read_run_log, validate_run_log
 
-    run_log = REPO_ROOT / "benchmark_results" / "smoke_fig2_run.jsonl"
-    if run_log.exists():
-        run_log.unlink()
+    scratch = Path(tempfile.mkdtemp(prefix="smoke_obs_"))
+    run_log = scratch / "smoke_fig2_run.jsonl"
 
     def timed_events(log_path=None):
         sinks = [JsonlRunLog(log_path)] if log_path else []
@@ -247,7 +241,11 @@ def obs_main() -> int:
         obs_e.events.close()
         return elapsed, result
 
-    ev_runs = [timed_events(run_log if i == 0 else None) for i in range(3)]
+    try:
+        ev_runs = [timed_events(run_log if i == 0 else None) for i in range(3)]
+        ev_errors = validate_run_log(read_run_log(run_log))
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
     t_ev = min(t for t, _ in ev_runs)
     ev_overhead = (t_ev - t_off) / t_off
     ev_budget = t_off * (1.0 + MAX_EVENTS_OVERHEAD) + EPSILON_SECONDS
@@ -259,7 +257,6 @@ def obs_main() -> int:
         f"({ev_overhead:+.1%})  {ev_status}"
     )
 
-    ev_errors = validate_run_log(read_run_log(run_log))
     if signature(ev_runs[0][1]) != signature(off_runs[0][1]):
         ev_errors.append("event streaming changed the ResultSet")
     if ev_errors:
@@ -272,9 +269,6 @@ def obs_main() -> int:
     )
 
     # -- run bundles: full forensics capture shares the events budget ----
-    import shutil
-    import tempfile
-
     def timed_bundle():
         tmp = tempfile.mkdtemp(prefix="smoke_bundle_")
         try:
@@ -300,44 +294,6 @@ def obs_main() -> int:
         print(f"obs smoke FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
     print("obs smoke passed: telemetry valid, overhead within budget")
-    return 0
-
-
-def perf_gate_main() -> int:
-    """Perf gate: fail when the smoke workload regresses vs. history."""
-    from repro.obs import ObsCollector, bench_payload
-    from repro.obs.perfdb import (
-        GatePolicy, compare_payload, load_history, record_payload,
-    )
-
-    ctx = load_context("synthetic-peak")
-    ctx.leaf_items(0.1, "divergence")  # warm the discretization cache
-    run_hierarchical(ctx, SUPPORT)  # warm caches/imports untimed
-    obs = ObsCollector()
-    run_hierarchical(ctx, SUPPORT, obs=obs)
-    with obs.span("lint"):
-        LintRunner(
-            root=REPO_ROOT,
-            baseline=Baseline.load(REPO_ROOT / BASELINE_FILENAME),
-            jobs=0,
-        ).run([REPO_ROOT / "src", REPO_ROOT / "benchmarks"])
-    payload = bench_payload(
-        "smoke_fig2", obs=obs,
-        config={"dataset": "synthetic-peak", "support": SUPPORT},
-    )
-    history_dir = REPO_ROOT / "benchmark_results" / "history"
-    comparison = compare_payload(
-        payload, load_history(history_dir, payload["name"]), GatePolicy()
-    )
-    print(comparison.render_text())
-    record_payload(history_dir, payload)
-    n = len(load_history(history_dir, payload["name"]))
-    print(f"recorded -> {history_dir / 'smoke_fig2.jsonl'} ({n} records)")
-    if not comparison.ok:
-        print("perf gate FAILED: phase regression vs. history baseline",
-              file=sys.stderr)
-        return 1
-    print("perf gate passed")
     return 0
 
 
@@ -564,8 +520,6 @@ def cpuprof_main() -> int:
 def _main(argv: list[str]) -> int:
     if "--obs" in argv:
         return obs_main()
-    if "--perf-gate" in argv:
-        return perf_gate_main()
     if "--arch" in argv:
         return arch_main()
     if "--bundle" in argv:

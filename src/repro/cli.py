@@ -181,7 +181,7 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--bundle", metavar="DIR",
         help="capture the run into a forensics bundle directory "
-        "(manifest, run log, trace, metrics, perfdb record; "
+        "(manifest, run log, trace, metrics; "
         "cpuprof.json with --profile-cpu; crash.json for "
         "failed/cancelled runs — inspect with "
         "python -m repro.obs.doctor, compare with "

@@ -90,8 +90,8 @@ class ExploreConfig:
         Optional run-bundle capture directory. When set, the explorers
         wrap the run in :func:`repro.obs.bundle_scope`, writing a
         self-contained forensics bundle (manifest, JSONL run log,
-        trace, metrics, perfdb record — plus ``crash.json`` for failed
-        or cancelled runs) into this directory. Purely observational:
+        trace, metrics — plus ``crash.json`` for failed or cancelled
+        runs) into this directory. Purely observational:
         results stay bit-identical, so — like the rest of the
         observability quartet — it is excluded from equality,
         :meth:`to_dict` and :meth:`fingerprint`.

@@ -315,9 +315,15 @@ class BitsetEngine:
             if not items.size:
                 break
             self.obs.progress("mine", advance=0, expect=len(items))
-            kept, covers, counts, stats = self._fused_step(
-                covers, parents, items, min_count
+            parts = self._fused_step(covers, parents, items, min_count)
+            # Free the parents' covers before the slices are joined:
+            # at the widest level they, the slices and the joined copy
+            # would otherwise all be live at once.
+            covers = None
+            kept, covers, counts, *stats = (
+                np.concatenate(column) for column in zip(*parts)
             )
+            parts = None
             self._count_step(len(levels) + 1, len(items), len(kept))
             self.obs.progress("mine", advance=len(items))
             if not kept.size:
@@ -332,7 +338,7 @@ class BitsetEngine:
         parents: np.ndarray,
         items: np.ndarray,
         min_count: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    ) -> list[tuple[np.ndarray, ...]]:
         """Evaluate one level's candidates: node ``parents[c]`` of the
         previous level (cover ``covers[parents[c]]``) plus ``items[c]``.
 
@@ -343,8 +349,9 @@ class BitsetEngine:
         copies whole rows faster than fancy indexing) and AND the items'
         words into them in place; popcount (:func:`popcount_rows`); and
         gather the survivors by index, not by a 2-D boolean mask.
-        Returns the surviving candidates' positions, covers, counts and
-        ``(n, Σo, Σo²)``.
+        Returns one tuple per slice: the surviving candidates'
+        positions, covers, counts, ``n``, ``Σo`` and ``Σo²``. The caller
+        joins the slices once it no longer holds the parents' covers.
         """
         step = max(1, STEP_BYTES // (8 * max(1, self.n_words)))
         parts = []
@@ -362,8 +369,7 @@ class BitsetEngine:
                 (kept + start, cand, counts, *self._stat_components(cand, counts))
             )
             self.obs.checkpoint("mine")
-        kept, covers, counts, *stats = (np.concatenate(col) for col in zip(*parts))
-        return kept, covers, counts, tuple(stats)
+        return parts
 
     def _next_candidates(
         self, parents: np.ndarray, items: np.ndarray

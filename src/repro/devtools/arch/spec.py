@@ -17,7 +17,7 @@ Format::
     core = ["tabular", "obs"]
 
     [lazy-exports]
-    "repro.obs" = "repro.obs.perfdb"
+    "repro.obs" = "repro.obs.cpuprof"
 
     [[deprecations]]
     site = "repro.core.mining.transactions:resolve_backend"
@@ -25,8 +25,8 @@ Format::
     remove_by_pr = 12
 
     [[exemptions.dead-export]]
-    name = "repro.obs.perfdb:PERFDB_SCHEMA"
-    reason = "schema id constant, symmetric with TRACE_SCHEMA"
+    name = "repro.core.session:SweepPoint"
+    reason = "row type of ExploreSession.sweep() results"
 """
 
 from __future__ import annotations

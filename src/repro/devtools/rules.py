@@ -60,7 +60,6 @@ PRINT_ALLOWED_MODULES = (
     "src/repro/obs/cpuprof.py",
     "src/repro/obs/diff.py",
     "src/repro/obs/doctor.py",
-    "src/repro/obs/perfdb.py",
     "src/repro/obs/tail.py",
 )
 
@@ -578,7 +577,7 @@ class WallClockDatetimeRule(Rule):
         "the time.time() RPL010 bans: subtracting two of them measures "
         "NTP slew, not elapsed work. Intervals come from "
         "time.perf_counter(); a timestamp that is genuinely metadata "
-        "(perf-history records, log lines) carries an inline pragma "
+        "(bundle manifests, log lines) carries an inline pragma "
         "stating so."
     )
 

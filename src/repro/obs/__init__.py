@@ -16,7 +16,6 @@ tools, like ``repro.obs.tail``).
 
 from repro.obs.bench import (
     BENCH_SCHEMA,
-    BENCH_SCHEMA_V1,
     bench_payload,
     config_fingerprint,
     trim_spans,
@@ -68,23 +67,9 @@ from repro.obs.report import (
     write_trace,
 )
 
-# perfdb and cpuprof symbols resolve lazily (PEP 562) so that
-# `python -m repro.obs.perfdb` / `python -m repro.obs.cpuprof` do not
-# import those modules twice via the package.
-_PERFDB_EXPORTS = frozenset({
-    "PERFDB_SCHEMA",
-    "Comparison",
-    "GatePolicy",
-    "PhaseComparison",
-    "append_record",
-    "compare_payload",
-    "load_history",
-    "record_from_payload",
-    "record_payload",
-    "report_payload",
-    "validate_record",
-})
-
+# cpuprof symbols resolve lazily (PEP 562) so that
+# `python -m repro.obs.cpuprof` does not import the module twice via
+# the package.
 _CPUPROF_EXPORTS = frozenset({
     "CPUPROF_SCHEMA",
     "CpuProfiler",
@@ -99,10 +84,6 @@ _CPUPROF_EXPORTS = frozenset({
 
 
 def __getattr__(name: str):
-    if name in _PERFDB_EXPORTS:
-        from repro.obs import perfdb
-
-        return getattr(perfdb, name)
     if name in _CPUPROF_EXPORTS:
         from repro.obs import cpuprof
 
@@ -112,51 +93,40 @@ def __getattr__(name: str):
 
 __all__ = [
     "BENCH_SCHEMA",
-    "BENCH_SCHEMA_V1",
     "BUNDLE_SCHEMA",
     "CPUPROF_SCHEMA",
     "EVENTS_SCHEMA",
     "METRICS_SCHEMA",
     "NULL_OBS",
-    "PERFDB_SCHEMA",
     "TRACE_SCHEMA",
     "AnyCollector",
     "Bundle",
-    "Comparison",
     "CpuProfiler",
     "Event",
     "EventStream",
-    "GatePolicy",
     "JsonlRunLog",
     "MemTracker",
     "NullCollector",
     "ObsCollector",
-    "PhaseComparison",
     "ProgressRenderer",
     "RunBundle",
     "RunCancelled",
     "RunController",
     "Span",
-    "append_record",
     "as_event_stream",
     "bench_payload",
     "bundle_scope",
-    "compare_payload",
     "config_fingerprint",
     "cpuprof_payload",
     "event_counts",
     "function_seconds",
     "load_bundle",
     "load_cpuprof",
-    "load_history",
     "max_rss_kb",
     "metrics_payload",
     "obs_summary",
     "read_run_log",
-    "record_from_payload",
-    "record_payload",
     "render_text",
-    "report_payload",
     "resolve_obs",
     "to_chrome_trace",
     "to_folded",
@@ -166,7 +136,6 @@ __all__ = [
     "validate_bench_payload",
     "validate_bundle",
     "validate_cpuprof_payload",
-    "validate_record",
     "validate_run_log",
     "write_bench_json",
     "write_chrome_trace",

@@ -20,18 +20,15 @@ revisions have a perf trajectory to diff against. The payload shape:
 }
 ```
 
-``bench@2`` extends ``bench@1`` with two optional sections: the
-``mem_peaks`` registry (present when the run profiled memory, see
-``repro.obs.profile``) and trace trimming — ``max_span_depth=N`` keeps
-only spans at depth ≤ N, annotating each span whose subtree was cut
-with ``children_dropped``/``children_seconds`` so checked-in payloads
-stay small without losing the aggregate. ``bench@1`` payloads (no new
-sections) still validate.
+Two sections are optional: the ``mem_peaks`` registry (present when
+the run profiled memory, see ``repro.obs.profile``) and trace trimming
+— ``max_span_depth=N`` keeps only spans at depth ≤ N, annotating each
+span whose subtree was cut with ``children_dropped``/
+``children_seconds`` so checked-in payloads stay small without losing
+the aggregate.
 
 :func:`validate_bench_payload` is the schema check used by
-``benchmarks/smoke.py`` and the tier-1 obs tests;
-``repro.obs.perfdb`` ingests these payloads into the append-only
-benchmark history.
+``benchmarks/smoke.py`` and the tier-1 obs tests.
 """
 
 from __future__ import annotations
@@ -44,10 +41,6 @@ from typing import Any, Mapping
 from repro.obs.collector import NULL_OBS, AnyCollector
 
 BENCH_SCHEMA = "repro.obs/bench@2"
-BENCH_SCHEMA_V1 = "repro.obs/bench@1"
-
-#: Schemas :func:`validate_bench_payload` accepts.
-BENCH_SCHEMAS = (BENCH_SCHEMA, BENCH_SCHEMA_V1)
 
 
 def config_fingerprint(config: Mapping[str, Any]) -> str:
@@ -150,9 +143,9 @@ def write_bench_json(
 def validate_bench_payload(payload: Mapping[str, Any]) -> list[str]:
     """Schema-check a BENCH payload; returns a list of problems (empty = valid)."""
     problems: list[str] = []
-    if payload.get("schema") not in BENCH_SCHEMAS:
+    if payload.get("schema") != BENCH_SCHEMA:
         problems.append(
-            f"schema not in {list(BENCH_SCHEMAS)!r}: {payload.get('schema')!r}"
+            f"schema is not {BENCH_SCHEMA!r}: {payload.get('schema')!r}"
         )
     if not isinstance(payload.get("name"), str) or not payload.get("name"):
         problems.append("name missing or empty")

@@ -12,7 +12,6 @@ machine, after the process is gone:
   run_log.jsonl   the full JSONL event stream (repro.obs.runlog)
   trace.json      the completed span forest (repro.obs/trace@1)
   metrics.json    counters + gauges (repro.obs/metrics@1)
-  perfdb.json     a repro.obs/perfdb@1 history record, ready to append
   cpuprof.json    only for --profile-cpu runs: the sampled stack table
                   (repro.obs/cpuprof@1; export flamegraphs with
                   python -m repro.obs.cpuprof)
@@ -45,6 +44,7 @@ import json
 import os
 import platform
 import socket
+import subprocess
 import sys
 import traceback
 from contextlib import contextmanager
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.obs.bench import bench_payload, config_fingerprint
+from repro.obs.bench import config_fingerprint
 from repro.obs.collector import AnyCollector, ObsCollector
 from repro.obs.events import EventStream, RunCancelled
 from repro.obs.report import (
@@ -80,7 +80,6 @@ BUNDLE_FILES = {
     "run_log": "run_log.jsonl",
     "trace": "trace.json",
     "metrics": "metrics.json",
-    "perfdb": "perfdb.json",
 }
 
 
@@ -97,6 +96,27 @@ def _sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(65536), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def _utc_timestamp() -> str:
+    """Current UTC time as an ISO-8601 string (manifest metadata only)."""
+    from datetime import datetime, timezone
+
+    # reprolint: disable-next-line=RPL014 (manifest timestamp is metadata, not an interval)
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _git_sha() -> str:
+    """Short git SHA of HEAD, or ``"unknown"`` outside a checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "--short=12", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    sha = proc.stdout.strip()
+    return sha if proc.returncode == 0 and sha else "unknown"
 
 
 def env_snapshot() -> dict[str, Any]:
@@ -141,17 +161,20 @@ def trace_phase_seconds(spans: Iterable[Mapping[str, Any]]) -> dict[str, float]:
     paths accumulate — used to align two runs' span trees by path.
     """
     out: dict[str, float] = {}
+    for path, span in _walk_paths(spans, ""):
+        out[path] = out.get(path, 0.0) + float(span.get("elapsed_seconds", 0.0))
+    return out
 
-    def visit(span: Mapping[str, Any], prefix: str) -> None:
+
+def _walk_paths(
+    spans: Iterable[Mapping[str, Any]], prefix: str
+) -> Iterator[tuple[str, Mapping[str, Any]]]:
+    """Every span of a JSON forest with its dotted path, preorder."""
+    for span in spans:
         name = str(span.get("name", ""))
         path = f"{prefix}.{name}" if prefix else name
-        out[path] = out.get(path, 0.0) + float(span.get("elapsed_seconds", 0.0))
-        for child in span.get("children", ()):
-            visit(child, path)
-
-    for span in spans:
-        visit(span, "")
-    return out
+        yield path, span
+        yield from _walk_paths(span.get("children", ()), path)
 
 
 class CrashCapture:
@@ -215,8 +238,8 @@ class RunBundle:
     :class:`~repro.obs.runlog.JsonlRunLog` sink to the collector's
     event stream (creating the stream when the collector has none) and
     installs the crash hooks; exiting finalizes — writing the trace,
-    metrics, perfdb record and closing manifest — whether the run
-    succeeded, crashed, or was cancelled. Exceptions always propagate;
+    metrics and closing manifest — whether the run succeeded, crashed,
+    or was cancelled. Exceptions always propagate;
     the bundle only observes. Re-running into the same directory
     overwrites the previous capture.
     """
@@ -334,14 +357,6 @@ class RunBundle:
         _write_json(
             self.directory / BUNDLE_FILES["metrics"], metrics_payload(self.obs)
         )
-        # Lazy: keeps `import repro.obs` from loading perfdb eagerly
-        # (the package exports it via PEP 562).
-        from repro.obs.perfdb import record_from_payload
-
-        record = record_from_payload(
-            bench_payload(self.name, obs=self.obs, config=self.config)
-        )
-        _write_json(self.directory / BUNDLE_FILES["perfdb"], record)
 
         files: dict[str, dict[str, Any]] = {}
         names = dict(BUNDLE_FILES)
@@ -371,8 +386,8 @@ class RunBundle:
             "status": self.status,
             "config": self.config,
             "config_fingerprint": config_fingerprint(self.config),
-            "git_sha": record["git_sha"],
-            "recorded_at": record["recorded_at"],
+            "git_sha": _git_sha(),
+            "recorded_at": _utc_timestamp(),
             "env": env_snapshot(),
             "dataset": self.dataset,
             "deadline_s": (
@@ -434,7 +449,6 @@ class Bundle:
     records: list[dict[str, Any]]
     trace: dict[str, Any]
     metrics: dict[str, Any]
-    perfdb: dict[str, Any] | None
     crash: dict[str, Any] | None
     cpuprof: dict[str, Any] | None = None
 
@@ -461,7 +475,18 @@ class Bundle:
 
     @property
     def mem_peaks(self) -> dict[str, int]:
-        return dict((self.perfdb or {}).get("mem_peaks", {}))
+        """The largest ``mem_peak_bytes`` span attribute per dotted path.
+
+        The file-side twin of ``ObsCollector.mem_peaks``, folded from
+        the bundled trace with the same max-merge as ``record_peak``;
+        empty unless the run profiled memory.
+        """
+        out: dict[str, int] = {}
+        for path, span in _walk_paths(self.trace.get("spans", ()), ""):
+            peak = (span.get("attrs") or {}).get("mem_peak_bytes")
+            if peak is not None and int(peak) > out.get(path, -1):
+                out[path] = int(peak)
+        return out
 
     def phase_seconds(self) -> dict[str, float]:
         """Dotted-path wall times flattened from the bundled trace."""
@@ -497,7 +522,6 @@ def load_bundle(directory: str | Path) -> Bundle:
         records=records,
         trace=read_optional(BUNDLE_FILES["trace"]) or {},
         metrics=read_optional(BUNDLE_FILES["metrics"]) or {},
-        perfdb=read_optional(BUNDLE_FILES["perfdb"]),
         crash=read_optional(CRASH_FILENAME),
         cpuprof=read_optional(CPUPROF_FILENAME),
     )
@@ -508,7 +532,7 @@ def validate_bundle(directory: str | Path) -> list[str]:
 
     Checks the manifest schema and status, the config fingerprint,
     that every file the manifest lists exists with the recorded
-    sha256, the run log's internal validity, the trace/metrics/perfdb
+    sha256, the run log's internal validity, the trace/metrics
     schemas, and that ``crash.json`` presence agrees with the status.
     """
     directory = Path(directory)
@@ -566,12 +590,6 @@ def validate_bundle(directory: str | Path) -> list[str]:
         metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
         if metrics.get("schema") != METRICS_SCHEMA:
             problems.append(f"metrics schema is {metrics.get('schema')!r}")
-    perfdb_path = directory / BUNDLE_FILES["perfdb"]
-    if perfdb_path.is_file():
-        from repro.obs.perfdb import validate_record
-
-        record = json.loads(perfdb_path.read_text(encoding="utf-8"))
-        problems.extend(f"perfdb: {e}" for e in validate_record(record))
     from repro.obs.cpuprof import CPUPROF_FILENAME, validate_cpuprof_payload
 
     cpuprof_path = directory / CPUPROF_FILENAME

@@ -4,24 +4,23 @@
 against A (baseline) — and explains *what* got slower and *why*. Each
 side may be:
 
-* a **bundle directory** (see ``repro.obs.bundle``),
+* a **bundle directory** (see ``repro.obs.bundle``), or
 * a **JSONL run log** (``repro.obs/events@1``; the span tree is
-  reconstructed from open/close events),
-* a **perfdb history file** (``repro.obs/perfdb@1`` JSONL), optionally
-  suffixed ``@<fingerprint>`` to pick the latest record of one config.
+  reconstructed from open/close events).
 
-Span trees are aligned by dotted path and scored with perfdb's noise
-thresholds (:class:`~repro.obs.perfdb.GatePolicy`: a regression must
-exceed **both** the relative and the absolute slack, so microsecond
-phases cannot trip on timer jitter). On top of the per-phase deltas
-the diff computes counter/gauge/mem-peak shifts and *attributes* the
-top regressions: each regressed phase is annotated with the counter
-families that moved with it (candidate blow-ups, say) and, when both
-runs carry sampled CPU tables, the functions whose self time grew.
+Span trees are aligned by dotted path and scored with two noise
+thresholds (``rel_threshold`` and ``abs_threshold`` of
+:func:`diff_payload`): a regression must exceed **both** the relative
+and the absolute slack, so microsecond phases cannot trip on timer
+jitter. On top of the per-phase deltas the diff computes
+counter/gauge/mem-peak shifts and *attributes* the top regressions:
+each regressed phase is annotated with the counter families that moved
+with it (candidate blow-ups, say) and, when both runs carry sampled CPU
+tables, the functions whose self time grew.
 
-Output is text (perfdb report style) or JSON (schema
-``repro.obs/diff@1``); exit status is 1 when any phase regressed, so
-the module doubles as a CI gate between two bundles.
+Output is text or JSON (schema ``repro.obs/diff@1``); exit status is 1
+when any phase regressed, so the module doubles as a CI gate between
+two bundles.
 """
 
 from __future__ import annotations
@@ -40,10 +39,14 @@ from repro.obs.bundle import (
 )
 from repro.obs.cpuprof import function_seconds
 from repro.obs.events import EVENTS_SCHEMA
-from repro.obs.perfdb import PERFDB_SCHEMA, GatePolicy
 from repro.obs.runlog import read_run_log
 
 DIFF_SCHEMA = "repro.obs/diff@1"
+
+#: Default noise thresholds: a phase regresses only when it is more
+#: than 50 % *and* more than 50 ms slower.
+REL_THRESHOLD = 0.5
+ABS_THRESHOLD_SECONDS = 0.05
 
 #: Relative change below which a counter shift is noise, not a suspect.
 COUNTER_SHIFT_THRESHOLD = 0.05
@@ -142,6 +145,9 @@ def _profile_from_bundle(directory: Path, label: str) -> RunProfile:
 
 def _profile_from_run_log(path: Path, label: str) -> RunProfile:
     records = read_run_log(path)
+    header = records[0] if records else {}
+    if header.get("kind") != "header" or header.get("schema") != EVENTS_SCHEMA:
+        raise ValueError(f"{path}: not a {EVENTS_SCHEMA} run log")
     phases, counters = _profile_from_events(records[1:])
     return RunProfile(
         label=label or path.name,
@@ -153,69 +159,19 @@ def _profile_from_run_log(path: Path, label: str) -> RunProfile:
     )
 
 
-def _profile_from_perfdb(
-    path: Path, fingerprint: str | None, label: str
-) -> RunProfile:
-    records: list[dict[str, Any]] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and record.get("schema") == PERFDB_SCHEMA:
-            records.append(record)
-    if fingerprint:
-        records = [
-            r for r in records if r.get("config_fingerprint") == fingerprint
-        ]
-    if not records:
-        raise ValueError(
-            f"{path}: no perfdb records"
-            + (f" with fingerprint {fingerprint!r}" if fingerprint else "")
-        )
-    record = records[-1]  # latest matching record
-    return RunProfile(
-        label=label
-        or f"{record.get('bench', path.stem)}@{record.get('git_sha', '?')}",
-        source="perfdb",
-        phases=dict(record.get("phases", {})),
-        counters=dict(record.get("counters", {})),
-        gauges=dict(record.get("gauges", {})),
-        mem_peaks=dict(record.get("mem_peaks", {})),
-    )
-
-
 def load_profile(spec: str, label: str = "") -> RunProfile:
     """Normalize one CLI operand into a :class:`RunProfile`.
 
-    ``spec`` is a bundle directory, a run-log/perfdb JSONL file, or
-    ``history.jsonl@<fingerprint>`` to pin a perfdb history to one
-    config fingerprint.
+    ``spec`` is a bundle directory or a JSONL run log.
     """
-    fingerprint: str | None = None
     path = Path(spec)
-    if not path.exists() and "@" in spec:
-        head, _, tail = spec.rpartition("@")
-        if head and Path(head).exists():
-            path, fingerprint = Path(head), tail
     if path.is_dir():
         if not (path / MANIFEST_FILENAME).exists():
             raise ValueError(f"{path}: directory has no {MANIFEST_FILENAME}")
         return _profile_from_bundle(path, label)
     if not path.is_file():
-        raise ValueError(f"{spec}: no such bundle, run log, or history")
-    with path.open(encoding="utf-8") as fh:
-        first_line = fh.readline().strip()
-    try:
-        first = json.loads(first_line) if first_line else {}
-    except json.JSONDecodeError:
-        first = {}
-    if first.get("kind") == "header" and first.get("schema") == EVENTS_SCHEMA:
-        return _profile_from_run_log(path, label)
-    return _profile_from_perfdb(path, fingerprint, label)
+        raise ValueError(f"{spec}: no such bundle or run log")
+    return _profile_from_run_log(path, label)
 
 
 # -- delta computation -----------------------------------------------------
@@ -224,20 +180,17 @@ def load_profile(spec: str, label: str = "") -> RunProfile:
 def _status(
     baseline: float | None,
     current: float | None,
-    policy: GatePolicy,
-    abs_threshold: float | None = None,
+    rel_threshold: float,
+    abs_threshold: float,
 ) -> str:
     if baseline is None:
         return "added"
     if current is None:
         return "removed"
-    abs_slack = (
-        policy.abs_threshold if abs_threshold is None else abs_threshold
-    )
     delta = current - baseline
-    if delta > abs_slack and current > baseline * (1.0 + policy.rel_threshold):
+    if delta > abs_threshold and current > baseline * (1.0 + rel_threshold):
         return "regression"
-    if -delta > abs_slack and current < baseline * (1.0 - policy.rel_threshold):
+    if -delta > abs_threshold and current < baseline * (1.0 - rel_threshold):
         return "improved"
     return "ok"
 
@@ -251,7 +204,7 @@ def _ratio(baseline: float | None, current: float | None) -> float | None:
 
 
 def _phase_rows(
-    a: RunProfile, b: RunProfile, policy: GatePolicy
+    a: RunProfile, b: RunProfile, rel_threshold: float, abs_threshold: float
 ) -> list[dict[str, Any]]:
     rows = []
     for path in sorted(set(a.phases) | set(b.phases)):
@@ -263,7 +216,7 @@ def _phase_rows(
             "b_seconds": cur,
             "delta_seconds": (cur or 0.0) - (base or 0.0),
             "ratio": _ratio(base, cur),
-            "status": _status(base, cur, policy),
+            "status": _status(base, cur, rel_threshold, abs_threshold),
         })
     return rows
 
@@ -284,7 +237,7 @@ def _counter_rows(a: RunProfile, b: RunProfile) -> list[dict[str, Any]]:
 
 
 def _mem_rows(
-    a: RunProfile, b: RunProfile, policy: GatePolicy
+    a: RunProfile, b: RunProfile, rel_threshold: float
 ) -> list[dict[str, Any]]:
     rows = []
     for path in sorted(set(a.mem_peaks) | set(b.mem_peaks)):
@@ -298,8 +251,8 @@ def _mem_rows(
             "status": _status(
                 None if base is None else float(base),
                 None if cur is None else float(cur),
-                policy,
-                abs_threshold=MEM_ABS_THRESHOLD_BYTES,
+                rel_threshold,
+                MEM_ABS_THRESHOLD_BYTES,
             ),
         })
     return rows
@@ -427,12 +380,20 @@ def _attribution(
 def diff_payload(
     a: RunProfile,
     b: RunProfile,
-    policy: GatePolicy | None = None,
+    *,
+    rel_threshold: float = REL_THRESHOLD,
+    abs_threshold: float = ABS_THRESHOLD_SECONDS,
     top: int = 3,
 ) -> dict[str, Any]:
-    """The full diff of two profiles as a ``repro.obs/diff@1`` payload."""
-    policy = policy if policy is not None else GatePolicy()
-    phase_rows = _phase_rows(a, b, policy)
+    """The full diff of two profiles as a ``repro.obs/diff@1`` payload.
+
+    A phase regresses when it is slower by more than ``rel_threshold``
+    (relative) *and* ``abs_threshold`` seconds; a mem peak, by more
+    than ``rel_threshold`` and :data:`MEM_ABS_THRESHOLD_BYTES`.
+    """
+    if rel_threshold < 0 or abs_threshold < 0:
+        raise ValueError("thresholds must be non-negative")
+    phase_rows = _phase_rows(a, b, rel_threshold, abs_threshold)
     counter_rows = _counter_rows(a, b)
     statuses = [r["status"] for r in phase_rows]
     return {
@@ -440,12 +401,12 @@ def diff_payload(
         "a": {"label": a.label, "source": a.source},
         "b": {"label": b.label, "source": b.source},
         "policy": {
-            "rel_threshold": policy.rel_threshold,
-            "abs_threshold": policy.abs_threshold,
+            "rel_threshold": rel_threshold,
+            "abs_threshold": abs_threshold,
         },
         "phases": phase_rows,
         "counters": counter_rows,
-        "mem_peaks": _mem_rows(a, b, policy),
+        "mem_peaks": _mem_rows(a, b, rel_threshold),
         "cpu_functions": _function_rows(a, b),
         "attribution": _attribution(a, b, phase_rows, counter_rows, top),
         "summary": {
@@ -459,7 +420,7 @@ def diff_payload(
 
 
 def render_diff_text(payload: Mapping[str, Any]) -> str:
-    """Human-readable diff report, perfdb-compare style."""
+    """Human-readable diff report: one row per phase, then attribution."""
     title = (
         f"obs diff: {payload['a']['label']} ({payload['a']['source']}) "
         f"-> {payload['b']['label']} ({payload['b']['source']})"
@@ -530,23 +491,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.diff",
         description=(
-            "Diff two runs (bundle dirs, run logs, or perfdb histories) "
-            "and attribute regressions. Exit 1 when B regressed vs A."
+            "Diff two runs (bundle dirs or run logs) and attribute "
+            "regressions. Exit 1 when B regressed vs A."
         ),
     )
-    parser.add_argument("a", help="baseline: bundle dir, run log, or history[@fingerprint]")
+    parser.add_argument("a", help="baseline: bundle dir or run log")
     parser.add_argument("b", help="current: same forms as the baseline")
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--rel-threshold", type=float, default=GatePolicy.rel_threshold,
+        "--rel-threshold", type=float, default=REL_THRESHOLD,
         dest="rel_threshold",
         help="relative slowdown tolerated before a regression (0.5 = +50%%)",
     )
     parser.add_argument(
-        "--abs-threshold", type=float, default=GatePolicy.abs_threshold,
+        "--abs-threshold", type=float, default=ABS_THRESHOLD_SECONDS,
         dest="abs_threshold",
         help="absolute slowdown (seconds) a regression must also exceed",
     )
@@ -559,16 +520,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    policy = GatePolicy(
-        rel_threshold=args.rel_threshold, abs_threshold=args.abs_threshold
-    )
     try:
         a = load_profile(args.a)
         b = load_profile(args.b)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = diff_payload(a, b, policy=policy, top=args.top)
+    payload = diff_payload(
+        a, b, rel_threshold=args.rel_threshold,
+        abs_threshold=args.abs_threshold, top=args.top,
+    )
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

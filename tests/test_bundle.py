@@ -1,7 +1,7 @@
 """Tests for run bundles (``repro.obs.bundle``).
 
 Covers the RunBundle capture contract (manifest, run log, trace,
-metrics, perfdb record, crash.json), the load/validate round-trip and
+metrics, crash.json), the load/validate round-trip and
 tamper detection, the ``bundle_scope`` explorer hook, and the
 acceptance contracts: fixed-seed runs bundle deterministically whether
 they succeed or hit a deadline, with the ResultSet bit-identical
@@ -91,9 +91,7 @@ class TestRunBundle:
         assert manifest["config"] == {"support": 0.1}
         assert manifest["events"]["dropped"] == 0
         assert manifest["events"]["emitted"] == manifest["events"]["retained"]
-        assert set(manifest["files"]) == {
-            "run_log", "trace", "metrics", "perfdb",
-        }
+        assert set(manifest["files"]) == {"run_log", "trace", "metrics"}
         assert validate_bundle(tmp_path / "b") == []
         assert not (tmp_path / "b" / CRASH_FILENAME).exists()
 
@@ -269,6 +267,19 @@ class TestExplorerBundles:
         assert manifest["dataset"]["n_rows"] == 3000
         assert manifest["env"]["python"]
         assert manifest["elapsed_seconds"] > 0
+        assert manifest["git_sha"] and manifest["recorded_at"]
+
+    def test_mem_peaks_come_from_the_trace(self, pocket_data, tmp_path):
+        obs = ObsCollector(profile_memory=True)
+        try:
+            self.explore(pocket_data, bundle_dir=tmp_path / "b", obs=obs)
+        finally:
+            obs.stop_memory_profiling()
+        bundle = load_bundle(tmp_path / "b")
+        assert "mine" in bundle.mem_peaks
+        assert bundle.mem_peaks == obs.mem_peaks
+        self.explore(pocket_data, bundle_dir=tmp_path / "plain")
+        assert load_bundle(tmp_path / "plain").mem_peaks == {}
 
     @pytest.mark.parametrize("n_jobs", [1])
     def test_deadline_cancelled_run_leaves_valid_bundle(

@@ -401,7 +401,6 @@ def cpu_bundle(trace_spans, cpuprof=None):
         records=[{"kind": "header"}],
         trace={"spans": trace_spans},
         metrics={},
-        perfdb=None,
         crash=None,
         cpuprof=cpuprof,
     )

@@ -1,7 +1,7 @@
 """Tests for the forensics tools (``repro.obs.diff``/``doctor``).
 
-Covers profile loading from all three artifact kinds, the noise-aware
-status policy, the acceptance contract — a diff of two bundles with an
+Covers profile loading from both artifact kinds, the noise-aware
+status thresholds, the acceptance contract — a diff of two bundles with an
 injected slowdown attributes the regression to that phase in both text
 and JSON — and the doctor's health-check registry, each built-in check
 on synthetic unhealthy bundles, and both CLIs' exit codes.
@@ -38,7 +38,6 @@ from repro.obs.doctor import (
     registered_checks,
     render_doctor_text,
 )
-from repro.obs.perfdb import GatePolicy
 
 
 def make_bundle(pocket_data, directory, slow_mine=None):
@@ -69,20 +68,33 @@ def profile(**kw):
 
 
 class TestStatusPolicy:
-    POLICY = GatePolicy()  # rel 0.5, abs 0.05
+    THRESHOLDS = (0.5, 0.05)  # diff_payload's defaults: rel, abs seconds
 
     def test_needs_both_thresholds(self):
         # Big relative but tiny absolute: noise, not a regression.
-        assert _status(0.001, 0.01, self.POLICY) == "ok"
+        assert _status(0.001, 0.01, *self.THRESHOLDS) == "ok"
         # Big absolute but small relative: within tolerance.
-        assert _status(10.0, 10.2, self.POLICY) == "ok"
+        assert _status(10.0, 10.2, *self.THRESHOLDS) == "ok"
         # Both: regression.
-        assert _status(0.1, 0.5, self.POLICY) == "regression"
+        assert _status(0.1, 0.5, *self.THRESHOLDS) == "regression"
 
     def test_improvement_and_add_remove(self):
-        assert _status(0.5, 0.1, self.POLICY) == "improved"
-        assert _status(None, 0.1, self.POLICY) == "added"
-        assert _status(0.1, None, self.POLICY) == "removed"
+        assert _status(0.5, 0.1, *self.THRESHOLDS) == "improved"
+        assert _status(None, 0.1, *self.THRESHOLDS) == "added"
+        assert _status(0.1, None, *self.THRESHOLDS) == "removed"
+
+    def test_defaults_and_threshold_keywords(self):
+        a = profile(phases={"mine": 0.1})
+        b = profile(phases={"mine": 0.14})  # +40 %, +40 ms
+        payload = diff_payload(a, b)
+        assert payload["policy"] == {
+            "rel_threshold": 0.5, "abs_threshold": 0.05,
+        }
+        assert payload["summary"]["regressions"] == 0
+        strict = diff_payload(a, b, rel_threshold=0.1, abs_threshold=0.01)
+        assert strict["summary"]["regressions"] == 1
+        with pytest.raises(ValueError, match="non-negative"):
+            diff_payload(a, b, rel_threshold=-0.1)
 
 
 class TestDiffAttribution:
@@ -178,33 +190,21 @@ class TestLoadProfile:
             str(tmp_path / "b" / "run_log.jsonl")
         ).phases.keys()
 
-    def test_perfdb_source_with_fingerprint_pin(self, tmp_path):
-        from repro.obs import bench_payload
-        from repro.obs.perfdb import record_from_payload
-
-        obs = ObsCollector()
-        with obs.span("mine"):
-            pass
-        record = record_from_payload(
-            bench_payload("unit", obs=obs, config={"support": 0.1})
-        )
-        history = tmp_path / "history.jsonl"
-        history.write_text(json.dumps(record) + "\n")
-        p = load_profile(f"{history}@{record['config_fingerprint']}")
-        assert p.source == "perfdb"
-        assert "mine" in p.phases
-        with pytest.raises(ValueError, match="no perfdb records"):
-            load_profile(f"{history}@deadbeefdeadbeef")
-
     def test_missing_spec_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no such bundle"):
             load_profile(str(tmp_path / "nope"))
         with pytest.raises(ValueError, match="no manifest"):
             load_profile(str(tmp_path))
 
+    def test_file_that_is_not_a_run_log_raises(self, tmp_path):
+        other = tmp_path / "history.jsonl"
+        other.write_text(json.dumps({"schema": "repro.obs/bench@2"}) + "\n")
+        with pytest.raises(ValueError, match="not a repro.obs/events@1 run log"):
+            load_profile(str(other))
+
 
 def synthetic_bundle(
-    manifest=None, records=None, metrics=None, perfdb=None, crash=None,
+    manifest=None, records=None, metrics=None, trace=None, crash=None,
 ):
     base_manifest = {
         "schema": "repro.obs/bundle@1", "name": "synth", "status": "ok",
@@ -215,9 +215,8 @@ def synthetic_bundle(
         directory=Path("synth"),
         manifest=base_manifest,
         records=[{"kind": "header"}] + list(records or []),
-        trace={},
+        trace=trace or {},
         metrics=metrics or {},
-        perfdb=perfdb,
         crash=crash,
     )
 
@@ -283,17 +282,43 @@ class TestDoctorChecks:
         assert "not 0" in finding.message
 
     def test_mem_divergence_warning(self):
+        trace = {"spans": [{
+            "name": "mine", "elapsed_seconds": 0.1,
+            "attrs": {"mem_peak_bytes": 10_000_000},
+        }]}
         diverged = synthetic_bundle(
-            metrics={"gauges": {"mem.rss_max_kb": 1_000_000}},
-            perfdb={"mem_peaks": {"mine": 10_000_000}},
+            metrics={"gauges": {"mem.rss_max_kb": 1_000_000}}, trace=trace,
         )
         (finding,) = diagnose(diverged, checks=["mem-divergence"])
         assert "RSS" in finding.message
         close = synthetic_bundle(
-            metrics={"gauges": {"mem.rss_max_kb": 10_000}},
-            perfdb={"mem_peaks": {"mine": 10_000_000}},
+            metrics={"gauges": {"mem.rss_max_kb": 10_000}}, trace=trace,
         )
         assert diagnose(close, checks=["mem-divergence"]) == []
+
+    def test_mem_divergence_fires_on_a_profiled_bundle(
+        self, pocket_data, tmp_path
+    ):
+        """End to end: the peaks come from a real bundle's trace."""
+        from repro.obs import load_bundle
+
+        table, errors = pocket_data
+        obs = ObsCollector(profile_memory=True)
+        config = ExploreConfig(min_support=0.1, tree_support=0.1, obs=obs)
+        try:
+            with RunBundle(tmp_path / "b", config=config.to_dict(), obs=obs):
+                HDivExplorer(config).explore(table, errors)
+        finally:
+            obs.stop_memory_profiling()
+        bundle = load_bundle(tmp_path / "b")
+        traced = max(bundle.mem_peaks.values())
+        assert traced > 0
+        rss_kb = bundle.gauges["mem.rss_max_kb"]
+        strict = DoctorPolicy(rss_divergence_ratio=rss_kb * 1024.0 / traced / 2)
+        (finding,) = diagnose(bundle, strict, checks=["mem-divergence"])
+        assert finding.details["traced_peak_bytes"] == traced
+        lenient = DoctorPolicy(rss_divergence_ratio=rss_kb * 1024.0 / traced * 2)
+        assert diagnose(bundle, lenient, checks=["mem-divergence"]) == []
 
     def test_deadline_expiry_error_and_near_miss_warning(self):
         expired = synthetic_bundle(

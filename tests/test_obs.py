@@ -348,6 +348,13 @@ class TestPayloads:
         payload["counters"] = {"bad": 1.5}
         assert any("integer" in e for e in validate_bench_payload(payload))
 
+    def test_retired_bench_v1_schema_is_rejected(self):
+        payload = bench_payload("x", obs=self.make_obs())
+        payload["schema"] = "repro.obs/bench@1"
+        assert validate_bench_payload(payload) == [
+            f"schema is not {BENCH_SCHEMA!r}: 'repro.obs/bench@1'"
+        ]
+
     def test_config_fingerprint_key_order_invariant(self):
         assert config_fingerprint({"a": 1, "b": 2}) == config_fingerprint(
             {"b": 2, "a": 1}
