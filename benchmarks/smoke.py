@@ -13,13 +13,17 @@ fails if
 * reprolint reports any non-baselined finding over ``src`` +
   ``benchmarks`` (the determinism/purity static gate).
 
-With ``--obs`` it instead runs the observability gate on the same
-Figure-2 workload: the bench payload and the run log must be
-schema-valid, enabling a collector must not change the ResultSet, and
-instrumented runs must stay within ``MAX_OBS_OVERHEAD`` of the
-disabled-mode wall time (best-of-3, with an absolute epsilon for timer
-noise). The payload is checked in memory and the run log goes to a
-temporary directory, so the gate writes nothing into the checkout.
+With ``--obs`` it instead runs the observability gate on the Fig-2
+cell german at ``SUPPORT`` (about 0.15 s a run, long enough for a few
+per cent of overhead to show): the bench payload and the run log must
+be schema-valid, a collector, an event stream and a run bundle must
+each leave the ResultSet bit-identical, and each must stay within its
+overhead budget over the uninstrumented run (``MAX_OBS_OVERHEAD`` for
+the collector, ``MAX_EVENTS_OVERHEAD`` for the others, plus
+``EPSILON_SECONDS`` of timer slack; best of ``OVERHEAD_ROUNDS``
+alternated runs). The payload is checked in memory and the run log
+and bundle go to a temporary directory, so the gate writes nothing
+into the checkout.
 
 With ``--arch`` it runs the reproarch whole-program gate
 (``python -m repro.devtools.arch check``): layering, cycles, exports,
@@ -33,13 +37,13 @@ bit-identical to an unbundled run, and requires ``repro.obs.diff`` of
 the bundle against itself to PASS with zero regressions.
 
 With ``--cpuprof`` it runs the CPU-profiler gate: profiling at the
-default 97 Hz must leave the ResultSet bit-identical to an unprofiled
-run, must stay within ``MAX_CPUPROF_OVERHEAD``
-wall-time overhead, must produce a schema-valid ``cpuprof.json`` in a
-captured bundle with byte-stable ``.folded``/speedscope exports, and —
-the end-to-end attribution demo — a synthetic busy-wait injected into
-the mining phase must be named, function and file, by the
-``repro.obs.diff`` attribution of two profiled bundles.
+default 97 Hz must leave german's ResultSet bit-identical to an
+unprofiled run and stay within ``MAX_CPUPROF_OVERHEAD`` (timed like
+the obs gate), must produce a schema-valid ``cpuprof.json`` in a
+captured synthetic-peak bundle with byte-stable ``.folded``/speedscope
+exports, and — the end-to-end attribution demo — a synthetic
+busy-wait injected into the mining phase must be named, function and
+file, by the ``repro.obs.diff`` attribution of two profiled bundles.
 
 Usage::
 
@@ -52,15 +56,16 @@ Usage::
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from pathlib import Path
 
-from repro import ExploreSession
+from repro import ExploreConfig, ExploreSession
 from repro.devtools import Baseline, LintRunner
 from repro.devtools.suppressions import BASELINE_FILENAME
 from repro.experiments.harness import load_context, run_hierarchical
-from repro.obs import ObsCollector
+from repro.obs import ObsCollector, RunBundle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,17 +76,25 @@ TIME_BUDGET = 5.0
 #: then filters the cached result.
 FILL_SUPPORT = 0.03
 
+#: The overhead gates time this dataset at SUPPORT (the Fig-2 cell,
+#: 463,830 subgroups in about 0.15 s).
+OVERHEAD_DATASET = "german"
+
+#: Each round runs the uninstrumented workload and then every
+#: instrumented mode once; a gate compares the best run of each.
+OVERHEAD_ROUNDS = 5
+
 #: Instrumented wall time may exceed disabled-mode by at most this
 #: fraction (plus EPSILON_SECONDS of absolute timer slack).
 MAX_OBS_OVERHEAD = 0.05
-EPSILON_SECONDS = 0.05
+EPSILON_SECONDS = 0.02
 
 #: Event streaming (collector + live event stream + run-log sink) may
 #: exceed disabled-mode wall time by at most this fraction.
 MAX_EVENTS_OVERHEAD = 0.10
 
 #: Sampling CPU profiling at the default rate may exceed disabled-mode
-#: wall time by at most this fraction (best-of-3 + absolute epsilon).
+#: wall time by at most this fraction (plus EPSILON_SECONDS).
 MAX_CPUPROF_OVERHEAD = 0.10
 
 #: Wall seconds of synthetic busy-wait injected into the mining phase
@@ -96,6 +109,52 @@ def signature(result):
          round(r.divergence, 9))
         for r in result
     )
+
+
+def same_result(a, b) -> bool:
+    """Whether two result sets hold the same rows, bit for bit."""
+    columns = ("ids", "count", "support", "mean", "divergence", "t")
+    return a.vocabulary == b.vocabulary and all(
+        getattr(a, c).tobytes() == getattr(b, c).tobytes() for c in columns
+    )
+
+
+def bundled_run(ctx, directory, obs):
+    """``run_hierarchical`` at SUPPORT, captured into a run bundle."""
+    config = ExploreConfig(min_support=SUPPORT).to_dict()
+    with RunBundle(
+        directory, name="smoke", config=config, obs=obs, dataset=ctx.features
+    ):
+        return run_hierarchical(ctx, SUPPORT, obs=obs)
+
+
+def best_of_alternated(modes):
+    """Best wall time and last result of each mode, run in alternation.
+
+    ``modes`` maps a label to a function that runs the workload once
+    and returns its ResultSet. Every round runs each mode once, in
+    order, so a neighbour's load falls on all modes alike.
+    """
+    best = dict.fromkeys(modes, math.inf)
+    results = {}
+    for _ in range(OVERHEAD_ROUNDS):
+        for label, run in modes.items():
+            start = time.perf_counter()
+            results[label] = run()
+            best[label] = min(best[label], time.perf_counter() - start)
+    return best, results
+
+
+def overhead_ok(label, t_off, t_on, max_overhead) -> bool:
+    """Print one overhead line, with the overhead its budget allows."""
+    budget = t_off * (1.0 + max_overhead) + EPSILON_SECONDS
+    status = "ok" if t_on <= budget else "TOO SLOW"
+    print(
+        f"{label:20s} off={t_off:.3f}s  on={t_on:.3f}s  "
+        f"({(t_on - t_off) / t_off:+.1%}, allowed "
+        f"{budget / t_off - 1.0:+.1%})  {status}"
+    )
+    return t_on <= budget
 
 
 def warm_session_run(ctx):
@@ -171,43 +230,68 @@ def obs_main() -> int:
     import shutil
     import tempfile
 
-    from repro.obs import ObsCollector, bench_payload, validate_bench_payload
-
-    ctx = load_context("synthetic-peak")
-    ctx.leaf_items(0.1, "divergence")  # warm the discretization cache
-    failures = []
-
-    def timed(obs=None):
-        start = time.perf_counter()
-        result = run_hierarchical(ctx, SUPPORT, obs=obs)
-        return time.perf_counter() - start, result
-
-    timed()  # warm up caches/imports outside the measurement
-    off_runs = [timed() for _ in range(3)]
-    collectors = [ObsCollector() for _ in range(3)]
-    on_runs = [timed(c) for c in collectors]
-    t_off = min(t for t, _ in off_runs)
-    t_on = min(t for t, _ in on_runs)
-    overhead = (t_on - t_off) / t_off
-    budget = t_off * (1.0 + MAX_OBS_OVERHEAD) + EPSILON_SECONDS
-    status = "ok" if t_on <= budget else f"TOO SLOW (> {budget:.2f}s)"
-    if t_on > budget:
-        failures.append("overhead")
-    print(
-        f"{'overhead':20s} off={t_off:.3f}s  on={t_on:.3f}s  "
-        f"({overhead:+.1%})  {status}"
+    from repro.obs import (
+        EventStream,
+        JsonlRunLog,
+        bench_payload,
+        validate_bench_payload,
     )
+    from repro.obs.runlog import read_run_log, validate_run_log
 
-    if signature(on_runs[0][1]) != signature(off_runs[0][1]):
+    ctx = load_context(OVERHEAD_DATASET)
+    failures = []
+    scratch = Path(tempfile.mkdtemp(prefix="smoke_obs_"))
+    run_log = scratch / "smoke_fig2_run.jsonl"
+    collectors = []
+
+    def collector_run():
+        collectors.append(ObsCollector())
+        return run_hierarchical(ctx, SUPPORT, obs=collectors[-1])
+
+    def events_run():
+        obs = ObsCollector(events=EventStream(sinks=[JsonlRunLog(run_log)]))
+        try:
+            return run_hierarchical(ctx, SUPPORT, obs=obs)
+        finally:
+            obs.events.close()
+
+    try:
+        run_hierarchical(ctx, SUPPORT)  # warm up caches/imports
+        best, results = best_of_alternated({
+            "off": lambda: run_hierarchical(ctx, SUPPORT),
+            "collector": collector_run,
+            "events": events_run,
+            "bundle": lambda: bundled_run(
+                ctx, scratch / "bundle", ObsCollector()
+            ),
+        })
+        ev_errors = validate_run_log(read_run_log(run_log))
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    t_off = best.pop("off")
+    budgets = {
+        "collector": MAX_OBS_OVERHEAD,
+        "events": MAX_EVENTS_OVERHEAD,
+        "bundle": MAX_EVENTS_OVERHEAD,
+    }
+    for mode, t_on in best.items():
+        if not overhead_ok(f"{mode} overhead", t_off, t_on, budgets[mode]):
+            failures.append(f"{mode}-overhead")
+
+    changed = [
+        mode for mode in best if not same_result(results[mode], results["off"])
+    ]
+    if changed:
         failures.append("determinism")
-        print(f"{'determinism':20s} collector changed the ResultSet  FAILED")
+        print(f"{'determinism':20s} changed the ResultSet: "
+              f"{', '.join(changed)}  FAILED")
     else:
         print(f"{'determinism':20s} identical with and without obs  ok")
 
-    obs = collectors[0]
+    obs = collectors[-1]
     payload = bench_payload(
         "smoke_fig2", obs=obs,
-        config={"dataset": "synthetic-peak", "support": SUPPORT},
+        config={"dataset": OVERHEAD_DATASET, "support": SUPPORT},
     )
     errors = validate_bench_payload(payload)
     for counter in ("mining.candidates", "mining.frequent_itemsets",
@@ -225,40 +309,6 @@ def obs_main() -> int:
         f"{'ok' if not errors else 'INVALID'}"
     )
 
-    # -- live events: run-log validity + streaming overhead budget -------
-    from repro.obs import EventStream, JsonlRunLog
-    from repro.obs.runlog import read_run_log, validate_run_log
-
-    scratch = Path(tempfile.mkdtemp(prefix="smoke_obs_"))
-    run_log = scratch / "smoke_fig2_run.jsonl"
-
-    def timed_events(log_path=None):
-        sinks = [JsonlRunLog(log_path)] if log_path else []
-        obs_e = ObsCollector(events=EventStream(sinks=sinks))
-        start = time.perf_counter()
-        result = run_hierarchical(ctx, SUPPORT, obs=obs_e)
-        elapsed = time.perf_counter() - start
-        obs_e.events.close()
-        return elapsed, result
-
-    try:
-        ev_runs = [timed_events(run_log if i == 0 else None) for i in range(3)]
-        ev_errors = validate_run_log(read_run_log(run_log))
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    t_ev = min(t for t, _ in ev_runs)
-    ev_overhead = (t_ev - t_off) / t_off
-    ev_budget = t_off * (1.0 + MAX_EVENTS_OVERHEAD) + EPSILON_SECONDS
-    ev_status = "ok" if t_ev <= ev_budget else f"TOO SLOW (> {ev_budget:.2f}s)"
-    if t_ev > ev_budget:
-        failures.append("events-overhead")
-    print(
-        f"{'events overhead':20s} off={t_off:.3f}s  on={t_ev:.3f}s  "
-        f"({ev_overhead:+.1%})  {ev_status}"
-    )
-
-    if signature(ev_runs[0][1]) != signature(off_runs[0][1]):
-        ev_errors.append("event streaming changed the ResultSet")
     if ev_errors:
         failures.append("events")
         for error in ev_errors:
@@ -266,28 +316,6 @@ def obs_main() -> int:
     print(
         f"{'events':20s} {run_log.name}  "
         f"{'ok' if not ev_errors else 'INVALID'}"
-    )
-
-    # -- run bundles: full forensics capture shares the events budget ----
-    def timed_bundle():
-        tmp = tempfile.mkdtemp(prefix="smoke_bundle_")
-        try:
-            start = time.perf_counter()
-            result = run_hierarchical(ctx, SUPPORT, bundle_dir=tmp)
-            return time.perf_counter() - start, result
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-    bundle_runs = [timed_bundle() for _ in range(3)]
-    t_bundle = min(t for t, _ in bundle_runs)
-    b_overhead = (t_bundle - t_off) / t_off
-    b_status = ("ok" if t_bundle <= ev_budget
-                else f"TOO SLOW (> {ev_budget:.2f}s)")
-    if t_bundle > ev_budget:
-        failures.append("bundle-overhead")
-    print(
-        f"{'bundle overhead':20s} off={t_off:.3f}s  on={t_bundle:.3f}s  "
-        f"({b_overhead:+.1%})  {b_status}"
     )
 
     if failures:
@@ -320,7 +348,7 @@ def bundle_main() -> int:
     if bundle_dir.exists():
         shutil.rmtree(bundle_dir)
     plain = run_hierarchical(ctx, SUPPORT)
-    bundled = run_hierarchical(ctx, SUPPORT, bundle_dir=str(bundle_dir))
+    bundled = bundled_run(ctx, bundle_dir, ObsCollector())
 
     problems = validate_bundle(bundle_dir)
     if problems:
@@ -401,56 +429,43 @@ def cpuprof_main() -> int:
     )
     from repro.obs.diff import diff_payload, load_profile
 
-    ctx = load_context("synthetic-peak")
-    ctx.leaf_items(0.1, "divergence")  # warm the discretization cache
+    ctx = load_context(OVERHEAD_DATASET)
     failures = []
 
-    def timed(profile_cpu=False, bundle_dir=None):
-        start = time.perf_counter()
-        result = run_hierarchical(
-            ctx, SUPPORT, profile_cpu=profile_cpu, bundle_dir=bundle_dir,
-        )
-        return time.perf_counter() - start, result
-
-    timed()  # warm up caches/imports outside the measurement
-    off_runs = [timed() for _ in range(3)]
-    t_off = min(t for t, _ in off_runs)
+    # -- overhead at the default sampling rate --------------------------
+    run_hierarchical(ctx, SUPPORT)  # warm up caches/imports
+    best, results = best_of_alternated({
+        "off": lambda: run_hierarchical(ctx, SUPPORT),
+        "profiler": lambda: run_hierarchical(
+            ctx, SUPPORT, obs=ObsCollector(profile_cpu=True)
+        ),
+    })
+    if not overhead_ok(
+        "overhead", best["off"], best["profiler"], MAX_CPUPROF_OVERHEAD
+    ):
+        failures.append("overhead")
 
     # -- bit-identity: profiling must never change mined results --------
-    _, plain = timed()
-    _, profiled = timed(profile_cpu=True)
-    if signature(profiled) != signature(plain):
+    if not same_result(results["profiler"], results["off"]):
         failures.append("identity")
         print(f"{'identity':20s} profiler changed the ResultSet  FAILED")
     else:
         print(f"{'identity':20s} identical with and without profiler  ok")
 
-    # -- overhead at the default sampling rate --------------------------
-    on_runs = [timed(profile_cpu=True) for _ in range(3)]
-    t_on = min(t for t, _ in on_runs)
-    overhead = (t_on - t_off) / t_off
-    budget = t_off * (1.0 + MAX_CPUPROF_OVERHEAD) + EPSILON_SECONDS
-    status = "ok" if t_on <= budget else f"TOO SLOW (> {budget:.2f}s)"
-    if t_on > budget:
-        failures.append("overhead")
-    print(
-        f"{'overhead':20s} off={t_off:.3f}s  on={t_on:.3f}s  "
-        f"({overhead:+.1%})  {status}"
-    )
-
     # -- captures: a plain profiled run and one with a named busy-wait --
     # Inject a named busy-wait into the mining phase; the attribution
     # demo below must name it, function and file.
+    peak = load_context("synthetic-peak")
     base_dir = REPO_ROOT / "benchmark_results" / "smoke_cpuprof_base"
     slow_dir = REPO_ROOT / "benchmark_results" / "smoke_cpuprof_slow"
     for directory in (base_dir, slow_dir):
         if directory.exists():
             shutil.rmtree(directory)
-    timed(profile_cpu=True, bundle_dir=str(base_dir))
+    bundled_run(peak, base_dir, ObsCollector(profile_cpu=True))
     original = session.mine
     session.mine = _smoke_regression(original)
     try:
-        timed(profile_cpu=True, bundle_dir=str(slow_dir))
+        bundled_run(peak, slow_dir, ObsCollector(profile_cpu=True))
     finally:
         session.mine = original
 

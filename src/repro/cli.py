@@ -31,6 +31,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -193,12 +194,14 @@ def _build_obs(args):
     """An ObsCollector when an observability flag asked for one.
 
     ``--trace``/``--metrics-out``/``--profile-memory``/``--profile-cpu``
-    want the span tree and metrics registry; ``--progress``/
-    ``--run-log``/``--deadline``/``--bundle`` additionally want a live
-    event stream, with a throttled TTY renderer and/or an append-only
-    JSONL run log as sinks (``--deadline`` alone still streams: the
-    cancellation event must land somewhere inspectable; a bundle
-    attaches its own run-log sink inside the explorer's bundle scope).
+    want the span tree and metrics registry, and the two profiling
+    flags (with ``--sample-hz``) switch profiling on in the collector
+    itself; ``--progress``/``--run-log``/``--deadline``/``--bundle``
+    additionally want a live event stream, with a throttled TTY
+    renderer and/or an append-only JSONL run log as sinks
+    (``--deadline`` alone still streams: the cancellation event must
+    land somewhere inspectable; a bundle attaches its own run-log sink
+    in :func:`_captured`).
     """
     want_events = bool(
         getattr(args, "progress", False)
@@ -216,17 +219,41 @@ def _build_obs(args):
         return None
     from repro.obs import ObsCollector
 
-    if not want_events:
-        return ObsCollector()
-    from repro.obs import EventStream, JsonlRunLog, ProgressRenderer
+    events = None
+    if want_events:
+        from repro.obs import EventStream, JsonlRunLog, ProgressRenderer
 
-    sinks = []
-    if getattr(args, "run_log", None):
-        meta = {"command": getattr(args, "command", None), "csv": args.csv}
-        sinks.append(JsonlRunLog(args.run_log, meta=meta))
-    if getattr(args, "progress", False):
-        sinks.append(ProgressRenderer())
-    return ObsCollector(events=EventStream(sinks=sinks))
+        sinks = []
+        if getattr(args, "run_log", None):
+            meta = {"command": getattr(args, "command", None), "csv": args.csv}
+            sinks.append(JsonlRunLog(args.run_log, meta=meta))
+        if getattr(args, "progress", False):
+            sinks.append(ProgressRenderer())
+        events = EventStream(sinks=sinks)
+    return ObsCollector(
+        profile_memory=args.profile_memory, events=events,
+        profile_cpu=args.profile_cpu, sample_hz=args.sample_hz,
+    )
+
+
+def _captured(args, obs, config: ExploreConfig, dataset: Table):
+    """Arm ``--deadline`` and open ``--bundle`` around a command's run.
+
+    Both act on the collector :func:`_build_obs` made, so every
+    exploring command, ``explore --base`` included, is captured the
+    same way: the deadline counts from here, and the bundle holds the
+    whole run.
+    """
+    if args.deadline is not None:
+        obs.arm_deadline(args.deadline)
+    if not args.bundle:
+        return contextlib.nullcontext()
+    from repro.obs import RunBundle
+
+    return RunBundle(
+        args.bundle, name=args.command, config=config.to_dict(), obs=obs,
+        dataset=dataset,
+    )
 
 
 def _write_obs(args, obs) -> None:
@@ -285,11 +312,6 @@ def _explore_config(args, obs=None) -> ExploreConfig:
             "n_jobs": getattr(args, "n_jobs", 1),
         },
         obs=obs,
-        profile_memory=getattr(args, "profile_memory", False) and obs is not None,
-        deadline_s=getattr(args, "deadline", None),
-        bundle_dir=getattr(args, "bundle", None),
-        profile_cpu=getattr(args, "profile_cpu", False),
-        sample_hz=getattr(args, "sample_hz", 97.0),
     )
 
 
@@ -315,24 +337,25 @@ def cmd_explore(args) -> int:
     features = _feature_table(table, args)
     obs = _build_obs(args)
     config = _explore_config(args, obs=obs)
-    if args.base:
-        session = ExploreSession(features, values, obs=obs)
-        explorer = DivExplorer(config)
-        result = explorer.explore(
-            features,
-            values,
-            continuous_items={
-                a: session.tree(
-                    a, args.tree_support, args.criterion
-                ).leaf_items()
-                for a in features.continuous_names
-            },
-        )
-        mode = "base (leaf items)"
-    else:
-        explorer = HDivExplorer(config)
-        result = explorer.explore(features, values)
-        mode = "hierarchical"
+    with _captured(args, obs, config, features):
+        if args.base:
+            session = ExploreSession(features, values, obs=obs)
+            explorer = DivExplorer(config)
+            result = explorer.explore(
+                features,
+                values,
+                continuous_items={
+                    a: session.tree(
+                        a, args.tree_support, args.criterion
+                    ).leaf_items()
+                    for a in features.continuous_names
+                },
+            )
+            mode = "base (leaf items)"
+        else:
+            explorer = HDivExplorer(config)
+            result = explorer.explore(features, values)
+            mode = "hierarchical"
     _print_result(result, args, mode)
     _write_obs(args, obs)
     return 0
@@ -424,7 +447,10 @@ def cmd_sweep(args) -> int:
     features = _feature_table(table, args)
     obs = _build_obs(args)
     config = _explore_config(args, obs=obs)
-    with ExploreSession(features, values, obs=obs) as session:
+    with (
+        _captured(args, obs, config, features),
+        ExploreSession(features, values, obs=obs) as session,
+    ):
         sweep = session.sweep(args.param, points, config)
     print(
         f"sweep over {args.param}: {len(sweep)} points, "

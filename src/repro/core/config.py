@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -66,51 +65,11 @@ class ExploreConfig:
         gauges land on it. Defaults to the disabled no-op singleton
         :data:`repro.obs.NULL_OBS`; never affects results and is
         excluded from equality, :meth:`to_dict` and
-        :meth:`fingerprint`.
-    profile_memory:
-        Turn on per-span peak-allocation tracking (tracemalloc) on the
-        attached collector — span attributes gain ``mem_peak_bytes``
-        and the collector's ``mem_peaks`` registry fills in (see
-        ``repro.obs.profile``). A no-op with the default
-        :data:`~repro.obs.NULL_OBS` collector, so disabled-mode runs
-        stay zero-cost. Like ``obs`` it never affects results and is
-        excluded from equality, :meth:`to_dict` and
-        :meth:`fingerprint`.
-    deadline_s:
-        Optional cooperative deadline in seconds. The explorers arm a
-        :class:`repro.obs.RunController` at run start and check it at
-        phase boundaries and after every mining step slice; a run
-        past the deadline raises :class:`repro.obs.RunCancelled`
-        carrying the partial event log. ``None`` (the default)
-        disables the checks entirely.
-        Completed runs are bit-identical with or without a deadline,
-        so — like the other observability fields — it is excluded
-        from equality, :meth:`to_dict` and :meth:`fingerprint`.
-    bundle_dir:
-        Optional run-bundle capture directory. When set, the explorers
-        wrap the run in :func:`repro.obs.bundle_scope`, writing a
-        self-contained forensics bundle (manifest, JSONL run log,
-        trace, metrics — plus ``crash.json`` for failed or cancelled
-        runs) into this directory. Purely observational:
-        results stay bit-identical, so — like the rest of the
-        observability quartet — it is excluded from equality,
-        :meth:`to_dict` and :meth:`fingerprint`.
-    profile_cpu:
-        Attach the sampling CPU profiler (``repro.obs.cpuprof``) to
-        the collector: a background thread polls stacks at
-        ``sample_hz`` while spans are open, spans gain
-        ``cpu_samples``/``cpu_self_seconds``/``cpu_top_functions``
-        attributes, and bundles capture a ``cpuprof.json`` stack
-        table. Forces a private enabled collector when ``obs`` is
-        :data:`~repro.obs.NULL_OBS` (like ``deadline_s``). Sampling
-        only observes, so — like the rest of the observability fields
-        — it is excluded from equality, :meth:`to_dict` and
-        :meth:`fingerprint`.
-    sample_hz:
-        Sampling rate for ``profile_cpu`` in stacks per second
-        (default 97 — prime, so the sampler cannot phase-lock with
-        periodic work). Ignored unless ``profile_cpu`` is set;
-        excluded from serialization alongside it.
+        :meth:`fingerprint`. Run options are not configuration:
+        profiling is switched on by ``ObsCollector(profile_memory=...,
+        profile_cpu=..., sample_hz=...)``, a deadline is armed on the
+        collector, and a run bundle is a :class:`repro.obs.RunBundle`
+        around the call.
     """
 
     min_support: float = 0.05
@@ -121,11 +80,6 @@ class ExploreConfig:
     max_length: int | None = None
     n_jobs: int = 1
     obs: AnyCollector = field(default=NULL_OBS, compare=False, repr=False)
-    profile_memory: bool = field(default=False, compare=False, repr=False)
-    deadline_s: float | None = field(default=None, compare=False, repr=False)
-    bundle_dir: str | None = field(default=None, compare=False, repr=False)
-    profile_cpu: bool = field(default=False, compare=False, repr=False)
-    sample_hz: float = field(default=97.0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Store each result-affecting field in one type, so configs that
@@ -163,30 +117,6 @@ class ExploreConfig:
             object.__setattr__(self, "max_length", int(length))
         if self.obs is None:
             object.__setattr__(self, "obs", NULL_OBS)
-        if self.deadline_s is not None and not self.deadline_s > 0:
-            raise ValueError("deadline_s must be positive")
-        if self.bundle_dir is not None:
-            # Accept Path objects; store the canonical str form.
-            object.__setattr__(self, "bundle_dir", os.fspath(self.bundle_dir))
-        if not self.sample_hz > 0:
-            raise ValueError("sample_hz must be positive")
-        if (
-            self.deadline_s is not None
-            or self.bundle_dir is not None
-            or self.profile_cpu
-        ) and self.obs is NULL_OBS:
-            # Deadline checks, bundle capture and CPU sampling flow
-            # through the collector, so an enabled one is required; a
-            # private instance keeps NULL_OBS itself inert.
-            from repro.obs.collector import ObsCollector
-
-            object.__setattr__(self, "obs", ObsCollector())
-        if self.profile_memory:
-            # Profiling lives on the collector (NULL_OBS: no-op), so a
-            # frozen config can switch it on without holding state.
-            self.obs.enable_memory_profiling()
-        if self.profile_cpu:
-            self.obs.enable_cpu_profiling(self.sample_hz)
 
     def replace(self, **changes: object) -> "ExploreConfig":
         """A copy with the given fields changed (and re-validated)."""
@@ -195,19 +125,15 @@ class ExploreConfig:
     def to_dict(self) -> dict[str, object]:
         """The result-affecting fields as a plain dict.
 
-        The ``obs`` collector, the ``profile_memory`` switch, the
-        ``deadline_s`` budget, the ``bundle_dir`` capture target and
-        the CPU-profiling pair (``profile_cpu``, ``sample_hz``) are
-        excluded: none of them changes the results of a completed
-        run, so two configs that differ only in observability
-        serialize (and fingerprint) identically. ``from_dict`` is the
-        exact inverse.
+        The ``obs`` collector is excluded: it never changes the
+        results of a completed run, so two configs that differ only in
+        their collector serialize (and fingerprint) identically.
+        ``from_dict`` is the exact inverse.
         """
         return {
             f.name: getattr(self, f.name)
             for f in dataclasses.fields(self)
-            if f.name not in ("obs", "profile_memory", "deadline_s",
-                              "bundle_dir", "profile_cpu", "sample_hz")
+            if f.name != "obs"
         }
 
     @classmethod
@@ -216,21 +142,14 @@ class ExploreConfig:
         data: "Mapping[str, object]",
         *,
         obs: AnyCollector | None = None,
-        profile_memory: bool = False,
-        deadline_s: float | None = None,
-        bundle_dir: str | None = None,
-        profile_cpu: bool = False,
-        sample_hz: float = 97.0,
     ) -> "ExploreConfig":
         """The exact inverse of :meth:`to_dict`.
 
         Accepts any subset of the serialized fields (missing keys take
         their defaults) and raises :class:`ValueError` on unknown keys —
         a misspelled knob must not silently fall back to a default, or
-        the round-tripped fingerprint would lie. The observability
-        fields (``obs``, ``profile_memory``, ``deadline_s``,
-        ``bundle_dir``, ``profile_cpu``, ``sample_hz``) are not part
-        of the serialized form and are supplied separately.
+        the round-tripped fingerprint would lie. The ``obs`` collector
+        is not part of the serialized form and is supplied separately.
         """
         unknown = sorted(set(data) - _SERIALIZED_FIELDS)
         if unknown:
@@ -238,12 +157,7 @@ class ExploreConfig:
                 f"unknown ExploreConfig keys: {unknown} "
                 f"(expected a subset of {sorted(_SERIALIZED_FIELDS)})"
             )
-        return cls(
-            obs=obs, profile_memory=profile_memory, deadline_s=deadline_s,
-            bundle_dir=bundle_dir, profile_cpu=profile_cpu,
-            sample_hz=sample_hz,
-            **data,  # type: ignore[arg-type]
-        )
+        return cls(obs=obs, **data)  # type: ignore[arg-type]
 
     def fingerprint(self, keys: "Iterable[str] | None" = None) -> str:
         """Stable short hash of the result-affecting configuration.
@@ -274,11 +188,8 @@ class ExploreConfig:
 _FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(ExploreConfig))
 
 #: The fields that appear in ``to_dict()`` / ``from_dict()`` — every
-#: result-affecting knob, excluding the observability fields.
-_SERIALIZED_FIELDS = frozenset(
-    _FIELD_NAMES - {"obs", "profile_memory", "deadline_s", "bundle_dir",
-                    "profile_cpu", "sample_hz"}
-)
+#: result-affecting knob, excluding the ``obs`` collector.
+_SERIALIZED_FIELDS = frozenset(_FIELD_NAMES - {"obs"})
 
 
 def resolve_config(

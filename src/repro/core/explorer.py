@@ -136,9 +136,6 @@ class DivExplorer:
         :class:`ResultSet`.
         """
         obs = self.obs
-        # Deadline coverage starts at mining; encoding (in explore())
-        # has no cooperative checkpoints.
-        obs.arm_deadline(self.config.deadline_s)
         start = time.perf_counter()
         with obs.span("mine", polarity=self.polarity):
             mined = mine(

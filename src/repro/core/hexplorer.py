@@ -27,7 +27,6 @@ from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.outcomes import Outcome
 from repro.core.results import ResultSet
 from repro.core.session import ExploreSession
-from repro.obs.bundle import bundle_scope
 from repro.tabular import Table
 
 
@@ -137,26 +136,17 @@ class HDivExplorer:
             they have no hierarchy; defaults to all of them.
         """
         cfg = self.config
-        obs = self.obs
-        # A configured deadline_s starts counting here; the collector
-        # checkpoints (per attribute fitted, per mining step slice) raise
-        # RunCancelled once it expires. The bundle scope is inert
-        # unless config.bundle_dir is set, in which case the whole run
-        # — including a crash or cancellation inside it — is captured
-        # into a forensics bundle, outcome evaluation included.
-        obs.arm_deadline(cfg.deadline_s)
-        with bundle_scope(cfg, obs, dataset=table, name="hexplore"):
-            session = ExploreSession(
-                table,
-                outcome,
-                hierarchies=hierarchies,
-                continuous_attributes=continuous_attributes,
-                categorical_attributes=categorical_attributes,
-                max_candidates=self.max_candidates,
-                max_depth=self.max_depth,
-                include_missing_items=self.include_missing_items,
-            )
-            result = session._explore(cfg, obs)
+        session = ExploreSession(
+            table,
+            outcome,
+            hierarchies=hierarchies,
+            continuous_attributes=continuous_attributes,
+            categorical_attributes=categorical_attributes,
+            max_candidates=self.max_candidates,
+            max_depth=self.max_depth,
+            include_missing_items=self.include_missing_items,
+        )
+        result = session._explore(cfg, self.obs)
         gamma, _universe, seconds = session._universes[
             cfg.tree_support, cfg.criterion
         ]

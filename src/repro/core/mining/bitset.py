@@ -393,7 +393,9 @@ class BitsetEngine:
         return node[distinct], sibling[distinct]
 
     def _count_step(self, level: int, candidates: int, kept: int) -> None:
-        """Count one level's candidates, in total and for its length."""
+        """Count one level's candidates, in total and for its length,
+        and its ``kept`` survivors, which are the mined itemsets of
+        that length."""
         if self.obs.enabled:
             pruned = candidates - kept
             self.obs.count("mining.candidates", candidates)
@@ -401,6 +403,8 @@ class BitsetEngine:
             self.obs.count("mining.rows_scanned", candidates * self.n_rows)
             self.obs.count(f"mining.candidates.level_{level}", candidates)
             self.obs.count(f"mining.support_pruned.level_{level}", pruned)
+            if kept:
+                self.obs.count(f"mining.frequent.level_{level}", kept)
 
     def _count_polarity(self, level: int, pruned: int) -> None:
         """Count one level's pairs that the sign filter drops."""

@@ -350,10 +350,10 @@ def mine(
         ``universe`` to reuse instead of packing the covers again.
     obs:
         Optional :class:`repro.obs.ObsCollector`. When enabled, mining
-        runs inside a ``bitset`` span, the engine records its per-step
-        ``mining.*`` counters, and the ``mining.frequent_itemsets`` /
-        ``mining.frequent.level_N`` totals are counted here from the
-        mined rows.
+        runs inside a ``bitset`` span, the engine records its per-level
+        ``mining.*`` counters (``mining.frequent.level_N`` from each
+        level's survivors), and ``mining.frequent_itemsets`` is counted
+        here from the mined rows.
     polarity:
         Polarity pruning (§V-C): keep only the itemsets that do not
         mix items of positive and negative polarity
@@ -398,8 +398,5 @@ def mine(
         engine.obs = prev_engine_obs
     if obs.enabled:
         obs.count("mining.frequent_itemsets", len(mined))
-        for k, frequent in enumerate(np.bincount(mined.lengths()).tolist()):
-            if frequent:
-                obs.count(f"mining.frequent.level_{k}", frequent)
         span.set(itemsets=len(mined), packed_words=engine.n_words)
     return mined

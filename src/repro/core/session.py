@@ -63,7 +63,6 @@ from repro.core.mining.generalized import generalized_universe
 from repro.core.mining.transactions import EncodedUniverse, mine
 from repro.core.outcomes import Outcome, coerce_outcome
 from repro.core.results import ResultSet
-from repro.obs.bundle import bundle_scope
 from repro.obs.collector import AnyCollector, resolve_obs
 from repro.tabular import Table
 
@@ -244,12 +243,10 @@ class ExploreSession:
         """
         cfg = resolve_config(config, kwargs, owner="ExploreSession.explore")
         obs = cfg.obs if cfg.obs.enabled else self.obs
-        obs.arm_deadline(cfg.deadline_s)
         # The fingerprint (JSON plus SHA-256) only labels the span.
         label = {"fingerprint": cfg.fingerprint()} if obs.enabled else {}
-        with bundle_scope(cfg, obs, dataset=self.table, name="session"):
-            with obs.span("explore", **label):
-                return self._explore(cfg, obs)
+        with obs.span("explore", **label):
+            return self._explore(cfg, obs)
 
     def sweep(
         self,
@@ -283,39 +280,37 @@ class ExploreSession:
         # raises before any mining starts.
         configs = [base.replace(**{param: v}) for v in values]
         obs = base.obs if base.obs.enabled else self.obs
-        # One deadline covers the whole sweep; each completed point
-        # advances the "sweep" progress phase and is a checkpoint.
-        obs.arm_deadline(base.deadline_s)
-        with bundle_scope(base, obs, dataset=self.table, name="sweep"):
-            obs.progress("sweep", advance=0, expect=len(values))
-            points: list[SweepPoint] = []
-            t0 = time.perf_counter()
-            with obs.span("sweep", param=param, n_points=len(values)) as root:
-                for value, cfg in zip(values, configs):
-                    before = dict(obs.counters) if obs.enabled else {}
-                    p0 = time.perf_counter()
-                    with obs.span("point", value=repr(value)) as span:
-                        result = self._explore(cfg, obs)
-                    elapsed = time.perf_counter() - p0
-                    hits, misses = _cache_delta(obs, before)
-                    span.set(cache_hits=hits, cache_misses=misses)
-                    obs.progress("sweep", value=repr(value))
-                    obs.checkpoint("sweep")
-                    points.append(
-                        SweepPoint(
-                            value=value,
-                            config=cfg,
-                            result=result,
-                            elapsed_seconds=elapsed,
-                            cache_hits=hits,
-                            cache_misses=misses,
-                        )
+        # Each completed point advances the "sweep" progress phase and
+        # is a deadline checkpoint.
+        obs.progress("sweep", advance=0, expect=len(values))
+        points: list[SweepPoint] = []
+        t0 = time.perf_counter()
+        with obs.span("sweep", param=param, n_points=len(values)) as root:
+            for value, cfg in zip(values, configs):
+                before = dict(obs.counters) if obs.enabled else {}
+                p0 = time.perf_counter()
+                with obs.span("point", value=repr(value)) as span:
+                    result = self._explore(cfg, obs)
+                elapsed = time.perf_counter() - p0
+                hits, misses = _cache_delta(obs, before)
+                span.set(cache_hits=hits, cache_misses=misses)
+                obs.progress("sweep", value=repr(value))
+                obs.checkpoint("sweep")
+                points.append(
+                    SweepPoint(
+                        value=value,
+                        config=cfg,
+                        result=result,
+                        elapsed_seconds=elapsed,
+                        cache_hits=hits,
+                        cache_misses=misses,
                     )
-                total = time.perf_counter() - t0
-                root.set(elapsed_total=total)
-            return SweepResult(
-                param=param, points=tuple(points), elapsed_seconds=total
-            )
+                )
+            total = time.perf_counter() - t0
+            root.set(elapsed_total=total)
+        return SweepResult(
+            param=param, points=tuple(points), elapsed_seconds=total
+        )
 
     def close(self) -> None:
         """A no-op: the session holds no resources beyond its caches."""

@@ -10,8 +10,6 @@ committed file, instead of being silently baselined away.
 
 Format::
 
-    current_pr = 7
-
     [layers]
     tabular = []
     core = ["tabular", "obs"]
@@ -75,7 +73,6 @@ class ArchSpec:
     allowed; the stdlib is always allowed.
     """
 
-    current_pr: int = 0
     layers: dict[str, tuple[str, ...]] = field(default_factory=dict)
     lazy_exports: dict[str, tuple[str, ...]] = field(default_factory=dict)
     deprecations: tuple[DeprecationEntry, ...] = ()
@@ -91,10 +88,7 @@ class ArchSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ArchSpec":
         """Build a spec from decoded TOML, validating shapes loudly."""
-        known_top = {
-            "current_pr", "layers", "lazy-exports", "deprecations",
-            "exemptions",
-        }
+        known_top = {"layers", "lazy-exports", "deprecations", "exemptions"}
         unknown = sorted(set(data) - known_top)
         if unknown:
             raise ValueError(f"unknown .reproarch.toml keys: {unknown}")
@@ -161,7 +155,6 @@ class ArchSpec:
             exemptions[category] = table
 
         return cls(
-            current_pr=int(data.get("current_pr", 0)),
             layers=layers,
             lazy_exports=dict(lazy),
             deprecations=tuple(deprecations),

@@ -137,23 +137,15 @@ def run_hierarchical(
     polarity: bool = False,
     max_length: int | None = None,
     obs: AnyCollector | None = None,
-    bundle_dir: str | None = None,
-    profile_cpu: bool = False,
-    sample_hz: float = 97.0,
 ) -> ResultSet:
     """Generalized (hierarchical) exploration, the H-DivExplorer path.
 
     Predefined categorical hierarchies of the dataset (folktables OCCP
-    and POBP) are passed through automatically. ``bundle_dir`` captures
-    a post-mortem run bundle (see ``repro.obs.bundle``);
-    ``profile_cpu`` attaches the sampling CPU profiler at ``sample_hz``
-    (see ``repro.obs.cpuprof``) without changing mined results.
+    and POBP) are passed through automatically.
     """
     config = ExploreConfig(
         min_support=support, tree_support=tree_support, criterion=criterion,
-        polarity=polarity, max_length=max_length,
-        obs=obs, bundle_dir=bundle_dir,
-        profile_cpu=profile_cpu, sample_hz=sample_hz,
+        polarity=polarity, max_length=max_length, obs=obs,
     )
     explorer = HDivExplorer(config)
     return explorer.explore(

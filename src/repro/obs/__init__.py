@@ -26,7 +26,6 @@ from repro.obs.bundle import (
     BUNDLE_SCHEMA,
     Bundle,
     RunBundle,
-    bundle_scope,
     load_bundle,
     validate_bundle,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "Span",
     "as_event_stream",
     "bench_payload",
-    "bundle_scope",
     "config_fingerprint",
     "cpuprof_payload",
     "event_counts",

@@ -21,13 +21,13 @@ machine, after the process is gone:
   fault.log       faulthandler output, only after a hard fault
 ```
 
-Capture is wired through ``ExploreConfig(bundle_dir=...)`` / the CLI
-``--bundle DIR`` flag: the explorers enter :func:`bundle_scope` around
-the run, which attaches a run-log sink to the collector's event
-stream, installs the crash hooks (``sys.excepthook`` plus
+Capture wraps the call: ``with RunBundle(dir, obs=obs, ...):`` around
+any run on that collector (the CLI's ``--bundle DIR`` wraps the whole
+command). Entering attaches a run-log sink to the collector's event
+stream and installs the crash hooks (``sys.excepthook`` plus
 ``faulthandler`` — this module is their single sanctioned owner,
-reprolint RPL018), and finalizes the bundle on the way out whatever
-the outcome. A run that raises — including a cooperative
+reprolint RPL018); exiting finalizes the bundle whatever the outcome.
+A run that raises — including a cooperative
 :class:`~repro.obs.events.RunCancelled` — still leaves a complete,
 valid bundle with a ``crash.json``.
 
@@ -47,7 +47,6 @@ import socket
 import subprocess
 import sys
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -230,9 +229,13 @@ class RunBundle:
     Use as a context manager around the run::
 
         obs = ObsCollector()
+        cfg = ExploreConfig(min_support=0.05, obs=obs)
         with RunBundle("out/run1", name="fig2", config=cfg.to_dict(),
                        obs=obs, dataset=table):
-            explorer.explore(table, outcome)
+            HDivExplorer(cfg).explore(table, outcome)
+
+    Give the bundle the collector the run records into: without an
+    enabled one it makes a private collector the run never sees.
 
     Entering creates the directory, attaches a
     :class:`~repro.obs.runlog.JsonlRunLog` sink to the collector's
@@ -407,34 +410,6 @@ class RunBundle:
         _write_json(self.directory / MANIFEST_FILENAME, manifest)
         self.manifest = manifest
         return manifest
-
-
-@contextmanager
-def bundle_scope(
-    config: Any,
-    obs: AnyCollector,
-    dataset: Any = None,
-    name: str = "run",
-) -> Iterator[RunBundle | None]:
-    """The explorers' capture hook: inert unless bundling was requested.
-
-    Duck-types ``config``: anything with a non-None ``bundle_dir``
-    attribute (an :class:`repro.core.config.ExploreConfig`, typically)
-    turns the scope into a live :class:`RunBundle` around the run
-    body; otherwise the scope yields ``None`` and costs one attribute
-    lookup. ``config.to_dict()``, when present, supplies the manifest
-    config section.
-    """
-    bundle_dir = getattr(config, "bundle_dir", None)
-    if bundle_dir is None:
-        yield None
-        return
-    to_dict = getattr(config, "to_dict", None)
-    config_dict = to_dict() if callable(to_dict) else {}
-    with RunBundle(
-        bundle_dir, name=name, config=config_dict, obs=obs, dataset=dataset
-    ) as bundle:
-        yield bundle
 
 
 # -- loading / validation --------------------------------------------------

@@ -142,8 +142,8 @@ class ObsCollector:
     controller:
         Optional :class:`~repro.obs.events.RunController` consulted by
         :meth:`checkpoint` at phase boundaries and mining step slices
-        for cooperative deadline/cancellation (usually installed via
-        :meth:`arm_deadline` from ``ExploreConfig(deadline_s=...)``).
+        for cooperative deadline/cancellation (usually installed by
+        :meth:`arm_deadline` before the run).
     """
 
     enabled: bool = True
@@ -400,9 +400,12 @@ class ObsCollector:
     def arm_deadline(self, deadline_s: float | None) -> None:
         """Install a fresh deadline controller for the upcoming run.
 
-        ``None`` leaves any existing controller untouched. A default
-        bounded event stream is attached if none exists, so a
-        cancelled run always carries a partial event log.
+        The deadline counts from this call and covers every run on the
+        collector until the next arm, so arm once before a sweep for
+        one budget, or before each run for one budget apiece. ``None``
+        leaves any existing controller untouched. A default bounded
+        event stream is attached if none exists, so a cancelled run
+        always carries a partial event log.
         """
         if deadline_s is None:
             return

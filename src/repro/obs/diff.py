@@ -5,7 +5,7 @@ against A (baseline) — and explains *what* got slower and *why*. Each
 side may be:
 
 * a **bundle directory** (see ``repro.obs.bundle``), or
-* a **JSONL run log** (``repro.obs/events@1``; the span tree is
+* a **JSONL run log** (``repro.obs/events@2``; the span tree is
   reconstructed from open/close events).
 
 Span trees are aligned by dotted path and scored with two noise

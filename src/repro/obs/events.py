@@ -35,18 +35,14 @@ from collections import deque
 from typing import Any, Iterable, Iterator, Mapping
 
 #: Schema id of the JSONL run-log records (see ``repro.obs.runlog``).
-EVENTS_SCHEMA = "repro.obs/events@1"
+EVENTS_SCHEMA = "repro.obs/events@2"
 
-#: Every event kind the stream accepts. ``heartbeat`` and ``worker_span``
-#: are no longer emitted; they stay so run logs written by the retired
-#: process fan-out still validate.
+#: Every event kind the stream accepts.
 EVENT_KINDS = frozenset({
     "span_open",
     "span_close",
     "progress",
     "counters",
-    "heartbeat",
-    "worker_span",
     "cancelled",
 })
 
@@ -58,16 +54,12 @@ DETERMINISTIC_KINDS = frozenset({
 
 
 class Event:
-    """One telemetry event: ``(seq, t, kind, name, worker, attrs)``.
+    """One telemetry event: ``(seq, t, kind, name, attrs)``.
 
-    ``t`` is seconds since the owning stream's origin; ``worker`` is
-    always 0 (the field stays in the ``events@1`` layout, where run logs
-    of the retired process fan-out carry 1-based worker ids).
+    ``t`` is seconds since the owning stream's origin.
     """
 
     __slots__ = ("seq", "t", "kind", "name", "attrs")
-
-    worker = 0
 
     def __init__(
         self,
@@ -90,7 +82,6 @@ class Event:
             "t": self.t,
             "kind": self.kind,
             "name": self.name,
-            "worker": self.worker,
         }
         if self.attrs:
             out["attrs"] = dict(self.attrs)
@@ -98,8 +89,7 @@ class Event:
 
     def __repr__(self) -> str:
         return (
-            f"Event({self.seq}, {self.t:.4f}s, {self.kind!r}, "
-            f"{self.name!r}, worker={self.worker})"
+            f"Event({self.seq}, {self.t:.4f}s, {self.kind!r}, {self.name!r})"
         )
 
 
@@ -241,7 +231,7 @@ def event_counts(events: Iterable[Any]) -> dict[str, int]:
     "counters:<name>": n, "progress:<phase>": final_done}`` with keys
     sorted. Progress phases report their **final** ``done`` value (the
     running maximum), not the number of progress events. Cancellation
-    events and the kinds only older run logs carry are excluded. The
+    events are excluded. The
     result is identical between runs of one configuration — with or
     without a bundle, profiler or deadline — the tested invariant.
     """
@@ -427,8 +417,7 @@ def _event_to_chrome(event: Any, pid: int) -> list[dict[str, Any]]:
         if attrs:
             entry["args"] = {k: str(v) for k, v in attrs.items()}
         return [entry]
-    # Counter snapshots live in the run log, not the trace; the kinds
-    # only older run logs carry are not exported.
+    # Counter snapshots live in the run log, not the trace.
     return []
 
 

@@ -1,8 +1,8 @@
 """Memory profiling for the observability layer.
 
 Peak-allocation tracking rides on the span tracer: when a collector is
-built with ``profile_memory=True`` (or ``ExploreConfig(obs=...,
-profile_memory=True)``), every span additionally records the peak
+built with ``profile_memory=True`` (or switched on later with
+``enable_memory_profiling()``), every span additionally records the peak
 ``tracemalloc`` allocation reached while it was open, as the
 ``mem_peak_bytes`` span attribute and in the collector's
 ``mem_peaks`` registry (dotted phase path → peak bytes, max-merged).

@@ -104,7 +104,7 @@ def obs_summary(obs: AnyCollector) -> dict[str, Any]:
     frequent-itemset counts and the pruning-related counters — the
     headline observability numbers an analyst wants without reading a
     full trace. When the
-    run profiled memory (``ExploreConfig(profile_memory=True)``) a
+    run profiled memory (``ObsCollector(profile_memory=True)``) a
     ``mem_peaks`` section (peak bytes per span path) is included.
     """
     counters = {k: obs.counters[k] for k in sorted(obs.counters)} if obs.enabled else {}

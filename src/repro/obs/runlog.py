@@ -1,7 +1,7 @@
 """Event-stream sinks: the JSONL run log and the TTY progress renderer.
 
 The run log is the persistent form of the live event stream: one
-header line (schema ``repro.obs/events@1``) followed by one JSON
+header line (schema ``repro.obs/events@2``) followed by one JSON
 object per event, appended and flushed as the run progresses so a
 crashed or cancelled run still leaves a readable log. Replay or follow
 a log with ``python -m repro.obs.tail <run.jsonl>``.
@@ -23,7 +23,7 @@ from typing import Any, Iterable, TextIO
 from repro.obs.events import EVENT_KINDS, EVENTS_SCHEMA, Event
 
 #: Keys every run-log event line must carry.
-_EVENT_KEYS = ("seq", "t", "kind", "name", "worker")
+_EVENT_KEYS = ("seq", "t", "kind", "name")
 
 
 class JsonlRunLog:

@@ -37,11 +37,8 @@ def format_record(record: dict[str, Any]) -> str:
     t = float(record.get("t", 0.0))
     kind = str(record.get("kind", "?"))
     name = str(record.get("name", "?"))
-    worker = int(record.get("worker", 0))
     attrs = record.get("attrs") or {}
     line = f"[{t:9.3f}s] {kind:11s} {name}"
-    if worker:
-        line += f"  (worker {worker})"
     if kind == "progress":
         done, total = attrs.get("done", 0), attrs.get("total")
         line += f"  {done}/{total if total is not None else '?'}"

@@ -20,22 +20,31 @@ from repro.devtools.arch import (
     ArchSpec,
     build_project,
 )
+from repro.devtools.arch.deprecations import current_pr
 from repro.devtools.arch.graph import render_graph
 from repro.devtools.arch.lockfile import check_lock, load_lock, write_lock
 from repro.devtools.reporting import render_json, render_text
 
 BASE_SPEC = """\
-current_pr = 7
-
 [layers]
 repro = ["core"]
 core = ["tabular"]
 tabular = []
 """
 
+#: The mini-repos' changelog: its highest entry makes the current PR 7.
+BASE_CHANGES = "- PR 6: earlier work\n- PR 7: the latest entry\n"
 
-def make_repo(tmp_path: Path, files: dict[str, str], spec: str = BASE_SPEC):
+
+def make_repo(
+    tmp_path: Path,
+    files: dict[str, str],
+    spec: str = BASE_SPEC,
+    changes: str | None = BASE_CHANGES,
+):
     (tmp_path / SPEC_FILENAME).write_text(spec, encoding="utf-8")
+    if changes is not None:
+        (tmp_path / "CHANGES.md").write_text(changes, encoding="utf-8")
     base = {"src/repro/__init__.py": ""}
     for rel, source in {**base, **files}.items():
         path = tmp_path / rel
@@ -484,6 +493,37 @@ class TestDeprecations:
         report = run_arch(root)
         hits = [f for f in report.findings if f.code == "RPA010"]
         assert hits and "PR 5" in hits[0].message
+
+    def shim_repo(self, tmp_path, remove_by_pr, changes):
+        return make_repo(tmp_path, {
+            "src/repro/core/legacy.py": self.SHIM,
+            "src/repro/core/__init__.py": "",
+        }, spec=self.spec_with(remove_by_pr), changes=changes)
+
+    def test_changelog_past_the_horizon_fires(self, tmp_path):
+        changes = "- PR 39: one change\nPR 40 — a later one\n"
+        report = run_arch(self.shim_repo(tmp_path, 35, changes))
+        hits = [f for f in report.findings if f.code == "RPA010"]
+        assert hits and "PR 35" in hits[0].message
+        assert "CHANGES.md is 40" in hits[0].message
+
+    def test_changelog_before_the_horizon_is_clean(self, tmp_path):
+        # Only a line that begins with "PR <n>" numbers an entry.
+        changes = "- PR 30: one change, due before PR 99\nsee PR 50\n"
+        report = run_arch(self.shim_repo(tmp_path, 35, changes))
+        assert not codes(report) & {"RPA009", "RPA010"}
+
+    def test_no_changelog_means_pr_0(self, tmp_path):
+        root = self.shim_repo(tmp_path, 1, changes=None)
+        assert current_pr(root) == 0
+        assert not codes(run_arch(root)) & {"RPA009", "RPA010"}
+
+    def test_current_pr_key_is_rejected(self, tmp_path):
+        (tmp_path / SPEC_FILENAME).write_text(
+            "current_pr = 7\n" + BASE_SPEC, encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="current_pr"):
+            ArchSpec.load(tmp_path / SPEC_FILENAME)
 
     def test_registration_without_site_fires(self, tmp_path):
         root = make_repo(tmp_path, {

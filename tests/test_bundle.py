@@ -2,14 +2,16 @@
 
 Covers the RunBundle capture contract (manifest, run log, trace,
 metrics, crash.json), the load/validate round-trip and
-tamper detection, the ``bundle_scope`` explorer hook, and the
-acceptance contracts: fixed-seed runs bundle deterministically whether
-they succeed or hit a deadline, with the ResultSet bit-identical
-bundling on or off.
+tamper detection, and the acceptance contracts: fixed-seed runs bundle
+deterministically whether they succeed or hit a deadline, with the
+ResultSet bit-identical bundling on or off, and every exploring CLI
+command (``explore --base`` included) writes the bundle ``--bundle``
+asks for.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
@@ -17,13 +19,13 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.config import ExploreConfig
 from repro.core.hexplorer import HDivExplorer
+from repro.core.session import ExploreSession
 from repro.obs import (
     BUNDLE_SCHEMA,
     EventStream,
     ObsCollector,
     RunBundle,
     RunCancelled,
-    bundle_scope,
     load_bundle,
     validate_bundle,
 )
@@ -146,34 +148,12 @@ class TestRunBundle:
             with obs.span("root"):
                 pass
         size = (self_dir / "run_log.jsonl").stat().st_size
-        obs.events.emit("heartbeat", "after")  # must not hit the file
+        obs.events.emit("progress", "after")  # must not hit the file
         assert (self_dir / "run_log.jsonl").stat().st_size == size
 
     def test_empty_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             RunBundle(tmp_path / "b", name="")
-
-
-class TestBundleScope:
-    def test_inert_without_bundle_dir(self):
-        config = ExploreConfig(min_support=0.1)
-        obs = ObsCollector()
-        with bundle_scope(config, obs) as bundle:
-            assert bundle is None
-        assert obs.events is None  # untouched
-
-    def test_duck_types_plain_objects(self, tmp_path):
-        class Cfg:
-            bundle_dir = str(tmp_path / "b")
-
-        obs = ObsCollector(events=EventStream())
-        with bundle_scope(Cfg(), obs, name="duck") as bundle:
-            with obs.span("root"):
-                pass
-        assert bundle is not None
-        assert bundle.manifest["name"] == "duck"
-        assert bundle.manifest["config"] == {}
-        assert validate_bundle(tmp_path / "b") == []
 
 
 class TestValidateBundle:
@@ -217,15 +197,26 @@ class TestValidateBundle:
 class TestExplorerBundles:
     """The acceptance contracts at the explorer layer."""
 
-    def explore(self, pocket_data, bundle_dir=None, n_jobs=1, **kw):
+    def explore(
+        self, pocket_data, bundle_dir=None, n_jobs=1, obs=None,
+        deadline_s=None,
+    ):
+        """One explorer run, bundled into ``bundle_dir`` when it is
+        given and under a deadline of ``deadline_s`` when that is."""
         table, errors = pocket_data
+        if obs is None and (bundle_dir or deadline_s):
+            obs = ObsCollector()
         config = ExploreConfig(
-            min_support=0.1, tree_support=0.1,
-            n_jobs=n_jobs,
-            bundle_dir=None if bundle_dir is None else str(bundle_dir),
-            **kw,
+            min_support=0.1, tree_support=0.1, n_jobs=n_jobs, obs=obs,
         )
-        return HDivExplorer(config).explore(table, errors)
+        if deadline_s is not None:
+            obs.arm_deadline(deadline_s)
+        capture = contextlib.nullcontext() if bundle_dir is None else RunBundle(
+            bundle_dir, name="hexplore", config=config.to_dict(), obs=obs,
+            dataset=table,
+        )
+        with capture:
+            return HDivExplorer(config).explore(table, errors)
 
     @pytest.mark.parametrize("n_jobs", [1])
     def test_results_bit_identical_bundling_on_or_off(
@@ -281,6 +272,28 @@ class TestExplorerBundles:
         self.explore(pocket_data, bundle_dir=tmp_path / "plain")
         assert load_bundle(tmp_path / "plain").mem_peaks == {}
 
+    def test_session_results_bit_identical_bundling_on_or_off(
+        self, pocket_data, tmp_path
+    ):
+        table, errors = pocket_data
+        plain = ExploreSession(table, errors)
+        expected = result_signature(plain.explore(min_support=0.1))
+        swept = [
+            result_signature(p.result)
+            for p in plain.sweep("min_support", [0.1, 0.2])
+        ]
+        obs = ObsCollector()
+        session = ExploreSession(table, errors, obs=obs)
+        with RunBundle(tmp_path / "e", name="session", obs=obs):
+            explored = session.explore(min_support=0.1)
+        with RunBundle(tmp_path / "s", name="sweep", obs=obs):
+            sweep = session.sweep("min_support", [0.1, 0.2])
+        assert result_signature(explored) == expected
+        assert [result_signature(p.result) for p in sweep] == swept
+        for name in ("e", "s"):
+            assert validate_bundle(tmp_path / name) == []
+            assert load_bundle(tmp_path / name).status == "ok"
+
     @pytest.mark.parametrize("n_jobs", [1])
     def test_deadline_cancelled_run_leaves_valid_bundle(
         self, pocket_data, tmp_path, n_jobs
@@ -301,7 +314,8 @@ class TestExplorerBundles:
 
 
 class TestCliBundle:
-    def test_explore_bundle_flag(self, tmp_path, capsys):
+    def run_cli(self, tmp_path, capsys, *args):
+        """Run one CLI command with ``--bundle``; return the bundle dir."""
         import numpy as np
 
         from repro.tabular import Table, write_csv
@@ -316,12 +330,38 @@ class TestCliBundle:
         csv = tmp_path / "data.csv"
         write_csv(table, csv)
         bundle_dir = tmp_path / "bundle"
+        command, *flags = args
         code = cli_main([
-            "explore", str(csv), "--kind", "error",
+            command, str(csv), "--kind", "error",
             "--y-true", "label", "--y-pred", "pred",
-            "--support", "0.2", "--bundle", str(bundle_dir),
+            "--support", "0.2", "--bundle", str(bundle_dir), *flags,
         ])
         assert code == 0
         assert "wrote run bundle to" in capsys.readouterr().out
+        return bundle_dir
+
+    def test_explore_bundle_flag(self, tmp_path, capsys):
+        bundle_dir = self.run_cli(tmp_path, capsys, "explore")
         assert validate_bundle(bundle_dir) == []
         assert load_bundle(bundle_dir).status == "ok"
+
+    def test_explore_base_bundle_flag(self, tmp_path, capsys):
+        bundle_dir = self.run_cli(tmp_path, capsys, "explore", "--base")
+        assert validate_bundle(bundle_dir) == []
+        bundle = load_bundle(bundle_dir)
+        assert bundle.status == "ok"
+        assert bundle.name == "explore"
+        # The base path's tree fitting is inside the capture.
+        assert bundle.counters["discretize.splits_tried"] > 0
+        assert bundle.counters["mining.candidates"] > 0
+
+    def test_sweep_bundle_flag(self, tmp_path, capsys):
+        bundle_dir = self.run_cli(
+            tmp_path, capsys, "sweep", "--param", "min_support",
+            "--values", "0.2,0.3",
+        )
+        assert validate_bundle(bundle_dir) == []
+        bundle = load_bundle(bundle_dir)
+        assert bundle.status == "ok"
+        assert bundle.name == "sweep"
+        assert "sweep" in bundle.phase_seconds()

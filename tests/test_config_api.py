@@ -204,6 +204,44 @@ class TestExplorerConstruction:
         assert ex.min_support == 0.1 and ex.polarity is True
 
 
+#: Run options that are not configuration, with values a caller would
+#: pass: profiling and deadlines are set on the collector, and a run
+#: bundle wraps the call.
+RUN_OPTIONS = {
+    "profile_memory": True,
+    "profile_cpu": True,
+    "sample_hz": 50.0,
+    "deadline_s": 30.0,
+    "bundle_dir": "out",
+}
+
+
+class TestRunOptionsAreNotConfig:
+    def test_fields_are_the_result_knobs_and_the_collector(self):
+        assert [f.name for f in dataclasses.fields(ExploreConfig)] == [
+            "min_support", "tree_support", "criterion", "backend",
+            "polarity", "max_length", "n_jobs", "obs",
+        ]
+
+    @pytest.mark.parametrize("name", RUN_OPTIONS)
+    def test_config_rejects_run_option(self, name):
+        with pytest.raises(TypeError, match=name):
+            ExploreConfig(**{name: RUN_OPTIONS[name]})
+
+    @pytest.mark.parametrize("name", RUN_OPTIONS)
+    def test_explorer_rejects_run_option_naming_owner(self, name):
+        message = f"HDivExplorer got unexpected keyword arguments ['{name}']"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            HDivExplorer(**{name: RUN_OPTIONS[name]})
+
+    @pytest.mark.parametrize("name", RUN_OPTIONS)
+    def test_from_dict_rejects_run_option_keyword(self, name):
+        with pytest.raises(TypeError, match=name):
+            ExploreConfig.from_dict(
+                {"min_support": 0.1}, **{name: RUN_OPTIONS[name]}
+            )
+
+
 class TestBaselineConstruction:
     def test_sliceline_from_config(self):
         sl = SliceLine(ExploreConfig(min_support=0.2, max_length=2), k=5)
@@ -271,8 +309,8 @@ class TestSerializationRoundTrip:
             ExploreConfig.from_dict({"min_support": 0.1, "supportz": 0.2})
 
     def test_from_dict_rejects_runtime_fields(self):
-        # obs/profile_memory are runtime wiring, not serialized state:
-        # they arrive via the keyword-only parameters, never the dict.
+        # The obs collector is runtime wiring, not serialized state:
+        # it arrives via the keyword-only parameter, never the dict.
         with pytest.raises(ValueError, match="unknown ExploreConfig keys"):
             ExploreConfig.from_dict({"obs": None})
 

@@ -2,9 +2,9 @@
 
 Covers the sampler mechanics (lifecycle, exception-safe join, stack
 table rows), the artifact (payload validation, byte-stable
-``.folded``/speedscope exports), the wiring (ExploreConfig fields
-excluded from fingerprints, bundle capture, CLI flags), and the
-consumers (diff function attribution, doctor cpu-divergence check).
+``.folded``/speedscope exports), the wiring (profiling collectors,
+bundle capture, CLI flags), and the consumers (diff function
+attribution, doctor cpu-divergence check).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.config import ExploreConfig
 from repro.core.hexplorer import HDivExplorer
-from repro.obs import NULL_OBS, ObsCollector
+from repro.obs import NULL_OBS, ObsCollector, RunBundle
 from repro.obs.bundle import Bundle, load_bundle
 from repro.obs.cpuprof import (
     CPUPROF_SCHEMA,
@@ -258,29 +258,6 @@ class TestPayloadAndExports:
         assert set(mine_only) == {"repro/b.py:hot", "repro/b.py:warm"}
 
 
-class TestConfigWiring:
-    def test_fields_are_excluded_from_serialization_and_fingerprint(self):
-        cfg = ExploreConfig(profile_cpu=True, sample_hz=31.0)
-        data = cfg.to_dict()
-        assert "profile_cpu" not in data and "sample_hz" not in data
-        assert cfg.fingerprint() == ExploreConfig().fingerprint()
-        roundtrip = ExploreConfig.from_dict(
-            data, profile_cpu=True, sample_hz=31.0
-        )
-        assert roundtrip.profile_cpu and roundtrip.sample_hz == 31.0
-
-    def test_profile_cpu_forces_an_enabled_collector(self):
-        cfg = ExploreConfig(profile_cpu=True, sample_hz=53.0)
-        assert cfg.obs.profile_cpu
-        assert cfg.obs.cpu.sample_hz == 53.0
-
-    def test_sample_hz_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ExploreConfig(sample_hz=0.0)
-        with pytest.raises(ValueError):
-            ExploreConfig(sample_hz=-1.0)
-
-
 def signature(result):
     return sorted(
         (tuple(sorted(str(i) for i in r.itemset)), r.count,
@@ -290,21 +267,30 @@ def signature(result):
 
 
 class TestEndToEnd:
-    def explore(self, pocket_data, **cfg):
+    def explore(self, pocket_data, obs=None, bundle_dir=None):
+        """One explorer run on ``obs``, bundled into ``bundle_dir``
+        when it is given."""
         table, errors = pocket_data
-        explorer = HDivExplorer(ExploreConfig(min_support=0.05, **cfg))
-        return explorer.explore(table, errors)
+        config = ExploreConfig(min_support=0.05, obs=obs)
+        if bundle_dir is None:
+            return HDivExplorer(config).explore(table, errors)
+        with RunBundle(
+            bundle_dir, config=config.to_dict(), obs=obs, dataset=table
+        ):
+            return HDivExplorer(config).explore(table, errors)
 
     def test_results_bit_identical_with_profiler_serial(self, pocket_data):
         plain = self.explore(pocket_data)
-        profiled = self.explore(pocket_data, profile_cpu=True)
+        profiled = self.explore(
+            pocket_data, obs=ObsCollector(profile_cpu=True)
+        )
         assert signature(plain) == signature(profiled)
 
     def test_bundle_captures_valid_cpuprof(self, pocket_data, tmp_path):
         bundle_dir = tmp_path / "bundle"
         self.explore(
-            pocket_data, profile_cpu=True, sample_hz=300.0,
-            bundle_dir=str(bundle_dir),
+            pocket_data, obs=ObsCollector(profile_cpu=True, sample_hz=300.0),
+            bundle_dir=bundle_dir,
         )
         assert (bundle_dir / "cpuprof.json").is_file()
         payload = load_cpuprof(bundle_dir)
@@ -317,7 +303,7 @@ class TestEndToEnd:
         self, pocket_data, tmp_path
     ):
         bundle_dir = tmp_path / "plain"
-        self.explore(pocket_data, bundle_dir=str(bundle_dir))
+        self.explore(pocket_data, obs=ObsCollector(), bundle_dir=bundle_dir)
         assert not (bundle_dir / "cpuprof.json").exists()
         assert load_bundle(bundle_dir).cpuprof is None
 

@@ -132,7 +132,7 @@ class TestEventStream:
         stream = EventStream()
         event = stream.emit("progress", "mine", t=1.25, done=1)
         assert event.t == 1.25
-        assert event.worker == 0
+        assert "worker" not in event.to_dict()
 
     def test_close_closes_closable_sinks(self, tmp_path):
         log = JsonlRunLog(tmp_path / "run.jsonl")
@@ -174,8 +174,11 @@ class TestEventCounts:
     def test_scheduling_dependent_kinds_are_excluded(self):
         stream = EventStream()
         stream.emit("span_open", "mine")
-        stream.emit("heartbeat", "mine.shard")
-        stream.emit("worker_span", "mine.shard", t0=0.0, t1=0.1)
+        # The process fan-out's kinds are retired with events@1.
+        with pytest.raises(ValueError, match="unknown event kind"):
+            stream.emit("heartbeat", "mine.shard")
+        with pytest.raises(ValueError, match="unknown event kind"):
+            stream.emit("worker_span", "mine.shard", t0=0.0, t1=0.1)
         stream.emit("cancelled", "mine", reason="deadline")
         stream.emit("span_close", "mine", seconds=0.2)
         assert event_counts(stream) == {
@@ -186,9 +189,9 @@ class TestEventCounts:
     def test_accepts_run_log_records(self):
         records = [
             {"seq": 0, "t": 0.0, "kind": "progress", "name": "mine",
-             "worker": 0, "attrs": {"done": 3, "total": 3}},
+             "attrs": {"done": 3, "total": 3}},
             {"seq": 1, "t": 0.1, "kind": "counters", "name": "mine",
-             "worker": 0, "attrs": {"counters": {}}},
+             "attrs": {"counters": {}}},
         ]
         assert event_counts(records) == {
             "counters:mine": 1, "progress:mine": 3,
@@ -230,10 +233,9 @@ class TestJsonlRunLog:
         assert validate_run_log([]) == ["empty run log (no header)"]
         bad = [
             {"schema": "someone-else/events@9", "kind": "header"},
-            {"seq": 5, "t": 0.1, "kind": "progress", "name": "p", "worker": 0},
-            {"seq": 3, "t": -1.0, "kind": "nonsense", "name": "p",
-             "worker": 0},
-            {"t": 0.2, "kind": "progress", "name": "p", "worker": 0},
+            {"seq": 5, "t": 0.1, "kind": "progress", "name": "p"},
+            {"seq": 3, "t": -1.0, "kind": "nonsense", "name": "p"},
+            {"t": 0.2, "kind": "progress", "name": "p"},
         ]
         errors = validate_run_log(bad)
         assert any("schema" in e for e in errors)
@@ -241,6 +243,16 @@ class TestJsonlRunLog:
         assert any("unknown kind" in e for e in errors)
         assert any("bad timestamp" in e for e in errors)
         assert any("missing key 'seq'" in e for e in errors)
+
+    def test_retired_events_v1_log_is_rejected(self):
+        records = [
+            {"schema": "repro.obs/events@1", "kind": "header"},
+            {"seq": 0, "t": 0.0, "kind": "heartbeat", "name": "mine.shard",
+             "worker": 1},
+        ]
+        errors = validate_run_log(records)
+        assert any("header schema is 'repro.obs/events@1'" in e for e in errors)
+        assert any("unknown kind 'heartbeat'" in e for e in errors)
 
     def test_log_is_valid_mid_stream(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -257,7 +269,7 @@ class TestTail:
         path = TestJsonlRunLog().write_log(tmp_path)
         assert tail_main([str(path)]) == 0
         out = capsys.readouterr().out
-        assert "# run log repro.obs/events@1" in out
+        assert "# run log repro.obs/events@2" in out
         assert "span_open" in out and "progress" in out
         assert "event counts (deterministic kinds)" in out
         assert "progress:mine" in out
@@ -283,7 +295,7 @@ class TestTailUnknownKinds:
             ):
                 fh.write(json.dumps({
                     "kind": kind, "name": "k", "t": 9.0, "seq": seq,
-                    "worker": 0, "attrs": {},
+                    "attrs": {},
                 }) + "\n")
         return path
 
@@ -681,26 +693,11 @@ class TestMiningProgress:
 
 
 class TestExplorerDeadline:
-    def test_config_validates_deadline(self):
-        with pytest.raises(ValueError):
-            ExploreConfig(deadline_s=0.0)
-        with pytest.raises(ValueError):
-            ExploreConfig(deadline_s=-5)
-
-    def test_deadline_excluded_from_serialization(self):
-        config = ExploreConfig(min_support=0.1, deadline_s=30.0)
-        assert "deadline_s" not in config.to_dict()
-        assert config.fingerprint() == ExploreConfig(
-            min_support=0.1
-        ).fingerprint()
-
-    def test_deadline_upgrades_null_obs(self):
-        config = ExploreConfig(deadline_s=30.0)
-        assert config.obs.enabled  # NULL_OBS would drop the checkpoints
-
     def test_tiny_deadline_cancels_with_partial_log(self, pocket_data):
         table, errors = pocket_data
-        config = ExploreConfig(min_support=0.05, deadline_s=1e-6)
+        obs = ObsCollector()
+        obs.arm_deadline(1e-6)
+        config = ExploreConfig(min_support=0.05, obs=obs)
         with pytest.raises(RunCancelled) as exc_info:
             HDivExplorer(config).explore(table, errors)
         exc = exc_info.value
@@ -713,8 +710,10 @@ class TestExplorerDeadline:
         plain = HDivExplorer(
             ExploreConfig(min_support=0.1, tree_support=0.1)
         ).explore(table, errors)
+        obs = ObsCollector()
+        obs.arm_deadline(600.0)
         budgeted = HDivExplorer(
-            ExploreConfig(min_support=0.1, tree_support=0.1, deadline_s=600.0)
+            ExploreConfig(min_support=0.1, tree_support=0.1, obs=obs)
         ).explore(table, errors)
         assert result_signature(budgeted) == result_signature(plain)
 

@@ -199,7 +199,7 @@ class TestLoadProfile:
     def test_file_that_is_not_a_run_log_raises(self, tmp_path):
         other = tmp_path / "history.jsonl"
         other.write_text(json.dumps({"schema": "repro.obs/bench@2"}) + "\n")
-        with pytest.raises(ValueError, match="not a repro.obs/events@1 run log"):
+        with pytest.raises(ValueError, match="not a repro.obs/events@2 run log"):
             load_profile(str(other))
 
 
@@ -270,13 +270,13 @@ class TestDoctorChecks:
 
     def test_seq_gap_and_lost_head_are_errors(self):
         torn = synthetic_bundle(
-            records=[{"kind": "heartbeat", "seq": s} for s in (0, 1, 3, 4)],
+            records=[{"kind": "progress", "seq": s} for s in (0, 1, 3, 4)],
         )
         (finding,) = diagnose(torn, checks=["seq-gaps"])
         assert finding.severity == "error"
         assert "missing" in finding.message
         headless = synthetic_bundle(
-            records=[{"kind": "heartbeat", "seq": s} for s in (5, 6, 7)],
+            records=[{"kind": "progress", "seq": s} for s in (5, 6, 7)],
         )
         (finding,) = diagnose(headless, checks=["seq-gaps"])
         assert "not 0" in finding.message
@@ -386,14 +386,17 @@ class TestDoctorCli:
         self, pocket_data, tmp_path, capsys
     ):
         table, errors = pocket_data
-        config = ExploreConfig(
-            min_support=0.1, tree_support=0.1, deadline_s=1e-6,
-            bundle_dir=str(tmp_path / "b"),
-        )
+        obs = ObsCollector()
+        obs.arm_deadline(1e-6)
+        config = ExploreConfig(min_support=0.1, tree_support=0.1, obs=obs)
         from repro.obs import RunCancelled
 
         with pytest.raises(RunCancelled):
-            HDivExplorer(config).explore(table, errors)
+            with RunBundle(
+                tmp_path / "b", config=config.to_dict(), obs=obs,
+                dataset=table,
+            ):
+                HDivExplorer(config).explore(table, errors)
         assert doctor_main([str(tmp_path / "b"), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         checks = {f["check"] for f in payload["findings"]}

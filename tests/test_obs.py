@@ -566,16 +566,6 @@ class TestMemoryProfiling:
         assert NULL_OBS.mem_peaks == {}
         assert NULL_OBS.profile_memory is False
 
-    def test_config_enables_profiling_on_the_collector(self):
-        obs = ObsCollector()
-        try:
-            config = ExploreConfig(obs=obs, profile_memory=True)
-            assert obs.profile_memory is True
-            assert "profile_memory" not in config.to_dict()
-            assert config.fingerprint() == ExploreConfig().fingerprint()
-        finally:
-            obs.stop_memory_profiling()
-
     def test_bench_payload_and_summary_carry_mem_peaks(self, universe):
         _, obs = self.mined_with(universe, True)
         payload = bench_payload("x", obs=obs, config={})

@@ -369,8 +369,10 @@ class TestCallCollector:
     def test_deadline_cancels_in_discretize(self, pocket_data):
         table, errors = pocket_data
         session = ExploreSession(table, errors)
+        obs = ObsCollector()
+        obs.arm_deadline(1e-6)
         with pytest.raises(RunCancelled) as exc_info:
-            session.explore(ExploreConfig(min_support=0.05, deadline_s=1e-6))
+            session.explore(ExploreConfig(min_support=0.05, obs=obs))
         assert exc_info.value.where == "discretize"
 
 
