@@ -34,7 +34,10 @@ the same workload (``benchmark_results/smoke_bundle/``), requires
 ``validate_bundle`` to report zero problems and the run doctor to
 report zero findings, requires bundling to leave the ResultSet
 bit-identical to an unbundled run, and requires ``repro.obs.diff`` of
-the bundle against itself to PASS with zero regressions.
+the bundle against itself to PASS with zero regressions. The run log is
+the bundle's one recording: the bundle must hold exactly the manifest
+and the run log, and the counters and gauges ``load_bundle`` folds
+from that log must equal those of the collector that recorded the run.
 
 With ``--cpuprof`` it runs the CPU-profiler gate: profiling at the
 default 97 Hz must leave german's ResultSet bit-identical to an
@@ -337,6 +340,7 @@ def bundle_main() -> int:
     import shutil
 
     from repro.obs import load_bundle, validate_bundle
+    from repro.obs.bundle import BUNDLE_FILES, MANIFEST_FILENAME
     from repro.obs.diff import diff_payload, load_profile
     from repro.obs.doctor import diagnose
 
@@ -348,7 +352,8 @@ def bundle_main() -> int:
     if bundle_dir.exists():
         shutil.rmtree(bundle_dir)
     plain = run_hierarchical(ctx, SUPPORT)
-    bundled = bundled_run(ctx, bundle_dir, ObsCollector())
+    obs = ObsCollector()
+    bundled = bundled_run(ctx, bundle_dir, obs)
 
     problems = validate_bundle(bundle_dir)
     if problems:
@@ -367,6 +372,24 @@ def bundle_main() -> int:
         print(f"{'determinism':20s} identical with and without bundle  ok")
 
     bundle = load_bundle(bundle_dir)
+    recording = []
+    files = sorted(path.name for path in bundle_dir.iterdir())
+    expected = sorted([MANIFEST_FILENAME, *BUNDLE_FILES.values()])
+    if files != expected:
+        recording.append(f"bundle holds {files}, expected {expected}")
+    if bundle.counters != obs.counters:
+        recording.append("folded counters differ from the collector's")
+    if bundle.gauges != obs.gauges:
+        recording.append("folded gauges differ from the collector's")
+    if recording:
+        failures.append("recording")
+        for problem in recording:
+            print(f"  recording: {problem}", file=sys.stderr)
+    print(
+        f"{'recording':20s} manifest + run log, folded registries  "
+        f"{'ok' if not recording else 'FAILED'}"
+    )
+
     findings = diagnose(bundle)
     if findings:
         failures.append("doctor")
@@ -393,7 +416,10 @@ def bundle_main() -> int:
     if failures:
         print(f"bundle gate FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("bundle gate passed: bundle valid, doctor healthy, self-diff clean")
+    print(
+        "bundle gate passed: bundle valid, run log complete, doctor "
+        "healthy, self-diff clean"
+    )
     return 0
 
 

@@ -12,10 +12,10 @@ Usage examples::
     python -m repro.cli explore data.csv --kind error \\
         --y-true label --y-pred pred --support 0.05 --top 10
 
-    # same, with observability: span trace + metrics registry as JSON
+    # same, with observability: the run log (spans with their
+    # attributes, counter and gauge snapshots) as JSONL
     python -m repro.cli hexplore data.csv --kind error \\
-        --y-true label --y-pred pred \\
-        --trace trace.json --metrics-out metrics.json
+        --y-true label --y-pred pred --run-log run.jsonl
 
     # show the discretization hierarchy of one attribute
     python -m repro.cli discretize data.csv --attribute age \\
@@ -139,24 +139,15 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         "(none of these changes mined results)",
     )
     g.add_argument(
-        "--trace", metavar="FILE",
-        help="write the hierarchical span trace as JSON",
-    )
-    g.add_argument(
-        "--metrics-out", metavar="FILE", dest="metrics_out",
-        help="write the metrics registry (counters/gauges) as JSON",
-    )
-    g.add_argument(
         "--profile-memory", action="store_true", dest="profile_memory",
         help="track tracemalloc peak allocations per span "
         "(slows the run; timings are not comparable)",
     )
     g.add_argument(
         "--profile-cpu", action="store_true", dest="profile_cpu",
-        help="attach the sampling CPU profiler: spans gain sampled "
-        "self-time and hot-function attributes; bundles gain "
-        "cpuprof.json (export flamegraphs with "
-        "python -m repro.obs.cpuprof export)",
+        help="attach the sampling CPU profiler: print the hottest "
+        "functions; bundles gain cpuprof.json (export flamegraphs "
+        "with python -m repro.obs.cpuprof export)",
     )
     g.add_argument(
         "--sample-hz", type=float, default=97.0, dest="sample_hz",
@@ -171,8 +162,10 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     )
     g.add_argument(
         "--run-log", metavar="FILE", dest="run_log",
-        help="append the structured event stream to FILE as "
-        "schema-tagged JSONL (replay with python -m repro.obs.tail)",
+        help="append the structured event stream (spans with their "
+        "attributes, progress, counter and gauge snapshots) to FILE "
+        "as schema-tagged JSONL (replay with python -m repro.obs.tail, "
+        "compare with python -m repro.obs.diff)",
     )
     g.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -182,7 +175,7 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--bundle", metavar="DIR",
         help="capture the run into a forensics bundle directory "
-        "(manifest, run log, trace, metrics; "
+        "(manifest and run log; "
         "cpuprof.json with --profile-cpu; crash.json for "
         "failed/cancelled runs — inspect with "
         "python -m repro.obs.doctor, compare with "
@@ -193,15 +186,13 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
 def _build_obs(args):
     """An ObsCollector when an observability flag asked for one.
 
-    ``--trace``/``--metrics-out``/``--profile-memory``/``--profile-cpu``
-    want the span tree and metrics registry, and the two profiling
-    flags (with ``--sample-hz``) switch profiling on in the collector
-    itself; ``--progress``/``--run-log``/``--deadline``/``--bundle``
-    additionally want a live event stream, with a throttled TTY
-    renderer and/or an append-only JSONL run log as sinks
-    (``--deadline`` alone still streams: the cancellation event must
-    land somewhere inspectable; a bundle attaches its own run-log sink
-    in :func:`_captured`).
+    ``--profile-memory``/``--profile-cpu`` (with ``--sample-hz``)
+    switch profiling on in the collector itself;
+    ``--progress``/``--run-log``/``--deadline``/``--bundle`` want a
+    live event stream, with a throttled TTY renderer and/or an
+    append-only JSONL run log as sinks (``--deadline`` alone still
+    streams: the cancellation event must land somewhere inspectable;
+    a bundle attaches its own run-log sink in :func:`_captured`).
     """
     want_events = bool(
         getattr(args, "progress", False)
@@ -210,9 +201,7 @@ def _build_obs(args):
         or getattr(args, "deadline", None) is not None
     )
     if not (
-        getattr(args, "trace", None)
-        or getattr(args, "metrics_out", None)
-        or getattr(args, "profile_memory", False)
+        getattr(args, "profile_memory", False)
         or getattr(args, "profile_cpu", False)
         or want_events
     ):
@@ -257,7 +246,7 @@ def _captured(args, obs, config: ExploreConfig, dataset: Table):
 
 
 def _write_obs(args, obs) -> None:
-    """Write the trace / metrics files requested on the command line."""
+    """Print the requested profiles and close the run's event sinks."""
     if obs is None:
         return
     if getattr(args, "profile_memory", False):
@@ -277,14 +266,6 @@ def _write_obs(args, obs) -> None:
         )
         for name, seconds in cpu.top_functions():
             print(f"  {name:<56s} {seconds:8.3f} s")
-    from repro.obs import write_metrics, write_trace
-
-    if args.trace:
-        write_trace(obs, args.trace)
-        print(f"wrote span trace to {args.trace}")
-    if args.metrics_out:
-        write_metrics(obs, args.metrics_out)
-        print(f"wrote metrics to {args.metrics_out}")
     events = getattr(obs, "events", None)
     if events is not None:
         events.close()

@@ -87,7 +87,7 @@ def base_universe(
     items.extend(extra_items)
     with obs.span("encode", kind="base") as span:
         universe = EncodedUniverse.from_table(table, items, outcome)
-    _record_universe(obs, span, universe)
+        _record_universe(obs, span, universe)
     return universe
 
 
@@ -129,13 +129,14 @@ def generalized_universe(
     items.extend(extra_items)
     with obs.span("encode", kind="generalized") as span:
         universe = EncodedUniverse.from_table(table, items, outcome)
-    if obs.enabled:
-        obs.gauge("universe.hierarchy_items", n_hierarchy_items)
-    _record_universe(obs, span, universe)
+        if obs.enabled:
+            obs.gauge("universe.hierarchy_items", n_hierarchy_items)
+        _record_universe(obs, span, universe)
     return universe
 
 
 def _record_universe(obs: AnyCollector, span, universe: EncodedUniverse) -> None:
+    """Gauge the universe and tag the still-open ``encode`` span."""
     if not obs.enabled:
         return
     obs.gauge("universe.items", universe.n_items())

@@ -390,13 +390,13 @@ def mine(
     prev_engine_obs = engine.obs
     if obs.enabled:
         engine.obs = obs
-    span = obs.span("bitset", min_support=min_support)
     try:
-        with span:
+        with obs.span("bitset", min_support=min_support) as span:
             mined = engine.mine(min_support, max_length, polarities)
+            if obs.enabled:
+                obs.count("mining.frequent_itemsets", len(mined))
+                # Set before the close, so the span_close event has them.
+                span.set(itemsets=len(mined), packed_words=engine.n_words)
     finally:
         engine.obs = prev_engine_obs
-    if obs.enabled:
-        obs.count("mining.frequent_itemsets", len(mined))
-        span.set(itemsets=len(mined), packed_words=engine.n_words)
     return mined

@@ -7,7 +7,8 @@ subgroup statistic and the whole-dataset statistic.
 
 Outcomes are represented as float64 arrays where NaN encodes ⊥. Boolean
 outcomes use 1.0 for T and 0.0 for F, so that the mean is exactly the
-probability ``k+ / (k+ + k-)`` of the paper.
+probability ``k+ / (k+ + k-)`` of the paper. An infinite value has no
+mean to diverge from, so evaluating an outcome that yields one raises.
 """
 
 from __future__ import annotations
@@ -38,12 +39,26 @@ class Outcome:
         self.boolean = boolean
 
     def values(self, table: Table) -> np.ndarray:
-        """Evaluate the outcome on every row of ``table``."""
+        """Evaluate the outcome on every row of ``table``.
+
+        Raises :class:`ValueError` on a wrong shape, a non-0/1 value of
+        a boolean outcome, or any ±inf (NaN, ⊥, is allowed).
+        """
         out = np.asarray(self._fn(table), dtype=np.float64)
         if out.shape != (table.n_rows,):
             raise ValueError(
                 f"outcome {self.name!r} returned shape {out.shape}, "
                 f"expected ({table.n_rows},)"
+            )
+        if np.isinf(out).any():
+            rows = np.flatnonzero(np.isinf(out))
+            plural = "s" if rows.size > 1 else ""
+            shown = ", ".join(map(str, rows[:5]))
+            more = ", ..." if rows.size > 5 else ""
+            raise ValueError(
+                f"outcome {self.name!r} is infinite in {rows.size} "
+                f"row{plural} (row{plural} {shown}{more}); use NaN for an "
+                "undefined outcome"
             )
         if self.boolean:
             defined = out[~np.isnan(out)]

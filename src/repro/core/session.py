@@ -291,9 +291,9 @@ class ExploreSession:
                 p0 = time.perf_counter()
                 with obs.span("point", value=repr(value)) as span:
                     result = self._explore(cfg, obs)
+                    hits, misses = _cache_delta(obs, before)
+                    span.set(cache_hits=hits, cache_misses=misses)
                 elapsed = time.perf_counter() - p0
-                hits, misses = _cache_delta(obs, before)
-                span.set(cache_hits=hits, cache_misses=misses)
                 obs.progress("sweep", value=repr(value))
                 obs.checkpoint("sweep")
                 points.append(

@@ -15,8 +15,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 
-#: Matches a telemetry schema id anywhere in text, e.g. the trace
-#: schema ``"repro.obs/trace@1"`` (family ``obs/trace``, version 1).
+#: Matches a telemetry schema id anywhere in text, e.g. the run-log
+#: schema ``"repro.obs/events@2"`` (family ``obs/events``, version 2).
 SCHEMA_ID_RE = re.compile(r"repro\.(obs|devtools)/([a-z_]+)@(\d+)")
 
 #: ObsCollector emission methods whose first argument names a metric,

@@ -15,7 +15,7 @@ from pathlib import Path
 from repro.experiments import figures as F
 from repro.experiments.harness import load_context
 from repro.experiments.tables import render_table
-from repro.obs import ObsCollector, write_trace
+from repro.obs import ObsCollector
 
 
 def _artifacts(fast: bool):
@@ -107,10 +107,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--only", nargs="*", help="artifact names to run (default: all)"
     )
-    parser.add_argument(
-        "--trace", type=Path,
-        help="write a span trace (one span per artifact) as JSON",
-    )
     args = parser.parse_args(argv)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -123,9 +119,6 @@ def main(argv=None) -> int:
         print(f"\n{'=' * 72}\n{text}\n[{name}: {span.elapsed_seconds:.1f}s]")
         if args.out:
             (args.out / f"{name}.txt").write_text(text + "\n")
-    if args.trace:
-        write_trace(obs, args.trace)
-        print(f"\nwrote span trace to {args.trace}")
     return 0
 
 

@@ -8,7 +8,8 @@ everything defaults to the :data:`NULL_OBS` no-op singleton, which
 keeps the hot paths effectively free and the outputs bit-identical.
 
 See ``docs/OBSERVABILITY.md`` for the span/metric inventory and the
-JSON schemas of trace, metrics, and ``BENCH_*.json`` files. Post-mortem
+JSON schemas of the run log and ``BENCH_*.json`` files. The run log
+(``repro.obs.runlog``) is a run's one on-disk recording. Post-mortem
 forensics live in ``repro.obs.bundle`` (run bundles, exported here),
 ``repro.obs.diff`` and ``repro.obs.doctor`` (standalone ``python -m``
 tools, like ``repro.obs.tail``).
@@ -55,16 +56,7 @@ from repro.obs.runlog import (
     read_run_log,
     validate_run_log,
 )
-from repro.obs.report import (
-    METRICS_SCHEMA,
-    TRACE_SCHEMA,
-    metrics_payload,
-    obs_summary,
-    render_text,
-    trace_payload,
-    write_metrics,
-    write_trace,
-)
+from repro.obs.report import obs_summary, render_text
 
 # cpuprof symbols resolve lazily (PEP 562) so that
 # `python -m repro.obs.cpuprof` does not import the module twice via
@@ -95,9 +87,7 @@ __all__ = [
     "BUNDLE_SCHEMA",
     "CPUPROF_SCHEMA",
     "EVENTS_SCHEMA",
-    "METRICS_SCHEMA",
     "NULL_OBS",
-    "TRACE_SCHEMA",
     "AnyCollector",
     "Bundle",
     "CpuProfiler",
@@ -121,7 +111,6 @@ __all__ = [
     "load_bundle",
     "load_cpuprof",
     "max_rss_kb",
-    "metrics_payload",
     "obs_summary",
     "read_run_log",
     "render_text",
@@ -129,7 +118,6 @@ __all__ = [
     "to_chrome_trace",
     "to_folded",
     "to_speedscope",
-    "trace_payload",
     "trim_spans",
     "validate_bench_payload",
     "validate_bundle",
@@ -138,6 +126,4 @@ __all__ = [
     "write_bench_json",
     "write_chrome_trace",
     "write_cpuprof",
-    "write_metrics",
-    "write_trace",
 ]

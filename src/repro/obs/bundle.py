@@ -6,12 +6,12 @@ machine, after the process is gone:
 
 ```
 <bundle>/
-  manifest.json   repro.obs/bundle@1: status, config + fingerprint,
+  manifest.json   repro.obs/bundle@2: status, config + fingerprint,
                   git SHA, env/platform snapshot, dataset shape hash,
                   per-file sha256 integrity hashes
-  run_log.jsonl   the full JSONL event stream (repro.obs.runlog)
-  trace.json      the completed span forest (repro.obs/trace@1)
-  metrics.json    counters + gauges (repro.obs/metrics@1)
+  run_log.jsonl   the full JSONL event stream (repro.obs.runlog): the
+                  run's one recording of spans, attributes, counters
+                  and gauges
   cpuprof.json    only for --profile-cpu runs: the sampled stack table
                   (repro.obs/cpuprof@1; export flamegraphs with
                   python -m repro.obs.cpuprof)
@@ -23,17 +23,20 @@ machine, after the process is gone:
 
 Capture wraps the call: ``with RunBundle(dir, obs=obs, ...):`` around
 any run on that collector (the CLI's ``--bundle DIR`` wraps the whole
-command). Entering attaches a run-log sink to the collector's event
-stream and installs the crash hooks (``sys.excepthook`` plus
-``faulthandler`` — this module is their single sanctioned owner,
-reprolint RPL018); exiting finalizes the bundle whatever the outcome.
+command); a bundle without an enabled collector is refused. Entering
+attaches a run-log sink to the collector's event stream and installs
+the crash hooks (``sys.excepthook`` plus ``faulthandler`` — this
+module is their single sanctioned owner, reprolint RPL018); exiting
+finalizes the bundle whatever the outcome.
 A run that raises — including a cooperative
 :class:`~repro.obs.events.RunCancelled` — still leaves a complete,
 valid bundle with a ``crash.json``.
 
 :func:`load_bundle` and :func:`validate_bundle` round-trip the
-directory; ``python -m repro.obs.doctor`` and ``python -m
-repro.obs.diff`` consume loaded bundles.
+directory; a loaded :class:`Bundle` folds its run log
+(:func:`~repro.obs.runlog.fold_events`) into the phases, counters,
+gauges and memory peaks that ``python -m repro.obs.doctor`` and
+``python -m repro.obs.diff`` read.
 """
 
 from __future__ import annotations
@@ -49,20 +52,19 @@ import sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.obs.bench import config_fingerprint
 from repro.obs.collector import AnyCollector, ObsCollector
 from repro.obs.events import EventStream, RunCancelled
-from repro.obs.report import (
-    METRICS_SCHEMA,
-    TRACE_SCHEMA,
-    metrics_payload,
-    trace_payload,
+from repro.obs.runlog import (
+    JsonlRunLog,
+    fold_events,
+    read_run_log,
+    validate_run_log,
 )
-from repro.obs.runlog import JsonlRunLog, read_run_log, validate_run_log
 
-BUNDLE_SCHEMA = "repro.obs/bundle@1"
+BUNDLE_SCHEMA = "repro.obs/bundle@2"
 
 #: Statuses a finalized bundle can carry.
 BUNDLE_STATUSES = ("ok", "cancelled", "crashed")
@@ -75,11 +77,7 @@ CRASH_FILENAME = "crash.json"
 FAULT_LOG_FILENAME = "fault.log"
 
 #: The always-written artifacts: manifest ``files`` key -> file name.
-BUNDLE_FILES = {
-    "run_log": "run_log.jsonl",
-    "trace": "trace.json",
-    "metrics": "metrics.json",
-}
+BUNDLE_FILES = {"run_log": "run_log.jsonl"}
 
 
 def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
@@ -106,10 +104,16 @@ def _utc_timestamp() -> str:
 
 
 def _git_sha() -> str:
-    """Short git SHA of HEAD, or ``"unknown"`` outside a checkout."""
+    """Short git SHA of the checkout this package runs from.
+
+    Resolved from the package's own directory, not the caller's working
+    directory, so the manifest names the code that ran; ``"unknown"``
+    outside a checkout.
+    """
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
+            ["git", "-C", str(Path(__file__).resolve().parent),
+             "rev-parse", "--short=12", "HEAD"],
             capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
@@ -151,29 +155,6 @@ def dataset_snapshot(dataset: Any) -> dict[str, Any] | None:
     }
     shape["shape_hash"] = config_fingerprint(shape)
     return shape
-
-
-def trace_phase_seconds(spans: Iterable[Mapping[str, Any]]) -> dict[str, float]:
-    """Flatten a JSON span forest to dotted-path wall times.
-
-    The file-side twin of ``ObsCollector.phase_seconds`` — repeated
-    paths accumulate — used to align two runs' span trees by path.
-    """
-    out: dict[str, float] = {}
-    for path, span in _walk_paths(spans, ""):
-        out[path] = out.get(path, 0.0) + float(span.get("elapsed_seconds", 0.0))
-    return out
-
-
-def _walk_paths(
-    spans: Iterable[Mapping[str, Any]], prefix: str
-) -> Iterator[tuple[str, Mapping[str, Any]]]:
-    """Every span of a JSON forest with its dotted path, preorder."""
-    for span in spans:
-        name = str(span.get("name", ""))
-        path = f"{prefix}.{name}" if prefix else name
-        yield path, span
-        yield from _walk_paths(span.get("children", ()), path)
 
 
 class CrashCapture:
@@ -235,14 +216,15 @@ class RunBundle:
             HDivExplorer(cfg).explore(table, outcome)
 
     Give the bundle the collector the run records into: without an
-    enabled one it makes a private collector the run never sees.
+    enabled one there is nothing to record, and it raises
+    :class:`ValueError`.
 
     Entering creates the directory, attaches a
     :class:`~repro.obs.runlog.JsonlRunLog` sink to the collector's
     event stream (creating the stream when the collector has none) and
-    installs the crash hooks; exiting finalizes — writing the trace,
-    metrics and closing manifest — whether the run succeeded, crashed,
-    or was cancelled. Exceptions always propagate;
+    installs the crash hooks; exiting finalizes — closing the run log
+    and writing the manifest — whether the run succeeded, crashed, or
+    was cancelled. Exceptions always propagate;
     the bundle only observes. Re-running into the same directory
     overwrites the previous capture.
     """
@@ -262,7 +244,10 @@ class RunBundle:
         self.name = name
         self.config = dict(config) if config else {}
         if obs is None or not obs.enabled:
-            obs = ObsCollector()
+            raise ValueError(
+                "RunBundle records through the run's own collector: pass "
+                "obs= the enabled ObsCollector the run is given"
+            )
         self.obs: ObsCollector = obs
         self.dataset = dataset_snapshot(dataset)
         self.crash_events = int(crash_events)
@@ -354,17 +339,11 @@ class RunBundle:
             self._run_log = None
         if self.status is None:
             self.status = "ok"
-        _write_json(
-            self.directory / BUNDLE_FILES["trace"], trace_payload(self.obs)
-        )
-        _write_json(
-            self.directory / BUNDLE_FILES["metrics"], metrics_payload(self.obs)
-        )
 
         files: dict[str, dict[str, Any]] = {}
         names = dict(BUNDLE_FILES)
         if self.obs.profile_cpu:
-            # Snapshot the sampled stack table next to the trace. The
+            # Snapshot the sampled stack table next to the run log. The
             # root spans closed before the scope exits, so the sampler
             # is already joined and the table is final. (Lazy import:
             # cpuprof resolves through the package's PEP 562 hook so
@@ -417,13 +396,15 @@ class RunBundle:
 
 @dataclass(frozen=True)
 class Bundle:
-    """A loaded run bundle (the return type of :func:`load_bundle`)."""
+    """A loaded run bundle (the return type of :func:`load_bundle`).
+
+    Its registries and phase times are folded from the run log, and
+    equal those of the collector that recorded the run.
+    """
 
     directory: Path
     manifest: dict[str, Any]
     records: list[dict[str, Any]]
-    trace: dict[str, Any]
-    metrics: dict[str, Any]
     crash: dict[str, Any] | None
     cpuprof: dict[str, Any] | None = None
 
@@ -442,30 +423,20 @@ class Bundle:
 
     @property
     def counters(self) -> dict[str, int]:
-        return dict(self.metrics.get("counters", {}))
+        return fold_events(self.records).counters
 
     @property
     def gauges(self) -> dict[str, float]:
-        return dict(self.metrics.get("gauges", {}))
+        return fold_events(self.records).gauges
 
     @property
     def mem_peaks(self) -> dict[str, int]:
-        """The largest ``mem_peak_bytes`` span attribute per dotted path.
-
-        The file-side twin of ``ObsCollector.mem_peaks``, folded from
-        the bundled trace with the same max-merge as ``record_peak``;
-        empty unless the run profiled memory.
-        """
-        out: dict[str, int] = {}
-        for path, span in _walk_paths(self.trace.get("spans", ()), ""):
-            peak = (span.get("attrs") or {}).get("mem_peak_bytes")
-            if peak is not None and int(peak) > out.get(path, -1):
-                out[path] = int(peak)
-        return out
+        """Peak bytes per dotted path; empty unless the run profiled memory."""
+        return fold_events(self.records).mem_peaks
 
     def phase_seconds(self) -> dict[str, float]:
-        """Dotted-path wall times flattened from the bundled trace."""
-        return trace_phase_seconds(self.trace.get("spans", ()))
+        """Dotted-path wall times; repeated paths accumulate."""
+        return fold_events(self.records).phases
 
 
 def load_bundle(directory: str | Path) -> Bundle:
@@ -495,8 +466,6 @@ def load_bundle(directory: str | Path) -> Bundle:
         directory=directory,
         manifest=manifest,
         records=records,
-        trace=read_optional(BUNDLE_FILES["trace"]) or {},
-        metrics=read_optional(BUNDLE_FILES["metrics"]) or {},
         crash=read_optional(CRASH_FILENAME),
         cpuprof=read_optional(CPUPROF_FILENAME),
     )
@@ -507,8 +476,8 @@ def validate_bundle(directory: str | Path) -> list[str]:
 
     Checks the manifest schema and status, the config fingerprint,
     that every file the manifest lists exists with the recorded
-    sha256, the run log's internal validity, the trace/metrics
-    schemas, and that ``crash.json`` presence agrees with the status.
+    sha256, the run log's internal validity, the cpuprof table, and
+    that ``crash.json`` presence agrees with the status.
     """
     directory = Path(directory)
     problems: list[str] = []
@@ -555,16 +524,6 @@ def validate_bundle(directory: str | Path) -> list[str]:
         problems.extend(
             f"run log: {e}" for e in validate_run_log(read_run_log(log_path))
         )
-    trace_path = directory / BUNDLE_FILES["trace"]
-    if trace_path.is_file():
-        trace = json.loads(trace_path.read_text(encoding="utf-8"))
-        if trace.get("schema") != TRACE_SCHEMA:
-            problems.append(f"trace schema is {trace.get('schema')!r}")
-    metrics_path = directory / BUNDLE_FILES["metrics"]
-    if metrics_path.is_file():
-        metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-        if metrics.get("schema") != METRICS_SCHEMA:
-            problems.append(f"metrics schema is {metrics.get('schema')!r}")
     from repro.obs.cpuprof import CPUPROF_FILENAME, validate_cpuprof_payload
 
     cpuprof_path = directory / CPUPROF_FILENAME

@@ -74,7 +74,7 @@ class Span:
             yield from child.walk()
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (the trace-file schema)."""
+        """JSON-ready representation (a ``bench@2`` trace entry)."""
         out: dict[str, Any] = {
             "name": self.name,
             "elapsed_seconds": self.elapsed_seconds,
@@ -136,7 +136,8 @@ class ObsCollector:
     events:
         Optional live :class:`~repro.obs.events.EventStream` the
         collector publishes to *during* the run (span open/close,
-        phase progress, counter snapshots at root close). ``None`` (the default) keeps the flight-recorder-only
+        phase progress, counter and gauge snapshots at root close).
+        ``None`` (the default) keeps the flight-recorder-only
         behaviour; accepts a stream, a sink, a list of sinks, or
         ``True`` for a fresh bounded stream.
     controller:
@@ -297,25 +298,23 @@ class ObsCollector:
                 )
             else:
                 # Root closed: join the sampler (exception-safe — span
-                # __exit__ runs on raise too) and annotate the tree.
+                # __exit__ runs on raise too).
                 self._span_paths.pop(threading.get_ident(), None)
                 self._cpu.stop()
-                self._cpu.annotate(span)
         if self._stack:
             self._stack[-1].children.append(span)
         else:
             self.roots.append(span)
         if self.events is not None:
+            # The close carries the span's final attributes (those set
+            # after it opened too), so the run log holds the whole tree.
             self.events.emit(
-                "span_close", span.name, seconds=span.elapsed_seconds
+                "span_close", span.name, attrs=span.attrs,
+                seconds=span.elapsed_seconds,
             )
             if not self._stack:
-                # One counter snapshot per completed root phase.
-                self.events.emit(
-                    "counters", span.name,
-                    counters={k: self.counters[k]
-                              for k in sorted(self.counters)},
-                )
+                # One counter and gauge snapshot per completed root phase.
+                self.events.emit("counters", span.name, **self.metrics_dict())
 
     def _close_mem(self, span: Span) -> None:
         """Record the span's peak window and propagate it outward."""

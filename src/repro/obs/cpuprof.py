@@ -41,9 +41,6 @@ DEFAULT_SAMPLE_HZ = 97.0
 #: Frames kept per captured stack (deepest dropped first).
 MAX_STACK_DEPTH = 64
 
-#: Hot functions recorded per span in ``cpu_top_functions`` attributes.
-TOP_FUNCTIONS = 5
-
 #: Span label for samples taken outside any open span.
 NO_SPAN = "(no span)"
 
@@ -171,14 +168,7 @@ class CpuProfiler:
             for (span, frames), count in self.table.items()
         )
 
-    def span_samples(self) -> dict[str, int]:
-        """Self-sample counts per dotted span path ("" = outside spans)."""
-        out: dict[str, int] = {}
-        for (span, _frames), count in self.table.items():
-            out[span] = out.get(span, 0) + count
-        return out
-
-    def top_functions(self, n: int = TOP_FUNCTIONS) -> list[tuple[str, float]]:
+    def top_functions(self, n: int = 5) -> list[tuple[str, float]]:
         """The ``n`` hottest functions by leaf-frame self time (seconds)."""
         per_func: dict[str, int] = {}
         for (_span, frames), count in self.table.items():
@@ -187,44 +177,6 @@ class CpuProfiler:
                 per_func[leaf] = per_func.get(leaf, 0) + count
         ranked = sorted(per_func.items(), key=lambda kv: (-kv[1], kv[0]))
         return [(name, count / self.sample_hz) for name, count in ranked[:n]]
-
-    def annotate(self, root: Any) -> None:
-        """Attach cpu attributes to a closed span tree.
-
-        Every span whose dotted path accumulated samples gains
-        ``cpu_samples`` (self samples while it was the innermost open
-        span), ``cpu_self_seconds`` and ``cpu_top_functions`` (the
-        top-N ``[function, seconds]`` pairs). Values are per-path
-        aggregates at annotation time, mirroring
-        ``ObsCollector.phase_seconds`` accumulation semantics.
-        """
-        per_span: dict[str, int] = {}
-        per_func: dict[str, dict[str, int]] = {}
-        for (span, frames), count in self.table.items():
-            per_span[span] = per_span.get(span, 0) + count
-            if frames:
-                leaf = frames[-1]
-                funcs = per_func.setdefault(span, {})
-                funcs[leaf] = funcs.get(leaf, 0) + count
-
-        def visit(span: Any, prefix: str) -> None:
-            path = f"{prefix}.{span.name}" if prefix else span.name
-            samples = per_span.get(path)
-            if samples:
-                span.attrs["cpu_samples"] = samples
-                span.attrs["cpu_self_seconds"] = samples / self.sample_hz
-                ranked = sorted(
-                    per_func.get(path, {}).items(),
-                    key=lambda kv: (-kv[1], kv[0]),
-                )
-                span.attrs["cpu_top_functions"] = [
-                    [name, count / self.sample_hz]
-                    for name, count in ranked[:TOP_FUNCTIONS]
-                ]
-            for child in span.children:
-                visit(child, path)
-
-        visit(root, "")
 
 
 # -- artifact --------------------------------------------------------------

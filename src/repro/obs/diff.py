@@ -2,18 +2,17 @@
 
 ``python -m repro.obs.diff A B`` compares two runs — B (current)
 against A (baseline) — and explains *what* got slower and *why*. Each
-side may be:
-
-* a **bundle directory** (see ``repro.obs.bundle``), or
-* a **JSONL run log** (``repro.obs/events@2``; the span tree is
-  reconstructed from open/close events).
+side may be a **bundle directory** (see ``repro.obs.bundle``) or a bare
+**JSONL run log** (``repro.obs/events@2``). Either way the run log is
+folded (:func:`~repro.obs.runlog.fold_events`) into phases, counters
+and memory peaks; a bundle adds its sampled CPU table.
 
 Span trees are aligned by dotted path and scored with two noise
 thresholds (``rel_threshold`` and ``abs_threshold`` of
 :func:`diff_payload`): a regression must exceed **both** the relative
 and the absolute slack, so microsecond phases cannot trip on timer
-jitter. On top of the per-phase deltas the diff computes
-counter/gauge/mem-peak shifts and *attributes* the top regressions:
+jitter. On top of the per-phase deltas the diff computes counter and
+mem-peak shifts and *attributes* the top regressions:
 each regressed phase is annotated with the counter families that moved
 with it (candidate blow-ups, say) and, when both runs carry sampled CPU
 tables, the functions whose self time grew.
@@ -30,16 +29,12 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from repro.obs.bundle import (
-    MANIFEST_FILENAME,
-    load_bundle,
-    trace_phase_seconds,
-)
+from repro.obs.bundle import MANIFEST_FILENAME, load_bundle
 from repro.obs.cpuprof import function_seconds
 from repro.obs.events import EVENTS_SCHEMA
-from repro.obs.runlog import read_run_log
+from repro.obs.runlog import fold_events, read_run_log
 
 DIFF_SCHEMA = "repro.obs/diff@1"
 
@@ -81,97 +76,44 @@ class RunProfile:
     source: str
     phases: Mapping[str, float]
     counters: Mapping[str, int]
-    gauges: Mapping[str, float]
     mem_peaks: Mapping[str, int]
     #: The run's ``repro.obs/cpuprof@1`` payload, when the artifact was
     #: captured (bundles only); enables function-level attribution.
     cpu: Mapping[str, Any] | None = None
 
 
-def _profile_from_events(
-    events: Iterable[Mapping[str, Any]],
-) -> tuple[dict[str, float], dict[str, int]]:
-    """(phases, counters) from run-log records.
-
-    Phases are rebuilt from ``span_open``/``span_close`` pairs — the
-    close event carries its ``seconds`` — using a name stack to
-    recover the dotted path. Counters come from the last (cumulative)
-    ``counters`` snapshot.
-    """
-    phases: dict[str, float] = {}
-    counters: dict[str, int] = {}
-    stack: list[str] = []
-    for record in events:
-        kind = record.get("kind")
-        name = str(record.get("name", ""))
-        attrs = record.get("attrs") or {}
-        if kind == "span_open":
-            stack.append(name)
-        elif kind == "span_close":
-            if name in stack:
-                # Unwind to the matching open (tolerates a truncated
-                # log whose inner closes were lost).
-                i = len(stack) - 1 - stack[::-1].index(name)
-                path = ".".join(stack[: i + 1])
-                del stack[i:]
-            else:
-                path = name
-            phases[path] = phases.get(path, 0.0) + float(
-                attrs.get("seconds", 0.0)
-            )
-        elif kind == "counters":
-            snapshot = attrs.get("counters")
-            if isinstance(snapshot, Mapping):
-                counters = {str(k): int(v) for k, v in snapshot.items()}
-    return phases, counters
-
-
-def _profile_from_bundle(directory: Path, label: str) -> RunProfile:
-    bundle = load_bundle(directory)
-    _, counters = _profile_from_events(bundle.events)
-    # The bundled metrics are authoritative; the run log's last
-    # counter snapshot stands in when they are empty.
-    counters = bundle.counters or counters
-    return RunProfile(
-        label=label or f"{bundle.name}@{bundle.manifest.get('git_sha', '?')}",
-        source="bundle",
-        phases=bundle.phase_seconds(),
-        counters=counters,
-        gauges=bundle.gauges,
-        mem_peaks=bundle.mem_peaks,
-        cpu=bundle.cpuprof,
-    )
-
-
-def _profile_from_run_log(path: Path, label: str) -> RunProfile:
-    records = read_run_log(path)
-    header = records[0] if records else {}
-    if header.get("kind") != "header" or header.get("schema") != EVENTS_SCHEMA:
-        raise ValueError(f"{path}: not a {EVENTS_SCHEMA} run log")
-    phases, counters = _profile_from_events(records[1:])
-    return RunProfile(
-        label=label or path.name,
-        source="run-log",
-        phases=phases,
-        counters=counters,
-        gauges={},
-        mem_peaks={},
-    )
-
-
 def load_profile(spec: str, label: str = "") -> RunProfile:
     """Normalize one CLI operand into a :class:`RunProfile`.
 
-    ``spec`` is a bundle directory or a JSONL run log.
+    ``spec`` is a bundle directory or a JSONL run log; both fold the
+    run log the same way.
     """
     path = Path(spec)
+    cpu = None
     if path.is_dir():
         if not (path / MANIFEST_FILENAME).exists():
             raise ValueError(f"{path}: directory has no {MANIFEST_FILENAME}")
-        return _profile_from_bundle(path, label)
-    if not path.is_file():
+        bundle = load_bundle(path)
+        records, source, cpu = bundle.records, "bundle", bundle.cpuprof
+        label = label or f"{bundle.name}@{bundle.manifest.get('git_sha', '?')}"
+    elif path.is_file():
+        records, source = read_run_log(path), "run-log"
+        header = records[0] if records else {}
+        if (header.get("kind") != "header"
+                or header.get("schema") != EVENTS_SCHEMA):
+            raise ValueError(f"{path}: not a {EVENTS_SCHEMA} run log")
+        label = label or path.name
+    else:
         raise ValueError(f"{spec}: no such bundle or run log")
-    return _profile_from_run_log(path, label)
+    fold = fold_events(records)
+    return RunProfile(
+        label=label,
+        source=source,
+        phases=fold.phases,
+        counters=fold.counters,
+        mem_peaks=fold.mem_peaks,
+        cpu=cpu,
+    )
 
 
 # -- delta computation -----------------------------------------------------

@@ -1,59 +1,16 @@
-"""Text and JSON reporters for collected observability data.
+"""Text reporters for collected observability data.
 
-The JSON shapes here are the machine-readable contracts referenced by
-``docs/OBSERVABILITY.md``:
-
-* *trace file* (``--trace``): ``{"schema": TRACE_SCHEMA, "spans": [...]}``
-  where each span is ``{"name", "elapsed_seconds", "attrs"?, "children"?}``;
-* *metrics file* (``--metrics-out``):
-  ``{"schema": METRICS_SCHEMA, "counters": {...}, "gauges": {...}}``.
-
-Both are rendered from an :class:`~repro.obs.collector.ObsCollector`
-snapshot with sorted keys, so repeated runs of a deterministic workload
-differ only in the timing floats.
+:func:`render_text` dumps a collector's span tree and registries for a
+terminal; :func:`obs_summary` is the ``obs`` section of
+``ResultSet.summary()``. The on-disk recording of a run is its event
+stream (``repro.obs.runlog``), not a file written here.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any
 
 from repro.obs.collector import AnyCollector, Span
-
-TRACE_SCHEMA = "repro.obs/trace@1"
-METRICS_SCHEMA = "repro.obs/metrics@1"
-
-
-def trace_payload(obs: AnyCollector) -> dict[str, Any]:
-    """The JSON payload of a trace file."""
-    return {"schema": TRACE_SCHEMA, "spans": obs.trace_dict()}
-
-
-def metrics_payload(obs: AnyCollector) -> dict[str, Any]:
-    """The JSON payload of a metrics file."""
-    metrics = obs.metrics_dict()
-    return {
-        "schema": METRICS_SCHEMA,
-        "counters": metrics["counters"],
-        "gauges": metrics["gauges"],
-    }
-
-
-def write_trace(obs: AnyCollector, path: str | Path) -> None:
-    """Write the span forest as a JSON trace file."""
-    Path(path).write_text(
-        json.dumps(trace_payload(obs), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def write_metrics(obs: AnyCollector, path: str | Path) -> None:
-    """Write the metrics registry as a JSON file."""
-    Path(path).write_text(
-        json.dumps(metrics_payload(obs), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _render_span(span: Span, depth: int, lines: list[str]) -> None:

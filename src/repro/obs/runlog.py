@@ -4,7 +4,10 @@ The run log is the persistent form of the live event stream: one
 header line (schema ``repro.obs/events@2``) followed by one JSON
 object per event, appended and flushed as the run progresses so a
 crashed or cancelled run still leaves a readable log. Replay or follow
-a log with ``python -m repro.obs.tail <run.jsonl>``.
+a log with ``python -m repro.obs.tail <run.jsonl>``. It is the one
+recording of a run: :func:`fold_events` derives the phases, counters,
+gauges and memory peaks that bundles, ``repro.obs.diff`` and
+``repro.obs.doctor`` read.
 
 The progress renderer turns ``progress`` events into throttled
 single-line updates with per-phase work accounting and a rate-based
@@ -18,7 +21,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Mapping, NamedTuple, TextIO
 
 from repro.obs.events import EVENT_KINDS, EVENTS_SCHEMA, Event
 
@@ -116,6 +119,58 @@ def validate_run_log(records: Iterable[dict[str, Any]]) -> list[str]:
                 errors.append(f"line {i}: seq {seq} not increasing")
             last_seq = seq
     return errors
+
+
+class RunFold(NamedTuple):
+    """What :func:`fold_events` recovers from a run log."""
+
+    phases: dict[str, float]
+    counters: dict[str, int]
+    gauges: dict[str, float]
+    mem_peaks: dict[str, int]
+
+
+def fold_events(records: Iterable[Mapping[str, Any]]) -> RunFold:
+    """Fold run-log records into the recording collector's registries.
+
+    ``phases`` sums ``span_close`` seconds per dotted path, rebuilt
+    from open/close pairs with a name stack; ``counters`` and
+    ``gauges`` are the last ``counters`` snapshot; ``mem_peaks`` keeps
+    the largest ``mem_peak_bytes`` per path. Other records are skipped.
+    A log written before closes carried attributes folds to empty
+    gauges and memory peaks.
+    """
+    phases: dict[str, float] = {}
+    counters: dict[str, int] = {}
+    gauges: dict[str, float] = {}
+    mem_peaks: dict[str, int] = {}
+    stack: list[str] = []
+    for record in records:
+        kind = record.get("kind")
+        name = str(record.get("name", ""))
+        attrs = record.get("attrs") or {}
+        if kind == "span_open":
+            stack.append(name)
+        elif kind == "span_close":
+            if name in stack:
+                # Unwind to the matching open (tolerates a truncated
+                # log whose inner closes were lost).
+                i = len(stack) - 1 - stack[::-1].index(name)
+                path = ".".join(stack[: i + 1])
+                del stack[i:]
+            else:
+                path = name
+            phases[path] = phases.get(path, 0.0) + float(
+                attrs.get("seconds", 0.0)
+            )
+            peak = attrs.get("mem_peak_bytes")
+            if peak is not None and int(peak) > mem_peaks.get(path, -1):
+                mem_peaks[path] = int(peak)
+        elif kind == "counters":
+            snapshot = attrs.get("counters") or {}
+            counters = {str(k): int(v) for k, v in snapshot.items()}
+            gauges = dict(attrs.get("gauges") or {})
+    return RunFold(phases, counters, gauges, mem_peaks)
 
 
 class ProgressRenderer:

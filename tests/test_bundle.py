@@ -1,8 +1,9 @@
 """Tests for run bundles (``repro.obs.bundle``).
 
-Covers the RunBundle capture contract (manifest, run log, trace,
-metrics, crash.json), the load/validate round-trip and
-tamper detection, and the acceptance contracts: fixed-seed runs bundle
+Covers the RunBundle capture contract (manifest, run log, crash.json),
+the load/validate round-trip and tamper detection, the run log as the
+one recording (what a bundle folds from it equals the recording
+collector), and the acceptance contracts: fixed-seed runs bundle
 deterministically whether they succeed or hit a deadline, with the
 ResultSet bit-identical bundling on or off, and every exploring CLI
 command (``explore --base`` included) writes the bundle ``--bundle``
@@ -13,15 +14,19 @@ from __future__ import annotations
 
 import contextlib
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.config import ExploreConfig
+from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.session import ExploreSession
 from repro.obs import (
     BUNDLE_SCHEMA,
+    NULL_OBS,
     EventStream,
     ObsCollector,
     RunBundle,
@@ -29,13 +34,14 @@ from repro.obs import (
     load_bundle,
     validate_bundle,
 )
+from repro.obs import bundle as bundle_module
 from repro.obs.bundle import (
     CRASH_FILENAME,
     MANIFEST_FILENAME,
     dataset_snapshot,
     env_snapshot,
-    trace_phase_seconds,
 )
+from repro.obs.runlog import fold_events
 
 
 def result_signature(result):
@@ -62,14 +68,19 @@ class TestSnapshots:
         assert dataset_snapshot(table)["shape_hash"] == snap["shape_hash"]
         assert dataset_snapshot(object()) is None
 
-    def test_trace_phase_seconds_accumulates_repeated_paths(self):
-        spans = [
-            {"name": "explore", "elapsed_seconds": 1.0, "children": [
-                {"name": "mine", "elapsed_seconds": 0.25},
-                {"name": "mine", "elapsed_seconds": 0.25},
-            ]},
+    def test_fold_events_accumulates_repeated_paths(self):
+        def span(kind, name, **attrs):
+            return {"kind": kind, "name": name, "attrs": attrs}
+
+        records = [
+            span("span_open", "explore"),
+            span("span_open", "mine"),
+            span("span_close", "mine", seconds=0.25),
+            span("span_open", "mine"),
+            span("span_close", "mine", seconds=0.25),
+            span("span_close", "explore", seconds=1.0),
         ]
-        assert trace_phase_seconds(spans) == {
+        assert fold_events(records).phases == {
             "explore": 1.0, "explore.mine": 0.5,
         }
 
@@ -93,9 +104,15 @@ class TestRunBundle:
         assert manifest["config"] == {"support": 0.1}
         assert manifest["events"]["dropped"] == 0
         assert manifest["events"]["emitted"] == manifest["events"]["retained"]
-        assert set(manifest["files"]) == {"run_log", "trace", "metrics"}
+        assert set(manifest["files"]) == {"run_log"}
         assert validate_bundle(tmp_path / "b") == []
         assert not (tmp_path / "b" / CRASH_FILENAME).exists()
+
+    def test_ok_run_holds_only_manifest_and_run_log(self, tmp_path):
+        self.run_bundled(tmp_path)
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            MANIFEST_FILENAME, "run_log.jsonl",
+        ]
 
     def test_exception_writes_crash_json_and_propagates(self, tmp_path):
         obs = ObsCollector(events=EventStream())
@@ -153,7 +170,44 @@ class TestRunBundle:
 
     def test_empty_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            RunBundle(tmp_path / "b", name="")
+            RunBundle(tmp_path / "b", name="", obs=ObsCollector())
+
+    @pytest.mark.parametrize("obs", [None, NULL_OBS], ids=["missing", "null"])
+    def test_refuses_a_run_it_cannot_record(self, tmp_path, obs):
+        with pytest.raises(ValueError, match="obs="):
+            RunBundle(tmp_path / "b", obs=obs)
+        assert not (tmp_path / "b").exists()
+
+
+class TestGitSha:
+    def test_names_the_code_checkout_not_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        package = Path(bundle_module.__file__).resolve().parent
+        try:
+            proc = subprocess.run(
+                ["git", "-C", str(package), "rev-parse", "--short=12",
+                 "HEAD"],
+                capture_output=True, text=True, timeout=10,
+            )
+        except OSError:
+            pytest.skip("git is not available")
+        if proc.returncode != 0 or not proc.stdout.strip():
+            pytest.skip("the package is not in a git checkout")
+        other = tmp_path / "other"
+        other.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+        subprocess.run(git + ["init", "-q"], cwd=other, check=True)
+        subprocess.run(
+            git + ["commit", "-q", "--allow-empty", "-m", "other"],
+            cwd=other, check=True,
+        )
+        monkeypatch.chdir(other)
+        obs = ObsCollector()
+        with RunBundle(tmp_path / "b", obs=obs) as bundle:
+            with obs.span("root"):
+                pass
+        assert bundle.manifest["git_sha"] == proc.stdout.strip()
 
 
 class TestValidateBundle:
@@ -166,14 +220,14 @@ class TestValidateBundle:
 
     def test_tampered_file_fails_sha256(self, tmp_path):
         directory = self.make(tmp_path)
-        metrics = directory / "metrics.json"
-        metrics.write_text(metrics.read_text().replace("7", "8"))
+        run_log = directory / "run_log.jsonl"
+        run_log.write_text(run_log.read_text().replace('": 7', '": 8'))
         problems = validate_bundle(directory)
         assert any("sha256 mismatch" in p for p in problems)
 
     def test_deleted_artifact_detected(self, tmp_path):
         directory = self.make(tmp_path)
-        (directory / "trace.json").unlink()
+        (directory / "run_log.jsonl").unlink()
         problems = validate_bundle(directory)
         assert any("missing file" in p for p in problems)
 
@@ -311,6 +365,110 @@ class TestExplorerBundles:
         assert bundle.crash["where"] == exc_info.value.where
         assert bundle.crash["last_events"]
         assert bundle.manifest["deadline_s"] == 1e-6
+
+
+def _bundled_hexplore(table, errors, obs):
+    HDivExplorer(ExploreConfig(min_support=0.1, obs=obs)).explore(
+        table, errors
+    )
+
+
+def _bundled_hexplore_profiled(table, errors, obs):
+    obs.enable_memory_profiling()
+    try:
+        _bundled_hexplore(table, errors, obs)
+    finally:
+        obs.stop_memory_profiling()
+
+
+def _bundled_divexplore(table, errors, obs):
+    DivExplorer(ExploreConfig(min_support=0.1, obs=obs)).explore(
+        table, errors
+    )
+
+
+def _bundled_sweep(table, errors, obs):
+    ExploreSession(table, errors, obs=obs).sweep(
+        "min_support", [0.1, 0.2, 0.3]
+    )
+
+
+def _bundled_cancelled(table, errors, obs):
+    obs.arm_deadline(1e-6)
+    _bundled_hexplore(table, errors, obs)
+
+
+class TestRunLogIsTheRecording:
+    """What a bundle reads back is folded from its run log, and equals
+    what the collector that recorded the run holds."""
+
+    def test_span_close_carries_attributes_set_after_open(
+        self, pocket_data
+    ):
+        table, errors = pocket_data
+        obs = ObsCollector(events=EventStream())
+        ExploreSession(table, errors, obs=obs).sweep(
+            "min_support", [0.1, 0.2]
+        )
+        closes = {}
+        for event in obs.events:
+            if event.kind == "span_close":
+                closes.setdefault(event.name, []).append(event.attrs)
+        assert all(a["itemsets"] > 0 for a in closes["bitset"])
+        assert [a["cache_hits"] > 0 for a in closes["point"]] == [
+            False, True,
+        ]
+        assert all("seconds" in a for attrs in closes.values() for a in attrs)
+
+    def test_root_counter_snapshot_carries_gauges(self, pocket_data):
+        table, errors = pocket_data
+        obs = ObsCollector(events=EventStream())
+        _bundled_hexplore(table, errors, obs)
+        (last,) = [e for e in obs.events if e.kind == "counters"][-1:]
+        assert last.attrs["counters"] == obs.counters
+        assert last.attrs["gauges"] == obs.gauges
+        assert last.attrs["gauges"]["universe.items"] > 0
+
+    @pytest.mark.parametrize("run", [
+        _bundled_hexplore,
+        _bundled_hexplore_profiled,
+        _bundled_divexplore,
+        _bundled_sweep,
+        _bundled_cancelled,
+    ], ids=["hexplore", "hexplore-memory", "divexplore", "sweep",
+            "cancelled"])
+    def test_bundle_folds_to_the_collector(self, pocket_data, tmp_path, run):
+        table, errors = pocket_data
+        obs = ObsCollector()
+        with contextlib.suppress(RunCancelled):
+            with RunBundle(tmp_path / "b", obs=obs, dataset=table):
+                run(table, errors, obs)
+        assert validate_bundle(tmp_path / "b") == []
+        bundle = load_bundle(tmp_path / "b")
+        cancelled = run is _bundled_cancelled
+        assert bundle.status == ("cancelled" if cancelled else "ok")
+        assert bundle.counters == obs.counters
+        assert bundle.gauges == obs.gauges
+        assert bundle.mem_peaks == obs.mem_peaks
+        assert bundle.phase_seconds() == obs.phase_seconds()
+        assert bundle.counters and bundle.phase_seconds()
+        if run is _bundled_hexplore_profiled:
+            assert "mine" in bundle.mem_peaks
+            assert "mem.rss_max_kb" in bundle.gauges
+
+    def test_log_written_before_closes_carried_attributes_folds_empty(self):
+        records = [
+            {"kind": "header", "schema": "repro.obs/events@2"},
+            {"kind": "span_open", "name": "mine"},
+            {"kind": "span_close", "name": "mine",
+             "attrs": {"seconds": 0.5}},
+            {"kind": "counters", "name": "mine",
+             "attrs": {"counters": {"mining.candidates": 3}}},
+        ]
+        fold = fold_events(records)
+        assert fold.phases == {"mine": 0.5}
+        assert fold.counters == {"mining.candidates": 3}
+        assert fold.gauges == {} and fold.mem_peaks == {}
 
 
 class TestCliBundle:

@@ -245,7 +245,7 @@ def test_sweep_prints_cache_traffic_only_when_measured(
     args = _sweep_args(german_csv, "min_support", "0.2,0.3")
     assert main(args) == 0
     assert "cache" not in capsys.readouterr().out
-    assert main(args + ["--trace", str(tmp_path / "trace.json")]) == 0
+    assert main(args + ["--run-log", str(tmp_path / "run.jsonl")]) == 0
     points = [
         line for line in capsys.readouterr().out.splitlines()
         if line.startswith("min_support=")

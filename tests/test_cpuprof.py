@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.config import ExploreConfig
 from repro.core.hexplorer import HDivExplorer
-from repro.obs import NULL_OBS, ObsCollector, RunBundle
+from repro.obs import BUNDLE_SCHEMA, NULL_OBS, ObsCollector, RunBundle
 from repro.obs.bundle import Bundle, load_bundle
 from repro.obs.cpuprof import (
     CPUPROF_SCHEMA,
@@ -114,7 +114,8 @@ class TestCpuProfilerLifecycle:
             stop.set()
             worker.join()
         assert prof.samples_total > 0
-        assert prof.span_samples().get("explore.mine", 0) > 0
+        spans = cpuprof_payload(prof)["spans"]
+        assert spans["explore.mine"]["cpu_samples"] > 0
         assert prof.duration_seconds > 0.0
 
     def test_table_accumulates_across_start_stop_cycles(self):
@@ -166,22 +167,6 @@ class TestCollectorIntegration:
                 raise RuntimeError("boom")
         assert not obs.cpu.running
         assert obs._span_paths == {}
-
-    def test_annotate_attaches_cpu_attrs_to_sampled_spans(self):
-        obs = ObsCollector(profile_cpu=True, sample_hz=200.0)
-        with obs.span("explore"):
-            with obs.span("mine"):
-                busy_wait(0.15)
-        mine = obs.roots[0].children[0]
-        if "cpu_samples" in mine.attrs:  # timing-dependent, usually true
-            assert mine.attrs["cpu_samples"] > 0
-            assert mine.attrs["cpu_self_seconds"] == (
-                mine.attrs["cpu_samples"] / 200.0
-            )
-            assert all(
-                isinstance(n, str) and s > 0
-                for n, s in mine.attrs["cpu_top_functions"]
-            )
 
     def test_null_obs_stays_inert(self):
         assert NULL_OBS.profile_cpu is False
@@ -370,23 +355,36 @@ class TestCliFlags:
         args = self.parse(["explore", "d.csv"])
         assert args.profile_cpu is False
         assert args.sample_hz == 97.0
-        for flag in ("trace", "metrics_out", "run_log", "bundle", "deadline"):
+        for flag in ("run_log", "bundle", "deadline"):
             assert getattr(args, flag) is None
+        assert not hasattr(args, "trace") and not hasattr(args, "metrics_out")
         assert args.progress is False and args.profile_memory is False
 
 
-def cpu_bundle(trace_spans, cpuprof=None):
+def span_records(spans):
+    """Run-log open/close records of a nested ``(name, seconds,
+    children)`` span forest, closes carrying ``seconds``."""
+    records = []
+    for name, seconds, children in spans:
+        records.append({"kind": "span_open", "name": name})
+        records.extend(span_records(children))
+        records.append({
+            "kind": "span_close", "name": name,
+            "attrs": {"seconds": seconds},
+        })
+    return records
+
+
+def cpu_bundle(spans, cpuprof=None):
     """A synthetic in-memory bundle for the doctor check."""
     manifest = {
-        "schema": "repro.obs/bundle@1", "name": "synth", "status": "ok",
+        "schema": BUNDLE_SCHEMA, "name": "synth", "status": "ok",
         "events": {"emitted": 0, "retained": 0, "dropped": 0},
     }
     return Bundle(
         directory=Path("synth"),
         manifest=manifest,
-        records=[{"kind": "header"}],
-        trace={"spans": trace_spans},
-        metrics={},
+        records=[{"kind": "header"}, *span_records(spans)],
         crash=None,
         cpuprof=cpuprof,
     )
@@ -422,8 +420,7 @@ class TestDoctorCpuDivergence:
 
     def test_flags_span_with_divergent_sampled_time(self):
         bundle = cpu_bundle(
-            [{"name": "mine", "elapsed_seconds": 1.0}],
-            cpuprof=cpu_payload({"mine": 0.5}),
+            [("mine", 1.0, [])], cpuprof=cpu_payload({"mine": 0.5}),
         )
         findings = self.diagnose(bundle)
         assert len(findings) == 1
@@ -432,21 +429,16 @@ class TestDoctorCpuDivergence:
 
     def test_agreement_and_nested_spans_stay_healthy(self):
         bundle = cpu_bundle(
-            [{
-                "name": "explore", "elapsed_seconds": 1.0,
-                "children": [{"name": "mine", "elapsed_seconds": 0.9}],
-            }],
+            [("explore", 1.0, [("mine", 0.9, [])])],
             cpuprof=cpu_payload({"explore.mine": 0.95}),
         )
         assert self.diagnose(bundle) == []
 
     def test_skips_short_spans_and_unprofiled_bundles(self):
         divergent = cpu_payload({"mine": 0.01})
-        short = cpu_bundle(
-            [{"name": "mine", "elapsed_seconds": 0.1}], cpuprof=divergent
-        )
+        short = cpu_bundle([("mine", 0.1, [])], cpuprof=divergent)
         assert self.diagnose(short) == []
-        unprofiled = cpu_bundle([{"name": "mine", "elapsed_seconds": 9.0}])
+        unprofiled = cpu_bundle([("mine", 9.0, [])])
         assert self.diagnose(unprofiled) == []
 
 
@@ -456,7 +448,7 @@ class TestDiffFunctionAttribution:
 
         return RunProfile(
             label="x", source="bundle",
-            phases=phases or {}, counters={}, gauges={}, mem_peaks={},
+            phases=phases or {}, counters={}, mem_peaks={},
             cpu=cpu,
         )
 

@@ -12,6 +12,7 @@ from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem, Itemset
 from repro.core.mining import EncodedUniverse, mine
 from repro.core.outcomes import array_outcome
+from repro.core.session import ExploreSession
 from repro.tabular import ColumnKind, Schema, Table
 
 
@@ -225,3 +226,50 @@ class TestOutcomeBoundaries:
         full = result.find(Itemset([CategoricalItem("c", "a")]))
         assert full.divergence == pytest.approx(0.0)
         assert full.t == pytest.approx(0.0)
+
+
+class TestInfiniteOutcome:
+    """An infinite outcome has no mean to diverge from: every front
+    door raises and names the row, where NaN (⊥) is accepted."""
+
+    @pytest.fixture
+    def data(self, rng):
+        table = Table({"x": rng.uniform(0, 1, 60), "c": ["a", "b"] * 30})
+        o = rng.uniform(0, 1, 60)
+        o[17] = np.inf
+        o[3] = np.nan
+        return table, o
+
+    def test_hdivexplorer_raises_naming_the_row(self, data):
+        table, o = data
+        with pytest.raises(ValueError, match=r"infinite in 1 row \(row 17\)"):
+            HDivExplorer(min_support=0.2).explore(table, o)
+
+    def test_divexplorer_raises_naming_the_row(self, data):
+        table, o = data
+        with pytest.raises(ValueError, match=r"row 17\)"):
+            DivExplorer(min_support=0.2).explore(table, o)
+
+    def test_session_raises_naming_the_rows(self, data):
+        table, o = data
+        o[40] = -np.inf
+        with pytest.raises(ValueError, match=r"2 rows \(rows 17, 40\)"):
+            ExploreSession(table, o)
+
+    def test_many_rows_are_elided(self, rng):
+        table = Table({"c": ["a"] * 10})
+        out = array_outcome(np.full(10, np.inf))
+        elided = r"10 rows \(rows 0, 1, 2, 3, 4, \.\.\.\)"
+        with pytest.raises(ValueError, match=elided):
+            out.values(table)
+
+    def test_cli_raises_naming_the_row(self, data, tmp_path):
+        from repro.cli import main
+        from repro.tabular import write_csv
+
+        table, o = data
+        csv = tmp_path / "t.csv"
+        write_csv(Table({"x": table.continuous("x").values, "y": o}), csv)
+        args = ["hexplore", str(csv), "--kind", "numeric", "--column", "y"]
+        with pytest.raises(ValueError, match=r"'y' is infinite .*row 17\)"):
+            main(args)

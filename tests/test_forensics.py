@@ -16,7 +16,13 @@ import pytest
 
 from repro.core.config import ExploreConfig
 from repro.core.hexplorer import HDivExplorer
-from repro.obs import EventStream, ObsCollector, RunBundle
+from repro.obs import (
+    BUNDLE_SCHEMA,
+    EventStream,
+    JsonlRunLog,
+    ObsCollector,
+    RunBundle,
+)
 from repro.obs.bundle import Bundle
 from repro.obs.diff import (
     DIFF_SCHEMA,
@@ -41,8 +47,8 @@ from repro.obs.doctor import (
 
 
 def make_bundle(pocket_data, directory, slow_mine=None):
-    """Capture an explorer run bundle, optionally injecting extra
-    wall time into a synthetic trailing ``mine`` span."""
+    """Capture an explorer run bundle, optionally recording a synthetic
+    trailing ``mine`` span of ``slow_mine`` seconds in its run log."""
     table, errors = pocket_data
     obs = ObsCollector(events=EventStream())
     config = ExploreConfig(min_support=0.1, tree_support=0.1, obs=obs)
@@ -52,16 +58,14 @@ def make_bundle(pocket_data, directory, slow_mine=None):
     ):
         HDivExplorer(config).explore(table, errors)
         if slow_mine is not None:
-            with obs.span("mine"):
-                pass
-            obs.roots[-1].elapsed_seconds = slow_mine
+            obs.events.emit("span_open", "mine")
+            obs.events.emit("span_close", "mine", seconds=slow_mine)
     return directory
 
 
 def profile(**kw):
     base = dict(
-        label="p", source="test", phases={}, counters={}, gauges={},
-        mem_peaks={},
+        label="p", source="test", phases={}, counters={}, mem_peaks={},
     )
     base.update(kw)
     return RunProfile(**base)
@@ -190,6 +194,31 @@ class TestLoadProfile:
             str(tmp_path / "b" / "run_log.jsonl")
         ).phases.keys()
 
+    def test_run_logs_of_memory_profiled_runs_diff_mem_peaks(
+        self, pocket_data, tmp_path
+    ):
+        table, errors = pocket_data
+        logs = []
+        for name in ("a", "b"):
+            logs.append(tmp_path / f"{name}.jsonl")
+            obs = ObsCollector(
+                profile_memory=True,
+                events=EventStream(sinks=[JsonlRunLog(logs[-1])]),
+            )
+            config = ExploreConfig(min_support=0.1, obs=obs)
+            try:
+                HDivExplorer(config).explore(table, errors)
+            finally:
+                obs.stop_memory_profiling()
+                obs.events.close()
+        payload = diff_payload(
+            load_profile(str(logs[0])), load_profile(str(logs[1]))
+        )
+        paths = {row["path"] for row in payload["mem_peaks"]}
+        assert "mine" in paths
+        assert all(row["a_bytes"] > 0 for row in payload["mem_peaks"]
+                   if row["path"] == "mine")
+
     def test_missing_spec_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no such bundle"):
             load_profile(str(tmp_path / "nope"))
@@ -203,11 +232,9 @@ class TestLoadProfile:
             load_profile(str(other))
 
 
-def synthetic_bundle(
-    manifest=None, records=None, metrics=None, trace=None, crash=None,
-):
+def synthetic_bundle(manifest=None, records=None, crash=None):
     base_manifest = {
-        "schema": "repro.obs/bundle@1", "name": "synth", "status": "ok",
+        "schema": BUNDLE_SCHEMA, "name": "synth", "status": "ok",
         "events": {"emitted": 0, "retained": 0, "dropped": 0},
     }
     base_manifest.update(manifest or {})
@@ -215,10 +242,19 @@ def synthetic_bundle(
         directory=Path("synth"),
         manifest=base_manifest,
         records=[{"kind": "header"}] + list(records or []),
-        trace=trace or {},
-        metrics=metrics or {},
         crash=crash,
     )
+
+
+def recorded_span(name, seconds, gauges=None, **attrs):
+    """Run-log records of one root span and its closing snapshot."""
+    return [
+        {"kind": "span_open", "name": name},
+        {"kind": "span_close", "name": name,
+         "attrs": {"seconds": seconds, **attrs}},
+        {"kind": "counters", "name": name,
+         "attrs": {"counters": {}, "gauges": gauges or {}}},
+    ]
 
 
 class TestDoctorChecks:
@@ -282,24 +318,22 @@ class TestDoctorChecks:
         assert "not 0" in finding.message
 
     def test_mem_divergence_warning(self):
-        trace = {"spans": [{
-            "name": "mine", "elapsed_seconds": 0.1,
-            "attrs": {"mem_peak_bytes": 10_000_000},
-        }]}
-        diverged = synthetic_bundle(
-            metrics={"gauges": {"mem.rss_max_kb": 1_000_000}}, trace=trace,
-        )
+        diverged = synthetic_bundle(records=recorded_span(
+            "mine", 0.1, gauges={"mem.rss_max_kb": 1_000_000},
+            mem_peak_bytes=10_000_000,
+        ))
         (finding,) = diagnose(diverged, checks=["mem-divergence"])
         assert "RSS" in finding.message
-        close = synthetic_bundle(
-            metrics={"gauges": {"mem.rss_max_kb": 10_000}}, trace=trace,
-        )
+        close = synthetic_bundle(records=recorded_span(
+            "mine", 0.1, gauges={"mem.rss_max_kb": 10_000},
+            mem_peak_bytes=10_000_000,
+        ))
         assert diagnose(close, checks=["mem-divergence"]) == []
 
     def test_mem_divergence_fires_on_a_profiled_bundle(
         self, pocket_data, tmp_path
     ):
-        """End to end: the peaks come from a real bundle's trace."""
+        """End to end: the peaks come from a real bundle's run log."""
         from repro.obs import load_bundle
 
         table, errors = pocket_data
@@ -406,8 +440,8 @@ class TestDoctorCli:
         self, pocket_data, tmp_path, capsys
     ):
         make_bundle(pocket_data, tmp_path / "b")
-        metrics = tmp_path / "b" / "metrics.json"
-        metrics.write_text(metrics.read_text() + " ")
+        run_log = tmp_path / "b" / "run_log.jsonl"
+        run_log.write_text(run_log.read_text() + " ")
         assert doctor_main([str(tmp_path / "b")]) == 1
         assert "bundle-integrity" in capsys.readouterr().out
 

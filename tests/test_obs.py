@@ -2,7 +2,7 @@
 
 Covers the collector mechanics (nesting, null-object behaviour,
 pickling), counter parity across the retired backend names,
-tracing-on/off result identity, and the three JSON payload schemas.
+tracing-on/off result identity, and the text and ``bench@2`` reports.
 """
 
 from __future__ import annotations
@@ -26,23 +26,17 @@ from repro.core.mining.transactions import (
 from repro.core.report import exploration_report
 from repro.obs import (
     BENCH_SCHEMA,
-    METRICS_SCHEMA,
     NULL_OBS,
-    TRACE_SCHEMA,
     NullCollector,
     ObsCollector,
     bench_payload,
     config_fingerprint,
-    metrics_payload,
     obs_summary,
     render_text,
     resolve_obs,
-    trace_payload,
     trim_spans,
     validate_bench_payload,
     write_bench_json,
-    write_metrics,
-    write_trace,
 )
 from repro.tabular import Table
 
@@ -301,19 +295,6 @@ class TestPayloads:
         obs.gauge("universe.items", 9)
         return obs
 
-    def test_trace_and_metrics_payloads(self, tmp_path):
-        obs = self.make_obs()
-        trace = trace_payload(obs)
-        assert trace["schema"] == TRACE_SCHEMA
-        assert trace["spans"][0]["children"][0]["name"] == "bitset"
-        metrics = metrics_payload(obs)
-        assert metrics["schema"] == METRICS_SCHEMA
-        assert metrics["counters"]["mining.candidates"] == 10
-        write_trace(obs, tmp_path / "t.json")
-        write_metrics(obs, tmp_path / "m.json")
-        assert json.loads((tmp_path / "t.json").read_text()) == trace
-        assert json.loads((tmp_path / "m.json").read_text()) == metrics
-
     def test_obs_summary_shape(self):
         s = obs_summary(self.make_obs())
         assert set(s) == {
@@ -405,8 +386,8 @@ class TestSpanTreesUnderExceptions:
             with obs.span("doomed"):
                 with obs.span("child"):
                     raise RuntimeError("boom")
-        trace = trace_payload(obs)
-        assert [s["name"] for s in trace["spans"]] == ["survivor", "doomed"]
+        trace = obs.trace_dict()
+        assert [s["name"] for s in trace] == ["survivor", "doomed"]
         payload = bench_payload("x", obs=obs, config={})
         assert validate_bench_payload(payload) == []
         assert set(obs.phase_seconds()) == {
